@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .beamform import BeamformerSet, build_beamformers, mwf
+from .beamform import BeamformerSet, build_beamformers
 from .filterbank import Filterbank, allocate_targets, build_filterbank
 from .metrics import EvalReport, asii, evaluate
 from .pipeline import (EnhancementResult, Method, render, run_blind_concat,
@@ -17,7 +17,7 @@ __all__ = [
     "EvalReport", "Filterbank", "FrameParams", "Method", "SceneConfig",
     "SolverTerms", "SpectralStats", "Spectrogram",
     "allocate_targets", "analyze", "asii", "build_beamformers",
-    "build_filterbank", "evaluate", "mwf", "render", "run_blind_concat",
+    "build_filterbank", "evaluate", "render", "run_blind_concat",
     "run_joint", "run_unprocessed", "solve_band", "synthesize",
     "synthesize_scene",
 ]

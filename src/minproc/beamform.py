@@ -20,7 +20,7 @@ import numpy as np
 
 from .stft import Spectrogram
 
-__all__ = ["BeamformerSet", "mwf", "mwf_all", "combine", "apply_beamformer",
+__all__ = ["BeamformerSet", "mwf_all", "apply_beamformer",
            "build_beamformers", "DIAG_LOAD"]
 
 # relative diagonal loading applied to C_U before inversion so that
@@ -69,34 +69,6 @@ def _solve_loaded(c_u, d):
     return x, zero
 
 
-def mwf(sigma_s2, d, c_u, mu):
-    """Distortion-weighted MWF for one bin.
-
-    Arguments
-    ---------
-    sigma_s2: speech power (scalar >= 0).
-    d: steering vector, shape (channels,).
-    c_u: noise covariance, shape (channels, channels), Hermitian PSD.
-    mu: distortion weight >= 0; mu = 0 gives the MVDR limit.
-
-    Returns the filter w with shape (channels,).
-    """
-    if mu < 0.0:
-        raise ValueError("distortion weight must be nonnegative")
-    d = np.asarray(d, dtype=complex)
-    if sigma_s2 <= 0.0:
-        return np.zeros_like(d)
-    x, zero = _solve_loaded(np.asarray(c_u, dtype=complex), d)
-    if zero:
-        # zero noise: any distortionless filter is optimal; use the
-        # matched-filter limit of C_U -> eps*I
-        return d / np.vdot(d, d)
-    lam = sigma_s2 * np.vdot(d, x).real
-    if mu == 0.0 and lam <= 0.0:
-        raise ValueError("noise covariance singular")
-    return sigma_s2 * x / (mu + lam)
-
-
 def mwf_all(stats, mu):
     """Vectorized MWF across all bins of a SpectralStats. Returns (bins, M)."""
     if mu < 0.0:
@@ -118,18 +90,6 @@ def build_beamformers(stats, mu_ref=0.0, mu_nr=5.0):
     """Compute the filter pair used by the alpha combination."""
     return BeamformerSet(mwf_all(stats, mu_ref), mwf_all(stats, mu_nr),
                          mu_ref, mu_nr)
-
-
-def combine(bset, alpha):
-    """Per-bin convex combination alpha*w_ref + (1-alpha)*w_nr.
-
-    ``alpha`` is a scalar or an array of shape (bins,) in [0, 1].
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
-        raise ValueError("combination weight must lie in [0, 1]")
-    a = alpha[..., None] if alpha.ndim else alpha
-    return a * bset.w_ref + (1.0 - a) * bset.w_nr
 
 
 def apply_beamformer(spec, weights, gain=None):

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .beamform import build_beamformers
-from .filterbank import build_filterbank, load_band_importance
+from .filterbank import (allocate_targets, build_filterbank,
+                         load_band_importance)
 from .metrics import evaluate
 from .pipeline import render, run_blind_concat, run_joint, run_unprocessed
 from .scene import SceneConfig, synthesize_scene
@@ -60,9 +61,22 @@ class RunConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method: {m}")
+        for name in ("grid_n", "n_bands"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        # fallback_c1's boost fraction 10^(-delta_n_db/10) must lie in
+        # (0, 1); max() keeps the power from overflowing
+        if not 0.0 < 10.0 ** (-max(self.delta_n_db, 0.0) / 10.0) < 1.0:
+            raise ValueError("delta_n_db must be positive")
+        if type(self.scene.seed) is not int or self.scene.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         self.scene.validate()
+        # band layout and target errors surface here, before any write
+        params = FrameParams.from_ms(self.scene.sample_rate, self.frame_ms)
+        allocate_targets(self.a_star, build_filterbank(
+            params, self.n_bands, self.f_lo, self.f_hi))
 
 
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"scene"}
@@ -120,15 +134,19 @@ def parse_config(text):
     return config_from_pairs(pairs)
 
 
+def _set_key(cfg, key, value):
+    if key in _SCENE_KEYS:
+        setattr(cfg.scene, key, value)
+    elif key in _RUN_KEYS:
+        setattr(cfg, key, value)
+    else:
+        raise ValueError(f"unknown config key: {key}")
+
+
 def config_from_pairs(pairs):
     cfg = RunConfig()
     for key, value in pairs.items():
-        if key in _SCENE_KEYS:
-            setattr(cfg.scene, key, value)
-        elif key in _RUN_KEYS:
-            setattr(cfg, key, value)
-        else:
-            raise ValueError(f"unknown config key: {key}")
+        _set_key(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -254,15 +272,6 @@ def _parse_sweep(spec):
     return key.strip(), values
 
 
-def _set_key(cfg, key, value):
-    if key in _SCENE_KEYS:
-        setattr(cfg.scene, key, value)
-    elif key in _RUN_KEYS:
-        setattr(cfg, key, value)
-    else:
-        raise ValueError(f"unknown config key: {key}")
-
-
 def cmd_run(args):
     try:
         text = Path(args.config).read_text()
@@ -279,11 +288,12 @@ def cmd_run(args):
             cfg.output_dir = args.out
         cfg.validate()
         sweep = _parse_sweep(args.sweep) if args.sweep else None
-        if sweep is not None:
+        # the key must exist and every point must make sense
+        for v in sweep[1] if sweep is not None else []:
             probe = dataclasses.replace(
                 cfg, scene=dataclasses.replace(cfg.scene))
-            _set_key(probe, sweep[0], sweep[1][0])  # key must exist ...
-            probe.validate()  # ... and must make sense as a number
+            _set_key(probe, sweep[0], v)
+            probe.validate()
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

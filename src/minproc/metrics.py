@@ -2,20 +2,16 @@
 
 The approximated intelligibility index compresses each band's SNR
 through x/(1+x) and sums under the band importance weights, so it lives
-in [0, 1] and is monotone in every band.  External metric executables
-(ESTOI, PESQ, ...) are not reimplemented; ``external_metrics`` runs
-user-provided commands on rendered files and records whatever they
-print, opaquely.
+in [0, 1] and is monotone in every band.
 """
 
-import subprocess
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .solver import subband_snr
 
-__all__ = ["EvalReport", "asii", "evaluate", "external_metrics"]
+__all__ = ["EvalReport", "asii", "evaluate"]
 
 
 @dataclass
@@ -76,26 +72,3 @@ def evaluate(stats, result, fb):
     result.report = report
     return report
 
-
-def external_metrics(commands, *paths, timeout=60.0):
-    """Run external metric executables on rendered files.
-
-    ``commands`` maps a metric name to an argv prefix; each command is
-    invoked with the given paths appended and its stdout is recorded
-    verbatim.  Failures are recorded as strings too -- a missing ESTOI
-    binary should not abort a batch run.
-    """
-    results = {}
-    for name, argv in commands.items():
-        try:
-            proc = subprocess.run(list(argv) + [str(p) for p in paths],
-                                  capture_output=True, text=True,
-                                  timeout=timeout)
-            out = proc.stdout.strip()
-            results[name] = out if proc.returncode == 0 else \
-                f"error: exit {proc.returncode}: {proc.stderr.strip()}"
-        except OSError as exc:
-            results[name] = f"error: {exc}"
-        except subprocess.TimeoutExpired:
-            results[name] = "error: timeout"
-    return results

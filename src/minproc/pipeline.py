@@ -97,24 +97,24 @@ def recombine(bset, fb, alphas, gains):
     return w_mp, g_mp
 
 
-def _finish(method, solutions, terms, target_snrs, bset, fb):
+def _run(method, stats, bset, fb, a_star, decide):
+    """The shared skeleton: integrate every band's terms, let
+    ``decide(j, terms)`` return the band's BandSolution, recombine."""
+    _, target_snrs = allocate_targets(a_star, fb)
+    terms = [band_terms(stats, bset, fb, j, target_snrs[j])
+             for j in range(fb.n_bands)]
+    solutions = [decide(j, t) for j, t in enumerate(terms)]
     w_mp, g_mp = recombine(bset, fb,
                            [s.alpha for s in solutions],
                            [s.gain for s in solutions])
-    return EnhancementResult(method, solutions, terms,
-                             np.asarray(target_snrs, dtype=float), w_mp, g_mp)
+    return EnhancementResult(method, solutions, terms, target_snrs, w_mp, g_mp)
 
 
 def run_joint(stats, bset, fb, a_star=0.7, delta_u_db=DELTA_U_DB,
               delta_n_db=DELTA_N_DB, grid_n=GRID_N):
     """Solve every band jointly over beamformer mix and playback gain."""
-    _, target_snrs = allocate_targets(a_star, fb)
-    solutions, terms = [], []
-    for j in range(fb.n_bands):
-        t = band_terms(stats, bset, fb, j, target_snrs[j])
-        solutions.append(solve_band(t, delta_u_db, delta_n_db, grid_n))
-        terms.append(t)
-    return _finish(Method.JOINT, solutions, terms, target_snrs, bset, fb)
+    return _run(Method.JOINT, stats, bset, fb, a_star,
+                lambda j, t: solve_band(t, delta_u_db, delta_n_db, grid_n))
 
 
 def blind_gain(delta_y, sigma_n2, target_snr):
@@ -138,11 +138,9 @@ def run_blind_concat(stats, bset, fb, a_star=0.7, grid_n=GRID_N):
     alpha with the best ratio.  Stage 2 applies blind_gain to the total
     power the first stage delivers.
     """
-    _, target_snrs = allocate_targets(a_star, fb)
     alphas = np.linspace(0.0, 1.0, grid_n)
-    solutions, terms_list = [], []
-    for j in range(fb.n_bands):
-        t = band_terms(stats, bset, fb, j, target_snrs[j])
+
+    def decide(j, t):
         members = fb.members[j]
         w = fb.weight[j, members]
         s2 = stats.sigma_s2[members]
@@ -163,7 +161,7 @@ def run_blind_concat(stats, bset, fb, a_star=0.7, grid_n=GRID_N):
         eps = (a2 * d_ref + b2 * d_nr + ab * d_cross) + t.noise_power(alphas)
         ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
-        ok = ratio >= target_snrs[j] * (1.0 - REL_TOL)
+        ok = ratio >= t.target_snr * (1.0 - REL_TOL)
         if np.any(ok):
             alpha = float(alphas[np.flatnonzero(ok)[-1]])
             status = BandStatus.FEASIBLE
@@ -172,13 +170,12 @@ def run_blind_concat(stats, bset, fb, a_star=0.7, grid_n=GRID_N):
             status = BandStatus.C1_INFEASIBLE
 
         delta_y = t.speech_power(alpha) + t.noise_power(alpha)
-        g = blind_gain(delta_y, t.sigma_n2, target_snrs[j])
+        g = blind_gain(delta_y, t.sigma_n2, t.target_snr)
         penalty = (1.0 - alpha) ** 2 + (1.0 - g) ** 2
-        solutions.append(BandSolution(alpha, g, status, penalty,
-                                      subband_snr(t, alpha, g)))
-        terms_list.append(t)
-    return _finish(Method.BLIND_CONCAT, solutions, terms_list, target_snrs,
-                   bset, fb)
+        return BandSolution(alpha, g, status, penalty,
+                            subband_snr(t, alpha, g))
+
+    return _run(Method.BLIND_CONCAT, stats, bset, fb, a_star, decide)
 
 
 def run_unprocessed(stats, fb, a_star=0.7):
@@ -188,20 +185,17 @@ def run_unprocessed(stats, fb, a_star=0.7):
     each target, so downstream tables read the same way as for the
     other methods.
     """
-    _, target_snrs = allocate_targets(a_star, fb)
     e1 = np.zeros((stats.bins, stats.channels), dtype=complex)
     e1[:, 0] = 1.0
-    selector = BeamformerSet(w_ref=e1, w_nr=e1)
-    solutions, terms_list = [], []
-    for j in range(fb.n_bands):
-        t = band_terms(stats, selector, fb, j, target_snrs[j])
+
+    def decide(j, t):
         xi = subband_snr(t, 1.0, 1.0)
-        met = xi >= target_snrs[j] * (1.0 - REL_TOL)
+        met = xi >= t.target_snr * (1.0 - REL_TOL)
         status = BandStatus.FEASIBLE if met else BandStatus.C1_INFEASIBLE
-        solutions.append(BandSolution(1.0, 1.0, status, 0.0, xi))
-        terms_list.append(t)
-    return _finish(Method.UNPROCESSED, solutions, terms_list, target_snrs,
-                   selector, fb)
+        return BandSolution(1.0, 1.0, status, 0.0, xi)
+
+    return _run(Method.UNPROCESSED, stats, BeamformerSet(w_ref=e1, w_nr=e1),
+                fb, a_star, decide)
 
 
 def render(signals, result, params):

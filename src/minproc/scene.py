@@ -29,7 +29,6 @@ __all__ = [
     "transfer_function",
     "steering_matrix",
     "make_source",
-    "design_response",
     "synthesize_scene",
     "estimate_stats",
 ]
@@ -67,10 +66,11 @@ class SceneConfig:
             raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
         if self.ne_noise_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown noise kind: {self.ne_noise_kind}")
+        # +inf means the noise is absent; -inf would be noise alone
         for name in ("fe_snr_db", "ne_snr_db", "mic_selfnoise_snr_db"):
             v = float(getattr(self, name))
-            if math.isnan(v):
-                raise ValueError(f"{name} must not be NaN")
+            if math.isnan(v) or v == -math.inf:
+                raise ValueError(f"{name} must not be NaN or -inf")
         mics = np.atleast_2d(np.asarray(self.mic_positions, dtype=float))
         if mics.shape[0] < 1 or mics.shape[1] != 3:
             raise ValueError("need at least one microphone position in 3-D")
@@ -157,20 +157,6 @@ def _shape_filter(kind, sample_rate):
     if kind == "car_like":
         return sig.butter(1, 200.0, fs=sample_rate, btype="low")
     raise ValueError(f"no shaping filter for kind: {kind}")
-
-
-def design_response(kind, freqs, sample_rate):
-    """Magnitude response of the shaping filter behind a noise kind.
-
-    Only kinds with a closed-form spectrum are supported: 'white',
-    'speech_shaped' and 'car_like'.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    if kind == "white":
-        return np.ones_like(freqs)
-    b, a = _shape_filter(kind, sample_rate)
-    _, h = sig.freqz(b, a, worN=freqs, fs=sample_rate)
-    return np.abs(h)
 
 
 def _unit_rms(x):

@@ -17,8 +17,10 @@ alpha = 1, g = 1 is the do-nothing point: the reference beamformer at
 unit gain.  Both processed powers are quadratics in alpha because the
 filter is a convex combination of two fixed filters, so for each alpha
 the smallest admissible gain is closed form and a 1-D grid over alpha
-solves the problem.  Closed-form boundary candidates (alpha at 0 or 1)
-are checked first and certified against the grid optimum.
+solves the problem.  The grid holds alpha = 0 and alpha = 1 exactly and
+applies the same C1/C2 tests there as the closed-form boundary cases of
+boundary_solution, so whenever a boundary candidate exists the grid
+answer is feasible and at least as good.
 
 When no (alpha, g) is admissible the solver degrades deliberately:
 
@@ -319,11 +321,5 @@ def fallback_both(terms, delta_u_db=DELTA_U_DB, grid_n=GRID_N):
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
                grid_n=GRID_N):
-    """Boundary candidates certified against the grid optimum."""
-    grid = grid_solve(terms, delta_u_db, delta_n_db, grid_n)
-    candidate = boundary_solution(terms, delta_u_db)
-    if candidate is not None:
-        if grid.status is not BandStatus.FEASIBLE \
-                or candidate.penalty < grid.penalty:
-            return candidate
-    return grid
+    """Solve one band: the grid optimum, or the matching fallback."""
+    return grid_solve(terms, delta_u_db, delta_n_db, grid_n)

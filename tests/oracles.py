@@ -6,7 +6,10 @@ the library's own search logic, so agreement is meaningful.
 """
 
 import numpy as np
+from scipy import signal as sig
 
+from minproc.beamform import mwf_all
+from minproc.scene import SpectralStats
 from minproc.solver import REL_TOL, SolverTerms
 
 _SCRATCH = {}
@@ -116,3 +119,31 @@ def random_terms(rng, target_span=(-2.0, 1.0)):
         sigma_n2=10.0 ** rng.uniform(-4.0, 2.0),
         target_snr=10.0 ** rng.uniform(*target_span),
     )
+
+
+def mwf(sigma_s2, d, c_u, mu):
+    """The library's Wiener filter for a single bin, shape (channels,)."""
+    d = np.asarray(d, dtype=complex)
+    one_bin = SpectralStats(np.array([float(sigma_s2)]), d[None],
+                            np.asarray(c_u, dtype=complex)[None], np.zeros(1))
+    return mwf_all(one_bin, mu)[0]
+
+
+# first-order Butterworth low-pass cutoffs (Hz) of the shaped noise kinds
+_SHAPE_CUTOFF_HZ = {"speech_shaped": 500.0, "car_like": 200.0}
+
+
+def design_response(kind, freqs, sample_rate):
+    """Magnitude response of the shaping filter behind a noise kind.
+
+    Only kinds with a closed-form spectrum are supported: 'white',
+    'speech_shaped' and 'car_like'.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    if kind == "white":
+        return np.ones_like(freqs)
+    if kind not in _SHAPE_CUTOFF_HZ:
+        raise ValueError(f"no shaping filter for kind: {kind}")
+    b, a = sig.butter(1, _SHAPE_CUTOFF_HZ[kind], fs=sample_rate, btype="low")
+    _, h = sig.freqz(b, a, worN=freqs, fs=sample_rate)
+    return np.abs(h)

@@ -10,9 +10,8 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_band, combo_quad, random_terms
-from minproc.beamform import DIAG_LOAD, build_beamformers, mwf, \
-    apply_beamformer
+from oracles import brute_force_band, combo_quad, mwf, random_terms
+from minproc.beamform import DIAG_LOAD, build_beamformers, apply_beamformer
 from minproc.filterbank import allocate_targets, build_filterbank
 from minproc.metrics import asii, evaluate
 from minproc.pipeline import render, run_blind_concat, run_joint, \

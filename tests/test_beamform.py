@@ -1,11 +1,11 @@
-"""MWF rank-1 form against direct inversion, plus combination and apply."""
+"""MWF rank-1 form against direct inversion, plus apply."""
 
 import numpy as np
 import pytest
 
-from minproc.beamform import (DIAG_LOAD, BeamformerSet, apply_beamformer,
-                              combine, mwf, mwf_all)
+from minproc.beamform import DIAG_LOAD, apply_beamformer, mwf_all
 from minproc.stft import Spectrogram
+from oracles import mwf
 
 
 def random_hpd(rng, m, scale=1.0):
@@ -115,23 +115,6 @@ def test_mwf_all_matches_per_bin():
         for k in range(bins):
             w_k = mwf(sigma_s2[k], d[k], c_u[k], mu)
             assert np.allclose(w_all[k], w_k, atol=1e-12)
-
-
-def test_combine_endpoints_and_bounds():
-    rng = np.random.default_rng(21)
-    w_ref = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    w_nr = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    bset = BeamformerSet(w_ref, w_nr)
-    assert np.allclose(combine(bset, 1.0), w_ref)
-    assert np.allclose(combine(bset, 0.0), w_nr)
-    mid = combine(bset, 0.25)
-    assert np.allclose(mid, 0.25 * w_ref + 0.75 * w_nr)
-    per_bin = combine(bset, np.linspace(0, 1, 9))
-    assert np.allclose(per_bin[0], w_nr[0]) and np.allclose(per_bin[-1], w_ref[-1])
-    with pytest.raises(ValueError):
-        combine(bset, 1.5)
-    with pytest.raises(ValueError):
-        combine(bset, -0.1)
 
 
 def test_apply_selector_passthrough():

@@ -51,6 +51,19 @@ def test_config_rejects_bad_input():
         parse_config("mu_ref = 9\nmu_nr = 5")
     with pytest.raises(ValueError, match="methods"):
         parse_config("methods = []")
+    for text, match in (("grid_n = 2.5", "grid_n"),
+                        ("n_bands = 2.0", "n_bands"),
+                        ("seed = -1", "seed"), ("seed = 1.5", "seed"),
+                        ("n_bands = 200", "empty band"),
+                        ("a_star = 1.5", "target"),
+                        ("delta_n_db = -1", "delta_n_db"),
+                        ("fe_snr_db = -inf", "fe_snr_db"),
+                        ("ne_snr_db = -inf", "ne_snr_db"),
+                        ("mic_selfnoise_snr_db = -inf", "mic_selfnoise")):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
+    # +inf keeps its meaning: that noise is absent
+    assert parse_config("ne_snr_db = inf").scene.ne_snr_db == float("inf")
 
 
 def test_run_writes_all_artifacts(tmp_path):
@@ -132,6 +145,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(ok), "--methods", "joint,psycho"]) == 2
     assert main(["run", str(ok), "--sweep", "fe_snr_db=0:1"]) == 2
     assert main(["run", str(ok), "--sweep", "methods=0:1:2"]) == 2
+    assert main(["run", str(ok), "--seed", "-1"]) == 2
+    assert main(["run", str(ok), "--sweep", "a_star=0.5:0.3:1.1"]) == 2
+    for text in ("grid_n = 2.5", "n_bands = 2.0", "seed = -1",
+                 "n_bands = 200", "fe_snr_db = -inf", "ne_snr_db = -inf",
+                 "mic_selfnoise_snr_db = -inf", "a_star = 1.5"):
+        bad = write_cfg(tmp_path, "duration = 1.0\n" + text, name="bad.cfg")
+        out = tmp_path / "never"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3

@@ -5,7 +5,7 @@ import pytest
 
 from minproc.beamform import apply_beamformer, build_beamformers
 from minproc.filterbank import build_filterbank
-from minproc.metrics import asii, evaluate, external_metrics
+from minproc.metrics import asii, evaluate
 from minproc.pipeline import render, run_joint, run_unprocessed
 from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import BandStatus, subband_snr
@@ -114,12 +114,3 @@ def test_unprocessed_out_snr_matches_input_snr():
     report = evaluate(stats, res, fb)
     # near-end noise dominates: broadband SNR close to ne_snr_db
     assert report.broadband_out_snr_db == pytest.approx(-10.0, abs=1.0)
-
-
-def test_external_metrics_record_output_opaquely(tmp_path):
-    wav = tmp_path / "z.wav"
-    wav.write_bytes(b"RIFF")
-    out = external_metrics({"echo": ["echo", "score"],
-                            "missing": ["/nonexistent/metric"]}, wav)
-    assert out["echo"] == f"score {wav}"
-    assert out["missing"].startswith("error:")

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from minproc.scene import (SceneConfig, design_response, estimate_stats,
-                           make_source, steering_matrix, synthesize_scene,
+from minproc.scene import (SceneConfig, estimate_stats, make_source,
+                           steering_matrix, synthesize_scene,
                            transfer_function)
 from minproc.stft import FrameParams, analyze, long_term_psd
+from oracles import design_response
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 

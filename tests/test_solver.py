@@ -99,6 +99,12 @@ def test_feasible_solutions_respect_all_constraints():
         terms = oracles.random_terms(rng)
         sol = solve_band(terms, 12.0, 10.0)
         rhs, cap = oracles.constraint_bounds(terms, 12.0)
+        # the grid holds both endpoints, so a closed-form boundary
+        # candidate can never beat it
+        candidate = boundary_solution(terms, 12.0)
+        if candidate is not None:
+            assert sol.status is BandStatus.FEASIBLE
+            assert sol.penalty <= candidate.penalty
         if sol.status is BandStatus.FEASIBLE:
             n_feasible += 1
             assert 0.0 <= sol.alpha <= 1.0

@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from .filterbank import (allocate_targets, build_filterbank,
                          load_band_importance)
 from .metrics import evaluate
 from .pipeline import render, run_blind_concat, run_joint, run_unprocessed
-from .scene import SceneConfig, synthesize_scene
+from .scene import DB_LIMIT, SceneConfig, synthesize_scene
 from .solver import BandStatus, snr_margin
 from .stft import FrameParams, write_wav
 
@@ -66,6 +67,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        # the C2 cap is sigma_n2 * 10^(delta_u_db/10); +-inf stay meaningful
+        if not (math.isinf(self.delta_u_db)
+                or abs(self.delta_u_db) <= DB_LIMIT):
+            raise ValueError(f"delta_u_db must lie within +-{DB_LIMIT:g} dB")
         # fallback_c1's boost fraction 10^(-delta_n_db/10) must lie in
         # (0, 1); max() keeps the power from overflowing
         if not 0.0 < 10.0 ** (-max(self.delta_n_db, 0.0) / 10.0) < 1.0:
@@ -73,14 +78,32 @@ class RunConfig:
         if type(self.scene.seed) is not int or self.scene.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.scene.validate()
-        # band layout and target errors surface here, before any write
+        # band layout, importance and target errors surface here, before
+        # any write
         params = FrameParams.from_ms(self.scene.sample_rate, self.frame_ms)
+        if round(self.scene.duration * self.scene.sample_rate) \
+                < params.frame_len:
+            raise ValueError("insufficient samples: duration is shorter "
+                             "than one frame")
         allocate_targets(self.a_star, build_filterbank(
-            params, self.n_bands, self.f_lo, self.f_hi))
+            params, self.n_bands, self.f_lo, self.f_hi, self.importance()))
+
+    def importance(self):
+        """The band-importance table, or None for uniform weights."""
+        if not isinstance(self.importance_file, str):
+            raise ValueError("importance_file must be a path")
+        if not self.importance_file:
+            return None
+        try:
+            return load_band_importance(self.importance_file)
+        except OSError as exc:
+            raise ValueError(f"cannot read importance_file: {exc}") from None
 
 
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"scene"}
 _SCENE_KEYS = {f.name for f in dataclasses.fields(SceneConfig)}
+_INT_KEYS = {f.name for f in dataclasses.fields(RunConfig)
+             + dataclasses.fields(SceneConfig) if f.type is int}
 
 
 def _parse_value(text):
@@ -210,13 +233,11 @@ def _write_bin_csv(path, result, fb):
                              repr(float(result.g_mp[k]))])
 
 
-def _run_methods(cfg, out_dir):
-    """Run the configured methods on one scene; returns metric rows."""
-    params = FrameParams.from_ms(cfg.scene.sample_rate, cfg.frame_ms)
-    signals, stats = synthesize_scene(cfg.scene, params)
+def _run_methods(cfg, params, scene, importance, out_dir):
+    """Run the configured methods on one synthesized ``scene``, a
+    ``(signals, stats)`` pair that is only read; returns metric rows."""
+    signals, stats = scene
     bset = build_beamformers(stats, cfg.mu_ref, cfg.mu_nr)
-    importance = load_band_importance(cfg.importance_file) \
-        if cfg.importance_file else None
     fb = build_filterbank(params, cfg.n_bands, cfg.f_lo, cfg.f_hi, importance)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +278,10 @@ def _run_methods(cfg, out_dir):
 
 
 def _parse_sweep(spec):
+    """``key=lo:step:hi`` -> (key, values); integral values of an integer
+    key become ints, so ``n_bands`` and ``seed`` can be swept."""
     key, _, grid = spec.partition("=")
+    key = key.strip()
     try:
         lo, step, hi = (float(p) for p in grid.split(":"))
     except ValueError:
@@ -269,7 +293,9 @@ def _parse_sweep(spec):
     while v <= hi + 1e-9 * step:
         values.append(round(v, 12))
         v += step
-    return key.strip(), values
+    if key in _INT_KEYS:
+        values = [int(x) if x.is_integer() else x for x in values]
+    return key, values
 
 
 def cmd_run(args):
@@ -287,33 +313,44 @@ def cmd_run(args):
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
-        sweep = _parse_sweep(args.sweep) if args.sweep else None
-        # the key must exist and every point must make sense
-        for v in sweep[1] if sweep is not None else []:
-            probe = dataclasses.replace(
-                cfg, scene=dataclasses.replace(cfg.scene))
-            _set_key(probe, sweep[0], v)
-            probe.validate()
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out_root = Path(cfg.output_dir)
-    try:
-        metric_rows = []
-        if sweep is None:
-            for row in _run_methods(cfg, out_root):
-                metric_rows.append({"sweep_key": "", "sweep_value": "", **row})
-        else:
-            key, values = sweep
+        out_root = Path(cfg.output_dir)
+        points, sweep = [("", "", cfg, out_root)], None
+        if args.sweep:
+            key, values = _parse_sweep(args.sweep)
+            sweep = {"key": key, "values": values}
+            # the key must exist and every point must make sense
+            points = []
             for v in values:
                 point = dataclasses.replace(
                     cfg, scene=dataclasses.replace(cfg.scene))
                 _set_key(point, key, v)
-                sub = out_root / f"{key}_{v:g}"
-                for row in _run_methods(point, sub):
-                    metric_rows.append({"sweep_key": key,
-                                        "sweep_value": repr(v), **row})
+                point.validate()
+                label = v if type(v) is int else format(v, "g")
+                points.append((key, repr(v), point,
+                               out_root / f"{key}_{label}"))
+        # a sweep over importance_file fails validation, so one table
+        # serves every point
+        importance = cfg.importance()
+    except (ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        metric_rows = []
+        # consecutive points with equal scene inputs share one synthesis;
+        # only the last scene is held
+        scene_inputs = scene = None
+        for key, value, point, out_dir in points:
+            params = FrameParams.from_ms(point.scene.sample_rate,
+                                         point.frame_ms)
+            if (point.scene, params) != scene_inputs:
+                scene = None  # release the previous scene first
+                scene = synthesize_scene(point.scene, params)
+                scene_inputs = (point.scene, params)
+            for row in _run_methods(point, params, scene, importance,
+                                    out_dir):
+                metric_rows.append({"sweep_key": key, "sweep_value": value,
+                                    **row})
 
         out_root.mkdir(parents=True, exist_ok=True)
         with open(out_root / "metrics.csv", "w", newline="") as fh:
@@ -325,8 +362,7 @@ def cmd_run(args):
             "version": __version__,
             "seed": cfg.scene.seed,
             "config": config_echo(cfg),
-            "sweep": None if sweep is None
-            else {"key": sweep[0], "values": sweep[1]},
+            "sweep": sweep,
             "methods": cfg.methods,
         }
         with open(out_root / "manifest.json", "w") as fh:

@@ -109,8 +109,9 @@ def _resolve_importance(importance, n_bands, centers_hz):
         values = np.interp(centers_hz, table[order, 0], table[order, 1])
     else:
         raise ValueError("importance must be 1-D or a (center_hz, weight) table")
-    if np.any(values < 0.0) or values.sum() <= 0.0:
-        raise ValueError("importance weights must be nonnegative with positive sum")
+    if not np.all(values >= 0.0) or not 0.0 < values.sum() < np.inf:
+        raise ValueError("importance weights must be finite and "
+                         "nonnegative with a positive sum")
     return values / values.sum()
 
 

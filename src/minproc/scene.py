@@ -26,6 +26,7 @@ __all__ = [
     "SceneSignals",
     "SpectralStats",
     "SOURCE_KINDS",
+    "DB_LIMIT",
     "transfer_function",
     "steering_matrix",
     "make_source",
@@ -39,6 +40,11 @@ SOURCE_KINDS = ("speech", "speech_shaped", "babble_like", "car_like", "white")
 _TALKER = (1.50, 3.00, 1.00)
 _NOISES = ((0.50, 1.00, 1.00), (0.75, 3.00, 1.00), (3.00, 1.60, 1.00))
 _MICS = ((1.50, 2.00, 1.00), (1.50, 2.02, 1.00))
+
+# finite level keys lie within +-DB_LIMIT dB: far beyond any physical
+# level difference, and it keeps every power ratio 10^(dB/10) and every
+# float32 WAV sample finite
+DB_LIMIT = 300.0
 
 
 @dataclass
@@ -58,10 +64,11 @@ class SceneConfig:
     speed_of_sound: float = 343.0
 
     def validate(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not isinstance(self.sample_rate, (int, np.integer)) \
+                or self.sample_rate <= 0:
+            raise ValueError("sample rate must be a positive integer")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if self.fe_noise_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
         if self.ne_noise_kind not in SOURCE_KINDS:
@@ -71,6 +78,9 @@ class SceneConfig:
             v = float(getattr(self, name))
             if math.isnan(v) or v == -math.inf:
                 raise ValueError(f"{name} must not be NaN or -inf")
+            if abs(v) > DB_LIMIT and v != math.inf:
+                raise ValueError(f"{name} must lie within +-{DB_LIMIT:g} dB "
+                                 "or be inf")
         mics = np.atleast_2d(np.asarray(self.mic_positions, dtype=float))
         if mics.shape[0] < 1 or mics.shape[1] != 3:
             raise ValueError("need at least one microphone position in 3-D")

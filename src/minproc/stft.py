@@ -140,12 +140,14 @@ def synthesize(spec, params, num_samples=None):
     window = sqrt_hann(params.frame_len)
     frames = np.fft.irfft(data, n=params.fft_len, axis=2) * window
 
-    pad = params.frame_len - params.hop
-    total = (n_frames - 1) * params.hop + params.frame_len
+    hop = params.hop
+    pad = params.frame_len - hop
+    total = (n_frames - 1) * hop + params.frame_len
+    # at 50% overlap, hop-block i sums the first half of frame i and the
+    # second half of frame i-1: two shifted adds, same sum per sample
     out = np.zeros((channels, total))
-    for t in range(n_frames):
-        start = t * params.hop
-        out[:, start:start + params.frame_len] += frames[:, t, :]
+    out[:, :n_frames * hop] += frames[..., :hop].reshape(channels, -1)
+    out[:, hop:] += frames[..., hop:].reshape(channels, -1)
 
     covered = total - 2 * pad
     if num_samples is None:

@@ -147,3 +147,16 @@ def design_response(kind, freqs, sample_rate):
     b, a = sig.butter(1, _SHAPE_CUTOFF_HZ[kind], fs=sample_rate, btype="low")
     _, h = sig.freqz(b, a, worN=freqs, fs=sample_rate)
     return np.abs(h)
+
+
+def overlap_add(frames, hop):
+    """Frame-by-frame overlap-add of (channels, frames, 2*hop) frames.
+
+    Returns the full (channels, (frames + 1) * hop) sum, each frame added
+    at offset t*hop in frame order.
+    """
+    channels, n_frames, frame_len = frames.shape
+    out = np.zeros((channels, (n_frames - 1) * hop + frame_len))
+    for t in range(n_frames):
+        out[:, t * hop:t * hop + frame_len] += frames[:, t, :]
+    return out

@@ -1,9 +1,12 @@
 """End-to-end tests for the batch runner and the explain command."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+import minproc.cli
 from minproc.cli import main, parse_config
 
 BASE = """
@@ -59,7 +62,17 @@ def test_config_rejects_bad_input():
                         ("delta_n_db = -1", "delta_n_db"),
                         ("fe_snr_db = -inf", "fe_snr_db"),
                         ("ne_snr_db = -inf", "ne_snr_db"),
-                        ("mic_selfnoise_snr_db = -inf", "mic_selfnoise")):
+                        ("mic_selfnoise_snr_db = -inf", "mic_selfnoise"),
+                        ("fe_snr_db = 4000", "fe_snr_db"),
+                        ("ne_snr_db = -4000", "ne_snr_db"),
+                        ("mic_selfnoise_snr_db = 1e6", "mic_selfnoise"),
+                        ("delta_u_db = 4000", "delta_u_db"),
+                        ("delta_u_db = nan", "delta_u_db"),
+                        ("duration = nan", "duration"),
+                        ("duration = inf", "duration"),
+                        ("duration = 0.01", "shorter than one frame"),
+                        ("sample_rate = nan", "sample rate"),
+                        ("sample_rate = 16000.0", "sample rate")):
         with pytest.raises(ValueError, match=match):
             parse_config(text)
     # +inf keeps its meaning: that noise is absent
@@ -113,6 +126,79 @@ def test_sweep_rows_and_subdirs(tmp_path):
     assert rows[1].startswith("fe_snr_db,-10.0,joint,")
 
 
+def test_sweep_over_integer_keys(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "bands"
+    assert main(["run", str(cfg), "--out", str(out), "--methods", "joint",
+                 "--sweep", "n_bands=20:5:30"]) == 0
+    for n in (20, 25, 30):
+        table = (out / f"n_bands_{n}" / "bands_joint.csv").read_text()
+        assert len(table.strip().splitlines()) == 1 + n
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sweep"] == {"key": "n_bands", "values": [20, 25, 30]}
+
+    # seed changes the scene, so no point may reuse another's
+    out = tmp_path / "seeds"
+    assert main(["run", str(cfg), "--out", str(out), "--methods",
+                 "unprocessed", "--sweep", "seed=0:1:2"]) == 0
+    inputs = {(out / f"seed_{s}" / "x_mic1.wav").read_bytes()
+              for s in range(3)}
+    assert len(inputs) == 3
+
+
+def _freeze(obj):
+    """Make every array of a (nested) dataclass read-only."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif dataclasses.is_dataclass(value):
+            _freeze(value)
+
+
+@pytest.fixture
+def scene_calls(monkeypatch):
+    """Record the CLI's synthesize_scene calls; the scenes it hands out
+    are read-only, so an in-place write into a shared scene fails."""
+    calls = []
+    real = minproc.cli.synthesize_scene
+
+    def frozen(cfg, params):
+        calls.append(cfg)
+        signals, stats = real(cfg, params)
+        _freeze(signals)
+        _freeze(stats)
+        return signals, stats
+
+    monkeypatch.setattr(minproc.cli, "synthesize_scene", frozen)
+    return calls
+
+
+@pytest.mark.parametrize("sweep, scenes", [("a_star=0.5:0.1:0.7", 1),
+                                           ("fe_snr_db=-10:10:10", 3)])
+def test_sweep_synthesizes_each_scene_once(tmp_path, scene_calls, sweep,
+                                           scenes):
+    cfg = write_cfg(tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                 "--sweep", sweep]) == 0
+    assert len(scene_calls) == scenes
+
+
+def test_reused_scene_matches_standalone_run(tmp_path, scene_calls):
+    sweep = tmp_path / "sweep"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(sweep),
+                 "--sweep", "a_star=0.5:0.1:0.7"]) == 0
+    alone = tmp_path / "alone"
+    cfg = write_cfg(tmp_path, BASE + "a_star = 0.7\n", name="alone.cfg")
+    assert main(["run", str(cfg), "--out", str(alone)]) == 0
+    assert len(scene_calls) == 2
+    point = sweep / "a_star_0.7"  # the third point, on a reused scene
+    names = sorted(p.name for p in point.iterdir())
+    assert len(names) == 1 + 4 * 3  # x_mic1.wav plus four files a method
+    for name in names:
+        assert (point / name).read_bytes() == (alone / name).read_bytes()
+
+
 def test_manifest_reproduces_run(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a = tmp_path / "a"
@@ -147,13 +233,22 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(ok), "--sweep", "methods=0:1:2"]) == 2
     assert main(["run", str(ok), "--seed", "-1"]) == 2
     assert main(["run", str(ok), "--sweep", "a_star=0.5:0.3:1.1"]) == 2
+    negative = tmp_path / "negative.txt"
+    negative.write_text("200 1\n1000 -1\n4000 1\n")
     for text in ("grid_n = 2.5", "n_bands = 2.0", "seed = -1",
                  "n_bands = 200", "fe_snr_db = -inf", "ne_snr_db = -inf",
-                 "mic_selfnoise_snr_db = -inf", "a_star = 1.5"):
-        bad = write_cfg(tmp_path, "duration = 1.0\n" + text, name="bad.cfg")
+                 "mic_selfnoise_snr_db = -inf", "a_star = 1.5",
+                 "fe_snr_db = 4000", "delta_u_db = 4000",
+                 "duration = nan", "duration = 0.01", "sample_rate = nan",
+                 f"importance_file = {tmp_path / 'missing.txt'}",
+                 f"importance_file = {negative}"):
+        if not text.startswith("duration"):
+            text = "duration = 1.0\n" + text
+        bad = write_cfg(tmp_path, text, name="bad.cfg")
         out = tmp_path / "never"
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+    assert main(["run", str(ok), "--sweep", "n_bands=20:2.5:25"]) == 2
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3

@@ -326,8 +326,13 @@ def cmd_run(args):
                 _set_key(point, key, v)
                 point.validate()
                 label = v if type(v) is int else format(v, "g")
-                points.append((key, repr(v), point,
-                               out_root / f"{key}_{label}"))
+                out_dir = out_root / f"{key}_{label}"
+                # labels keep six significant digits; a finer grid
+                # would write two points into one directory
+                if any(out_dir == d for *_, d in points):
+                    raise ValueError(f"sweep points share the directory "
+                                     f"{out_dir.name}; use a coarser step")
+                points.append((key, repr(v), point, out_dir))
         # a sweep over importance_file fails validation, so one table
         # serves every point
         importance = cfg.importance()

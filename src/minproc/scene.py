@@ -14,6 +14,7 @@ noise on one common scale.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +175,41 @@ def _unit_rms(x):
     return x / rms if rms > 0 else x
 
 
+def _babble(n_samples, sample_rate, rng):
+    """Eight independent speech-shaped talkers with slow random AM.
+
+    Talker i shapes a (talker, envelope) noise pair drawn as one (2, n)
+    fill, which holds exactly the values of two consecutive
+    ``standard_normal(n)`` calls.  A helper thread draws pair i + 1 into
+    the other of two caller-owned buffers while this thread shapes pair
+    i; both steps release the GIL.  The draws keep their order, so the
+    output and the final ``rng`` state match a one-thread loop bit for
+    bit.  The helper only draws: allocations on it would grow its own
+    heap arena, and a call to a module function would run outside the
+    caller's call stack, where wrappers that time those functions
+    cannot nest it.
+    """
+    b, a = _shape_filter("speech_shaped", sample_rate)
+    be, ae = sig.butter(2, 4.0, fs=sample_rate, btype="low")
+    talkers = 8
+    total = np.zeros(n_samples)
+    bufs = (np.empty((2, n_samples)), np.empty((2, n_samples)))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(rng.standard_normal, out=bufs[0])
+        for i in range(talkers):
+            noise = pending.result()
+            if i + 1 < talkers:
+                pending = helper.submit(rng.standard_normal,
+                                        out=bufs[(i + 1) % 2])
+            talker = sig.lfilter(b, a, noise[0])
+            env = sig.lfilter(be, ae, noise[1])
+            env_std = np.std(env)
+            if env_std > 0:
+                env = env / env_std
+            total += talker * np.maximum(1.0 + 0.5 * env, 0.05)
+    return _unit_rms(total)
+
+
 def make_source(kind, n_samples, sample_rate, rng):
     """Generate one unit-RMS source waveform of the given kind."""
     if kind == "white":
@@ -184,18 +220,7 @@ def make_source(kind, n_samples, sample_rate, rng):
         return _unit_rms(sig.lfilter(b, a, rng.standard_normal(n_samples)))
 
     if kind == "babble_like":
-        # eight independent speech-shaped talkers with slow random AM
-        b, a = _shape_filter("speech_shaped", sample_rate)
-        be, ae = sig.butter(2, 4.0, fs=sample_rate, btype="low")
-        total = np.zeros(n_samples)
-        for _ in range(8):
-            talker = sig.lfilter(b, a, rng.standard_normal(n_samples))
-            env = sig.lfilter(be, ae, rng.standard_normal(n_samples))
-            env_std = np.std(env)
-            if env_std > 0:
-                env = env / env_std
-            total += talker * np.maximum(1.0 + 0.5 * env, 0.05)
-        return _unit_rms(total)
+        return _babble(n_samples, sample_rate, rng)
 
     if kind == "speech":
         # harmonic pulse train with drifting pitch, then speech shaping

@@ -193,13 +193,23 @@ def read_wav(path):
 
 
 def write_wav(path, rate, data, dtype="float32"):
-    """Write mono (n,) or multichannel (channels, n) audio as WAV."""
+    """Write mono (n,) or multichannel (channels, n) audio as WAV.
+
+    Raises ValueError, before the file is opened, if any sample is not
+    finite, float32 rounding included.
+    """
     data = np.atleast_2d(np.asarray(data))
     out = data.T if data.shape[0] > 1 else data[0]
     if dtype == "float32":
-        wavfile.write(path, rate, out.astype(np.float32))
+        with np.errstate(over="ignore"):  # overflow is caught below
+            samples = out.astype(np.float32)
     elif dtype == "int16":
-        clipped = np.clip(out, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, rate, np.round(clipped * 32768.0).astype(np.int16))
+        samples = out
     else:
         raise ValueError("dtype must be 'float32' or 'int16'")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("refusing to write non-finite samples")
+    if dtype == "int16":
+        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
+        samples = np.round(clipped * 32768.0).astype(np.int16)
+    wavfile.write(path, rate, samples)

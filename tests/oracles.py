@@ -149,6 +149,26 @@ def design_response(kind, freqs, sample_rate):
     return np.abs(h)
 
 
+def serial_babble(n_samples, sample_rate, rng):
+    """The babble_like source drawn and shaped talker by talker on one
+    thread: eight speech-shaped talkers, each with a slow random AM
+    envelope normalized to unit standard deviation, summed to unit RMS.
+    """
+    b, a = sig.butter(1, _SHAPE_CUTOFF_HZ["speech_shaped"], fs=sample_rate,
+                      btype="low")
+    be, ae = sig.butter(2, 4.0, fs=sample_rate, btype="low")
+    total = np.zeros(n_samples)
+    for _ in range(8):
+        talker = sig.lfilter(b, a, rng.standard_normal(n_samples))
+        env = sig.lfilter(be, ae, rng.standard_normal(n_samples))
+        env_std = np.std(env)
+        if env_std > 0:
+            env = env / env_std
+        total += talker * np.maximum(1.0 + 0.5 * env, 0.05)
+    rms = np.sqrt(np.mean(total ** 2))
+    return total / rms if rms > 0 else total
+
+
 def overlap_add(frames, hop):
     """Frame-by-frame overlap-add of (channels, frames, 2*hop) frames.
 

@@ -249,6 +249,11 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
     assert main(["run", str(ok), "--sweep", "n_bands=20:2.5:25"]) == 2
+    # points closer than the six-digit directory labels would share one
+    out = tmp_path / "never"
+    assert main(["run", str(ok), "--out", str(out), "--sweep",
+                 "a_star=0.1:0.0000001:0.1000002"]) == 2
+    assert not out.exists()
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3

@@ -1,6 +1,7 @@
 """Scene synthesis: transfer functions, calibration, oracle statistics."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from minproc.scene import (SceneConfig, estimate_stats, make_source,
                            steering_matrix, synthesize_scene,
                            transfer_function)
 from minproc.stft import FrameParams, analyze, long_term_psd
-from oracles import design_response
+from oracles import design_response, serial_babble
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
@@ -188,6 +189,42 @@ def test_sources_unit_rms(kind):
     x = make_source(kind, 32000, 16000, rng)
     assert x.shape == (32000,)
     assert np.isclose(np.sqrt(np.mean(x ** 2)), 1.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (7, 1),
+                                     (12, 16000 * 3 + 1)])
+def test_babble_matches_serial_reference(seed, n):
+    """The pipelined babble draws the same stream in the same order."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = make_source("babble_like", n, 16000, rng)
+    assert np.array_equal(x, serial_babble(n, 16000, ref_rng))
+    # later draws of synthesize_scene (self noise, near end) are unchanged
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _FailingRng:
+    """Draws like a Generator until its third standard_normal call."""
+
+    def __init__(self):
+        self.calls = 0
+        self.rng = np.random.default_rng(0)
+        self.error = RuntimeError("draw failed")
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise self.error
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_babble_draw_failure_propagates():
+    before = threading.active_count()
+    rng = _FailingRng()
+    with pytest.raises(RuntimeError) as excinfo:
+        make_source("babble_like", 8000, 16000, rng)
+    assert excinfo.value is rng.error
+    assert rng.calls == 3
+    assert threading.active_count() == before
 
 
 def test_car_like_is_lowpass():

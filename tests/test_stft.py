@@ -192,3 +192,17 @@ def test_wav_mono(tmp_path):
     _, y = read_wav(path)
     assert y.shape == (1, 1000)
     assert np.allclose(y[0], x, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype, bad", [("float32", np.nan),
+                                        ("float32", -np.inf),
+                                        ("float32", 1e300),
+                                        ("int16", np.nan),
+                                        ("int16", np.inf)])
+def test_wav_rejects_non_finite_samples(tmp_path, dtype, bad):
+    x = np.zeros((2, 1000))
+    x[1, 500] = bad  # 1e300 is finite, but not as float32
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_wav(path, 16000, x, dtype=dtype)
+    assert not path.exists()

@@ -37,14 +37,6 @@ class BeamformerSet:
     mu_ref: float = 0.0
     mu_nr: float = 5.0
 
-    @property
-    def bins(self):
-        return self.w_ref.shape[0]
-
-    @property
-    def channels(self):
-        return self.w_ref.shape[1]
-
 
 def _solve_loaded(c_u, d):
     """C_U^{-1} d with relative diagonal loading; batched over bins.

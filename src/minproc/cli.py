@@ -25,7 +25,7 @@ from .filterbank import (allocate_targets, build_filterbank,
 from .metrics import evaluate
 from .pipeline import render, run_blind_concat, run_joint, run_unprocessed
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import BandStatus, snr_margin
+from .solver import BandStatus, constraint_bounds, snr_margin
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -45,7 +45,6 @@ class RunConfig:
     a_star: float = 0.7
     delta_u_db: float = 12.0
     delta_n_db: float = 10.0
-    grid_n: int = 2001
     n_bands: int = 30
     f_lo: float = 150.0
     f_hi: float = 8000.0
@@ -62,11 +61,8 @@ class RunConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method: {m}")
-        for name in ("grid_n", "n_bands"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        if type(self.n_bands) is not int:
+            raise ValueError("n_bands must be an integer")
         # the C2 cap is sigma_n2 * 10^(delta_u_db/10); +-inf stay meaningful
         if not (math.isinf(self.delta_u_db)
                 or abs(self.delta_u_db) <= DB_LIMIT):
@@ -199,11 +195,10 @@ def config_echo(cfg):
 def _constraint_ratios(terms, sol, delta_u_db):
     """How close the delivered point sits to C1 and C2 (1.0 = tight)."""
     g2 = sol.gain**2
+    rhs1, cap = constraint_bounds(terms, delta_u_db)
     lhs1 = g2 * snr_margin(terms, sol.alpha)
-    rhs1 = terms.sigma_n2 * terms.target_snr
     c1 = lhs1 / rhs1 if rhs1 > 0.0 else float("inf")
     lhs2 = g2 * terms.noise_power(sol.alpha)
-    cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
     c2 = lhs2 / cap if cap > 0.0 else float("inf")
     return c1, c2
 
@@ -248,9 +243,9 @@ def _run_methods(cfg, params, scene, importance, out_dir):
     for name in cfg.methods:
         if name == "joint":
             res = run_joint(stats, bset, fb, cfg.a_star, cfg.delta_u_db,
-                            cfg.delta_n_db, cfg.grid_n)
+                            cfg.delta_n_db)
         elif name == "blind":
-            res = run_blind_concat(stats, bset, fb, cfg.a_star, cfg.grid_n)
+            res = run_blind_concat(stats, bset, fb, cfg.a_star)
         else:
             res = run_unprocessed(stats, fb, cfg.a_star)
         y, z = render(signals, res, params)

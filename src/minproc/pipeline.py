@@ -26,13 +26,14 @@ import numpy as np
 from .beamform import BeamformerSet, apply_beamformer
 from .filterbank import allocate_targets
 from .solver import (
+    ALPHAS,
     DELTA_N_DB,
     DELTA_U_DB,
-    GRID_N,
     REL_TOL,
     BandSolution,
     BandStatus,
     _pick_last,
+    _quad,
     band_terms,
     solve_band,
     subband_snr,
@@ -111,10 +112,10 @@ def _run(method, stats, bset, fb, a_star, decide):
 
 
 def run_joint(stats, bset, fb, a_star=0.7, delta_u_db=DELTA_U_DB,
-              delta_n_db=DELTA_N_DB, grid_n=GRID_N):
+              delta_n_db=DELTA_N_DB):
     """Solve every band jointly over beamformer mix and playback gain."""
     return _run(Method.JOINT, stats, bset, fb, a_star,
-                lambda j, t: solve_band(t, delta_u_db, delta_n_db, grid_n))
+                lambda j, t: solve_band(t, delta_u_db, delta_n_db))
 
 
 def blind_gain(delta_y, sigma_n2, target_snr):
@@ -129,16 +130,15 @@ def blind_gain(delta_y, sigma_n2, target_snr):
     return float(np.sqrt(max(1.0, sigma_n2 * target_snr / delta_y)))
 
 
-def run_blind_concat(stats, bset, fb, a_star=0.7, grid_n=GRID_N):
+def run_blind_concat(stats, bset, fb, a_star=0.7):
     """Far-end stage then near-end stage, no shared noise knowledge.
 
-    Stage 1 picks the largest alpha whose clean-speech-to-error ratio
-    (speech distortion plus residual noise in place of the near-end
-    noise it cannot see) reaches the band target; failing that, the
-    alpha with the best ratio.  Stage 2 applies blind_gain to the total
-    power the first stage delivers.
+    Stage 1 picks the largest alpha of the solver's grid ALPHAS whose
+    clean-speech-to-error ratio (speech distortion plus residual noise
+    in place of the near-end noise it cannot see) reaches the band
+    target; failing that, the alpha with the best ratio.  Stage 2
+    applies blind_gain to the total power the first stage delivers.
     """
-    alphas = np.linspace(0.0, 1.0, grid_n)
 
     def decide(j, t):
         members = fb.members[j]
@@ -156,17 +156,15 @@ def run_blind_concat(stats, bset, fb, a_star=0.7, grid_n=GRID_N):
         d_nr = float(w @ (s2 * np.abs(e_nr) ** 2))
         d_cross = float(w @ (s2 * 2.0 * (e_nr * np.conj(e_ref)).real))
 
-        a2, b2 = alphas**2, (1.0 - alphas) ** 2
-        ab = alphas * (1.0 - alphas)
-        eps = (a2 * d_ref + b2 * d_nr + ab * d_cross) + t.noise_power(alphas)
+        eps = _quad(ALPHAS, d_ref, d_nr, d_cross) + t.noise_power(ALPHAS)
         ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
         ok = ratio >= t.target_snr * (1.0 - REL_TOL)
         if np.any(ok):
-            alpha = float(alphas[np.flatnonzero(ok)[-1]])
+            alpha = float(ALPHAS[np.flatnonzero(ok)[-1]])
             status = BandStatus.FEASIBLE
         else:
-            alpha = float(alphas[_pick_last(ratio, "max")])
+            alpha = float(ALPHAS[_pick_last(ratio, "max")])
             status = BandStatus.C1_INFEASIBLE
 
         delta_y = t.speech_power(alpha) + t.noise_power(alpha)

@@ -1,6 +1,6 @@
 """Synthetic acoustic scenes with oracle spectral statistics.
 
-A single talker and a set of point noise sources are placed in a room
+A single talker and a set of point noise sources are placed in free space
 and propagated to the microphones with anechoic direct-path transfer
 functions.  Mixing happens in the STFT domain, so the multichannel
 mixture decomposes per bin exactly as x = d*s + u; the matching
@@ -61,7 +61,6 @@ class SceneConfig:
     talker_pos: tuple = _TALKER
     noise_positions: tuple = _NOISES
     mic_positions: tuple = _MICS
-    room_dims: tuple = (3.0, 4.0, 3.0)
     speed_of_sound: float = 343.0
 
     def validate(self):
@@ -133,11 +132,13 @@ class SpectralStats:
 
 @dataclass
 class SceneSignals:
-    """Time-domain components plus the spectra they were mixed from."""
+    """Time-domain components plus the spectra they were mixed from.
 
-    source: np.ndarray
+    The far-end noise is kept as its spectrum only; synthesize
+    ``spec_fe_noise`` to get its waveform.
+    """
+
     clean_at_mics: np.ndarray
-    fe_noise: np.ndarray
     x: np.ndarray
     ne_noise: np.ndarray
     spec_clean: Spectrogram = field(repr=False, default=None)
@@ -293,7 +294,6 @@ def synthesize_scene(cfg, params):
     p_clean_ref = np.mean(clean_at_mics[0] ** 2)
     beta = _snr_gain(p_clean_ref, np.mean(pts_wave[0] ** 2), cfg.fe_snr_db)
     spec_fe = Spectrogram(beta * pts_data + analyze(selfnoise, params).data)
-    fe_noise = np.atleast_2d(synthesize(spec_fe, params, n))
 
     spec_x = Spectrogram(spec_clean.data + spec_fe.data)
     x = np.atleast_2d(synthesize(spec_x, params, n))
@@ -305,7 +305,7 @@ def synthesize_scene(cfg, params):
 
     d_norm = d_abs / d_abs[:, :1]
     stats = estimate_stats(spec_clean, spec_fe, spec_ne, d_norm)
-    signals = SceneSignals(source, clean_at_mics, fe_noise, x, ne_noise,
+    signals = SceneSignals(clean_at_mics, x, ne_noise,
                            spec_clean, spec_fe, spec_x, spec_ne)
     return signals, stats
 

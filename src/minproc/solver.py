@@ -10,17 +10,18 @@ subject to
         p(alpha) = speech_power(alpha) - noise_power(alpha) * target_snr,
     C2: the processed far-end noise stays under the cap,
         g^2 * noise_power(alpha) <= sigma_n2 * 10^(delta_u_db / 10),
+        inactive when the band has no near-end noise (sigma_n2 = 0),
     C3: alpha in [0, 1],
     C4: g >= 1.
 
 alpha = 1, g = 1 is the do-nothing point: the reference beamformer at
 unit gain.  Both processed powers are quadratics in alpha because the
 filter is a convex combination of two fixed filters, so for each alpha
-the smallest admissible gain is closed form and a 1-D grid over alpha
-solves the problem.  The grid holds alpha = 0 and alpha = 1 exactly and
-applies the same C1/C2 tests there as the closed-form boundary cases of
-boundary_solution, so whenever a boundary candidate exists the grid
-answer is feasible and at least as good.
+the smallest admissible gain is closed form and a search over the
+fixed alpha grid ALPHAS solves the problem.  The grid holds alpha = 0
+and alpha = 1 exactly and applies the same C1/C2 tests there as the
+closed-form boundary cases of boundary_solution, so whenever a boundary
+candidate exists the grid answer is feasible and at least as good.
 
 When no (alpha, g) is admissible the solver degrades deliberately:
 
@@ -40,7 +41,7 @@ import numpy as np
 
 __all__ = [
     "REL_TOL",
-    "GRID_N",
+    "ALPHAS",
     "DELTA_U_DB",
     "DELTA_N_DB",
     "BandStatus",
@@ -49,6 +50,7 @@ __all__ = [
     "band_terms",
     "snr_margin",
     "subband_snr",
+    "constraint_bounds",
     "boundary_solution",
     "grid_solve",
     "fallback_c1",
@@ -59,9 +61,12 @@ __all__ = [
 
 # relative tolerance for constraint comparisons
 REL_TOL = 1e-9
-GRID_N = 2001
 DELTA_U_DB = 12.0
 DELTA_N_DB = 10.0
+
+# the alpha grid of every search; it holds 0.0 and 1.0 exactly
+ALPHAS = np.linspace(0.0, 1.0, 2001)
+ALPHAS.flags.writeable = False
 
 
 class BandStatus(Enum):
@@ -191,6 +196,17 @@ def _solution(terms, alpha, g, status):
                         subband_snr(terms, alpha, g))
 
 
+def constraint_bounds(terms, delta_u_db=DELTA_U_DB):
+    """(rhs, cap): the C1 right-hand side sigma_n2 * target_snr and the
+    C2 cap sigma_n2 * 10^(delta_u_db / 10).  Without near-end noise
+    (sigma_n2 = 0) there is nothing to cap, so C2 is inactive (cap =
+    inf), as it is for delta_u_db = inf."""
+    rhs = terms.sigma_n2 * terms.target_snr
+    if terms.sigma_n2 == 0.0:
+        return rhs, np.inf
+    return rhs, terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+
+
 def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     """Closed-form boundary candidates, checked in the order
     alpha=1 (i), alpha=1 (ii), alpha=0 (i), alpha=0 (ii).
@@ -201,8 +217,7 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     g = sqrt(sigma_n2*target_snr / margin) makes C1 tight; admissible if
     that gain respects the cap.  Returns None when nothing applies.
     """
-    rhs = terms.sigma_n2 * terms.target_snr
-    cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+    rhs, cap = constraint_bounds(terms, delta_u_db)
     for alpha, margin, du in ((1.0, terms.m_ref, terms.du_ref),
                               (0.0, terms.m_nr, terms.du_nr)):
         if margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL):
@@ -214,23 +229,20 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     return None
 
 
-def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
-               grid_n=GRID_N):
+def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     """Grid search over alpha with the closed-form minimal gain per point.
 
     Dispatches to the matching fallback when no point is admissible.
     """
-    alphas = np.linspace(0.0, 1.0, grid_n)
-    du = terms.noise_power(alphas)
-    p = snr_margin(terms, alphas)
-    rhs = terms.sigma_n2 * terms.target_snr
-    cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+    du = terms.noise_power(ALPHAS)
+    p = snr_margin(terms, ALPHAS)
+    rhs, cap = constraint_bounds(terms, delta_u_db)
 
     # smallest gain meeting C1 at each alpha: 1 where the margin already
     # covers the target, sqrt(rhs/p) where it is positive but short
     at_unit = p >= rhs * (1.0 - REL_TOL)
     amp = (~at_unit) & (p > 0.0)
-    g = np.ones_like(alphas)
+    g = np.ones_like(ALPHAS)
     g[amp] = np.sqrt(rhs / p[amp])
     c1_ok = at_unit | amp
     c2_ok = g * g * du <= cap * (1.0 + REL_TOL)
@@ -238,9 +250,9 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
 
     if np.any(feasible):
         idx = np.flatnonzero(feasible)
-        penalty = (1.0 - alphas[idx]) ** 2 + (1.0 - g[idx]) ** 2
+        penalty = (1.0 - ALPHAS[idx]) ** 2 + (1.0 - g[idx]) ** 2
         best = idx[_pick_last(penalty, "min")]
-        return _solution(terms, alphas[best], g[best], BandStatus.FEASIBLE)
+        return _solution(terms, ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
     safe_du = np.where(du > 0.0, du, 1.0)
@@ -251,14 +263,13 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
     c2_gone = np.min(du) > cap * (1.0 + REL_TOL)
 
     if c1_gone and not c2_gone:
-        return fallback_c1(terms, delta_u_db, delta_n_db, grid_n)
+        return fallback_c1(terms, delta_u_db, delta_n_db)
     if c2_gone and not c1_gone:
-        return fallback_c2(terms, grid_n)
-    return fallback_both(terms, delta_u_db, grid_n)
+        return fallback_c2(terms)
+    return fallback_both(terms, delta_u_db)
 
 
-def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
-                grid_n=GRID_N):
+def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     """Target unreachable: best far-end SNR, then a bounded near-end boost.
 
     alpha maximizes speech/noise over the grid.  The raw gain makes the
@@ -274,13 +285,12 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
     """
     if not 0.0 < 10.0 ** (-delta_n_db / 10.0) < 1.0:
         raise ValueError("delta_n_db must be positive")
-    alphas = np.linspace(0.0, 1.0, grid_n)
-    ds = terms.speech_power(alphas)
-    du = terms.noise_power(alphas)
+    ds = terms.speech_power(ALPHAS)
+    du = terms.noise_power(ALPHAS)
     ratio = np.where(du > 0.0, ds / np.where(du > 0.0, du, 1.0),
                      np.where(ds > 0.0, np.inf, 0.0))
     best = _pick_last(ratio, "max")
-    alpha = alphas[best]
+    alpha = ALPHAS[best]
     du_best = du[best]
 
     theta = 10.0 ** (-delta_n_db / 10.0)
@@ -289,7 +299,7 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
     else:
         g = 1.0
 
-    cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+    _, cap = constraint_bounds(terms, delta_u_db)
     g_cap = np.sqrt(cap / du_best) if du_best > 0.0 else np.inf
     if g_cap < 1.0:
         return _solution(terms, alpha, g_cap, BandStatus.BOTH_INFEASIBLE)
@@ -297,29 +307,26 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
                      BandStatus.C1_INFEASIBLE)
 
 
-def fallback_c2(terms, grid_n=GRID_N):
+def fallback_c2(terms):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
     SNR as close to the target as the combination allows."""
-    alphas = np.linspace(0.0, 1.0, grid_n)
-    xi = subband_snr(terms, alphas, 1.0)
+    xi = subband_snr(terms, ALPHAS, 1.0)
     best = _pick_last(np.abs(xi - terms.target_snr), "min")
-    return _solution(terms, alphas[best], 1.0, BandStatus.C2_INFEASIBLE)
+    return _solution(terms, ALPHAS[best], 1.0, BandStatus.C2_INFEASIBLE)
 
 
-def fallback_both(terms, delta_u_db=DELTA_U_DB, grid_n=GRID_N):
+def fallback_both(terms, delta_u_db=DELTA_U_DB):
     """Both constraints lost: run the gain at the C2 cap and steer the
     SNR toward the target; the cap wins over g >= 1."""
-    alphas = np.linspace(0.0, 1.0, grid_n)
-    du = terms.noise_power(alphas)
-    cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+    du = terms.noise_power(ALPHAS)
+    _, cap = constraint_bounds(terms, delta_u_db)
     g = np.sqrt(np.where(du > 0.0, cap / np.where(du > 0.0, du, 1.0), np.inf))
-    xi = subband_snr(terms, alphas, g)
+    xi = subband_snr(terms, ALPHAS, g)
     best = _pick_last(np.abs(xi - terms.target_snr), "min")
     g_best = g[best] if np.isfinite(g[best]) else 1.0
-    return _solution(terms, alphas[best], g_best, BandStatus.BOTH_INFEASIBLE)
+    return _solution(terms, ALPHAS[best], g_best, BandStatus.BOTH_INFEASIBLE)
 
 
-def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB,
-               grid_n=GRID_N):
+def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     """Solve one band: the grid optimum, or the matching fallback."""
-    return grid_solve(terms, delta_u_db, delta_n_db, grid_n)
+    return grid_solve(terms, delta_u_db, delta_n_db)

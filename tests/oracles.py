@@ -29,8 +29,11 @@ def combo_quad(alpha, at_one, at_zero, cross):
 
 
 def constraint_bounds(terms, delta_u_db):
-    """rhs of C1 and the C2 cap."""
+    """rhs of C1 and the C2 cap; a band without near-end noise has no
+    cap."""
     rhs = terms.sigma_n2 * terms.target_snr
+    if terms.sigma_n2 <= 0.0:
+        return rhs, np.inf
     cap = terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
     return rhs, cap
 

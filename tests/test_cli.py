@@ -1,5 +1,6 @@
 """End-to-end tests for the batch runner and the explain command."""
 
+import csv
 import dataclasses
 import json
 
@@ -54,7 +55,10 @@ def test_config_rejects_bad_input():
         parse_config("mu_ref = 9\nmu_nr = 5")
     with pytest.raises(ValueError, match="methods"):
         parse_config("methods = []")
-    for text, match in (("grid_n = 2.5", "grid_n"),
+    # keys removed in 0.2.0, as a 0.1.0 manifest echoes them
+    for text, match in (("grid_n = 2001", "unknown config key: grid_n"),
+                        ("room_dims = [3.0, 4.0, 3.0]",
+                         "unknown config key: room_dims"),
                         ("n_bands = 2.0", "n_bands"),
                         ("seed = -1", "seed"), ("seed = 1.5", "seed"),
                         ("n_bands = 200", "empty band"),
@@ -235,7 +239,15 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(ok), "--sweep", "a_star=0.5:0.3:1.1"]) == 2
     negative = tmp_path / "negative.txt"
     negative.write_text("200 1\n1000 -1\n4000 1\n")
-    for text in ("grid_n = 2.5", "n_bands = 2.0", "seed = -1",
+    for key, text in (("grid_n", "grid_n = 2001"),
+                      ("room_dims", "room_dims = [3.0, 4.0, 3.0]")):
+        capsys.readouterr()
+        bad = write_cfg(tmp_path, text, name="bad.cfg")
+        out = tmp_path / "never"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+    for text in ("n_bands = 2.0", "seed = -1",
                  "n_bands = 200", "fe_snr_db = -inf", "ne_snr_db = -inf",
                  "mic_selfnoise_snr_db = -inf", "a_star = 1.5",
                  "fe_snr_db = 4000", "delta_u_db = 4000",
@@ -258,6 +270,20 @@ def test_exit_codes(tmp_path, capsys):
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3
     capsys.readouterr()  # drop accumulated error messages
+
+
+def test_band_csv_without_near_noise(tmp_path):
+    # no near-end noise leaves C2 inactive: the solver and the band
+    # table agree, so no band reports a lost cap or an infinite ratio
+    cfg = write_cfg(tmp_path, BASE.replace("ne_snr_db = -30",
+                                           "ne_snr_db = inf"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out),
+                 "--methods", "joint"]) == 0
+    rows = list(csv.DictReader(
+        (out / "bands_joint.csv").read_text().splitlines()))
+    assert {r["status"] for r in rows} <= {"Feasible", "C1Infeasible"}
+    assert all(float(r["c2_ratio"]) == 0.0 for r in rows)
 
 
 def test_explain_reports_bands(tmp_path, capsys):

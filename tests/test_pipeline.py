@@ -143,6 +143,18 @@ def test_blind_without_near_noise_keeps_unit_gain():
     assert np.all(res.gains == 1.0)
 
 
+def test_joint_without_near_noise_leaves_c2_inactive():
+    # no near-end noise: nothing to cap, so no band can lose C2, and
+    # nothing to lift speech above, so no band needs gain
+    _, stats, bset, fb = make_scene(0.0, np.inf)
+    assert np.all(stats.sigma_n2 == 0.0)
+    res = run_joint(stats, bset, fb)
+    statuses = {s.status for s in res.band_solutions}
+    assert statuses <= {BandStatus.FEASIBLE, BandStatus.C1_INFEASIBLE}
+    assert BandStatus.FEASIBLE in statuses
+    assert np.all(res.gains == 1.0)
+
+
 def test_blind_gain_rule():
     assert blind_gain(2.0, 1.0, 1.0) == 1.0  # already above target
     assert abs(blind_gain(0.5, 1.0, 7.0 / 3.0) - np.sqrt(14.0 / 3.0)) < 1e-12

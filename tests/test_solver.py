@@ -10,10 +10,12 @@ from minproc.beamform import build_beamformers
 from minproc.filterbank import build_filterbank
 from minproc.scene import SpectralStats
 from minproc.solver import (
+    ALPHAS,
     BandStatus,
     SolverTerms,
     band_terms,
     boundary_solution,
+    constraint_bounds,
     snr_margin,
     solve_band,
     subband_snr,
@@ -213,6 +215,32 @@ def test_zero_far_end_noise_needs_only_gain():
     assert sol.status is BandStatus.FEASIBLE
     assert sol.alpha == 1.0
     assert abs(sol.gain - np.sqrt(2.0)) < 1e-15
+
+
+def test_alpha_grid_is_fixed_and_exact_at_the_ends():
+    assert not ALPHAS.flags.writeable
+    with pytest.raises(ValueError):
+        ALPHAS[0] = 0.5
+    assert np.array_equal(ALPHAS, np.linspace(0, 1, 2001))
+    # the do-nothing point alpha = 1 must be reachable exactly
+    assert ALPHAS[0] == 0.0 and ALPHAS[-1] == 1.0
+    assert ALPHAS.size == 2001
+
+
+def test_no_near_end_noise_leaves_c2_inactive():
+    # sigma_n2 = 0: no near-end noise to cap, so C2 never binds, the
+    # same as delta_u_db = inf
+    reachable = SolverTerms(1.0, 0.9, 1.8, 0.05, 0.01, 0.04, 0.0, 1.0)
+    assert constraint_bounds(reachable, 12.0) == (0.0, np.inf)
+    sol = solve_band(reachable)
+    assert sol.status is BandStatus.FEASIBLE
+    assert (sol.alpha, sol.gain) == (1.0, 1.0)
+    assert sol == solve_band(reachable, delta_u_db=np.inf)
+    # a target the far-end SNR cannot reach leaves only C1 lost
+    out_of_reach = dataclasses.replace(reachable, target_snr=1e6)
+    sol = solve_band(out_of_reach)
+    assert sol.status is BandStatus.C1_INFEASIBLE
+    assert sol.gain == 1.0
 
 
 def test_zero_speech_band_degrades_quietly():

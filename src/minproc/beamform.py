@@ -34,8 +34,6 @@ class BeamformerSet:
 
     w_ref: np.ndarray   # (bins, channels), distortion weight mu_ref
     w_nr: np.ndarray    # (bins, channels), distortion weight mu_nr
-    mu_ref: float = 0.0
-    mu_nr: float = 5.0
 
 
 def _solve_loaded(c_u, d):
@@ -80,8 +78,7 @@ def mwf_all(stats, mu):
 
 def build_beamformers(stats, mu_ref=0.0, mu_nr=5.0):
     """Compute the filter pair used by the alpha combination."""
-    return BeamformerSet(mwf_all(stats, mu_ref), mwf_all(stats, mu_nr),
-                         mu_ref, mu_nr)
+    return BeamformerSet(mwf_all(stats, mu_ref), mwf_all(stats, mu_nr))
 
 
 def apply_beamformer(spec, weights, gain=None):
@@ -90,7 +87,7 @@ def apply_beamformer(spec, weights, gain=None):
     weights has shape (bins, channels); the output is the single-channel
     spectrogram y[t, k] = g[k] * w[k]^H x[t, k].
     """
-    data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
+    data = spec.data
     if data.shape[0] != weights.shape[1] or data.shape[2] != weights.shape[0]:
         raise ValueError("weight shape does not match spectrogram")
     y = np.einsum("km,mtk->tk", np.conj(weights), data)

@@ -53,14 +53,16 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self):
-        if not self.mu_ref < self.mu_nr:
-            raise ValueError("mu_ref must be below mu_nr "
+        if not 0.0 <= self.mu_ref < self.mu_nr:
+            raise ValueError("mu_ref must be nonnegative and below mu_nr "
                              "(reference keeps low distortion)")
-        if not self.methods:
-            raise ValueError("methods must not be empty")
+        if not isinstance(self.methods, list) or not self.methods:
+            raise ValueError("methods must be a nonempty list of names")
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method: {m}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must not repeat a name")
         if type(self.n_bands) is not int:
             raise ValueError("n_bands must be an integer")
         # the C2 cap is sigma_n2 * 10^(delta_u_db/10); +-inf stay meaningful
@@ -178,11 +180,7 @@ def config_echo(cfg):
     """
 
     def plain(v):
-        if isinstance(v, (tuple, list)):
-            return [plain(x) for x in v]
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        return v
+        return [plain(x) for x in v] if isinstance(v, (tuple, list)) else v
 
     out = {}
     for key in sorted(_SCENE_KEYS):

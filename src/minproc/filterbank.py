@@ -45,10 +45,6 @@ class Filterbank:
     def n_bands(self):
         return self.weight.shape[0]
 
-    @property
-    def n_bins(self):
-        return self.weight.shape[1]
-
     def covered(self):
         """Boolean mask of bins claimed by at least one band."""
         return self.weight.sum(axis=0) > 0.0

@@ -5,7 +5,7 @@ through x/(1+x) and sums under the band importance weights, so it lives
 in [0, 1] and is monotone in every band.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,9 @@ __all__ = ["EvalReport", "asii", "evaluate"]
 
 @dataclass
 class EvalReport:
-    method: str
     xi: np.ndarray
     asii: float
-    fe_snr: np.ndarray
     broadband_out_snr_db: float
-    per_band_status: list = field(default_factory=list)
 
 
 def asii(xi, gamma):
@@ -45,12 +42,6 @@ def evaluate(stats, result, fb):
     xi = np.array([subband_snr(t, s.alpha, s.gain)
                    for t, s in zip(result.terms, result.band_solutions)])
 
-    ds = np.array([t.speech_power(s.alpha)
-                   for t, s in zip(result.terms, result.band_solutions)])
-    du = np.array([t.noise_power(s.alpha)
-                   for t, s in zip(result.terms, result.band_solutions)])
-    fe_snr = np.divide(ds, du, out=np.full_like(ds, np.inf), where=du > 0.0)
-
     pw = np.full(stats.bins, 2.0)
     pw[0] = pw[-1] = 1.0
     g2 = result.g_mp**2
@@ -61,14 +52,8 @@ def evaluate(stats, result, fb):
     p_noise = float(pw @ (g2 * noise_bin + stats.sigma_n2))
     out_db = 10.0 * np.log10(p_speech / p_noise) if p_noise > 0.0 else np.inf
 
-    report = EvalReport(
-        method=result.method.value,
-        xi=xi,
-        asii=asii(xi, fb.importance),
-        fe_snr=fe_snr,
-        broadband_out_snr_db=out_db,
-        per_band_status=[s.status for s in result.band_solutions],
-    )
+    report = EvalReport(xi=xi, asii=asii(xi, fb.importance),
+                        broadband_out_snr_db=out_db)
     result.report = report
     return report
 

@@ -87,12 +87,22 @@ class SceneConfig:
         noises = np.atleast_2d(np.asarray(self.noise_positions, dtype=float))
         if noises.shape[0] < 1 or noises.shape[1] != 3:
             raise ValueError("need at least one noise position in 3-D")
-        if np.asarray(self.talker_pos, dtype=float).shape != (3,):
+        talker = np.asarray(self.talker_pos, dtype=float)
+        if talker.shape != (3,):
             raise ValueError("talker position must be 3-D")
-
-    @property
-    def n_mics(self):
-        return np.atleast_2d(np.asarray(self.mic_positions)).shape[0]
+        for name, pos in (("mic_positions", mics), ("talker_pos", talker),
+                          ("noise_positions", noises)):
+            if not np.all(np.isfinite(pos)):
+                raise ValueError(f"{name} must be finite")
+        # transfer_function divides by each source-to-mic distance
+        for name, srcs in (("talker_pos", talker[None]),
+                           ("noise_positions", noises)):
+            dist = np.linalg.norm(srcs[:, None] - mics[None], axis=-1)
+            if np.any(dist <= 0.0):
+                raise ValueError(f"{name} must not coincide with a "
+                                 "microphone position")
+        if not 0.0 < float(self.speed_of_sound) < math.inf:
+            raise ValueError("speed_of_sound must be positive and finite")
 
 
 @dataclass
@@ -144,7 +154,6 @@ class SceneSignals:
     spec_clean: Spectrogram = field(repr=False, default=None)
     spec_fe_noise: Spectrogram = field(repr=False, default=None)
     spec_x: Spectrogram = field(repr=False, default=None)
-    spec_ne: Spectrogram = field(repr=False, default=None)
 
 
 def transfer_function(src_pos, mic_pos, freqs, speed_of_sound=343.0):
@@ -301,12 +310,12 @@ def synthesize_scene(cfg, params):
     ne_noise = make_source(cfg.ne_noise_kind, n, cfg.sample_rate, rng)
     ne_noise = ne_noise * _snr_gain(p_clean_ref, np.mean(ne_noise ** 2),
                                     cfg.ne_snr_db)
-    spec_ne = analyze(ne_noise, params)
 
     d_norm = d_abs / d_abs[:, :1]
-    stats = estimate_stats(spec_clean, spec_fe, spec_ne, d_norm)
+    stats = estimate_stats(spec_clean, spec_fe, analyze(ne_noise, params),
+                           d_norm)
     signals = SceneSignals(clean_at_mics, x, ne_noise,
-                           spec_clean, spec_fe, spec_x, spec_ne)
+                           spec_clean, spec_fe, spec_x)
     return signals, stats
 
 

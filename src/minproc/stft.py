@@ -7,6 +7,7 @@ hop on either side before framing, which keeps every input sample under
 full window coverage (no edge taper on the reconstruction).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,31 +20,35 @@ __all__ = [
     "analyze",
     "synthesize",
     "long_term_psd",
-    "read_wav",
     "write_wav",
 ]
 
 
 @dataclass(frozen=True)
 class FrameParams:
-    """STFT framing parameters (50% overlap is required)."""
+    """STFT framing at 50% overlap: the hop is half the frame."""
 
     sample_rate: int
     frame_len: int
-    hop: int
 
     def __post_init__(self):
-        if self.frame_len <= 0 or self.hop <= 0:
-            raise ValueError("frame_len and hop must be positive")
-        if self.frame_len != 2 * self.hop:
-            raise ValueError("50% overlap required (frame_len = 2*hop)")
+        if self.frame_len <= 0 or self.frame_len % 2:
+            raise ValueError("frame_len must be positive and even")
 
     @classmethod
     def from_ms(cls, sample_rate, frame_ms=32.0):
-        frame_len = int(round(sample_rate * frame_ms / 1000.0))
+        # the frame in samples, so a frame_ms that overflows is caught too
+        frame_len = sample_rate * frame_ms / 1000.0
+        if not 0.0 < frame_len < math.inf:
+            raise ValueError("frame_ms must be positive and finite")
+        frame_len = int(round(frame_len))
         if frame_len % 2:
             frame_len += 1
-        return cls(sample_rate, frame_len, frame_len // 2)
+        return cls(sample_rate, frame_len)
+
+    @property
+    def hop(self):
+        return self.frame_len // 2
 
     @property
     def fft_len(self):
@@ -67,8 +72,6 @@ class Spectrogram:
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
-        if self.data.ndim == 2:
-            self.data = self.data[None, :, :]
         if self.data.ndim != 3:
             raise ValueError("spectrogram data must be (channels, frames, bins)")
 
@@ -79,10 +82,6 @@ class Spectrogram:
     @property
     def frames(self):
         return self.data.shape[1]
-
-    @property
-    def bins(self):
-        return self.data.shape[2]
 
 
 def sqrt_hann(frame_len):
@@ -132,7 +131,7 @@ def synthesize(spec, params, num_samples=None):
     ``num_samples`` trims or zero-extends the output; by default the
     maximum number of fully covered samples is returned.
     """
-    data = spec.data if isinstance(spec, Spectrogram) else np.atleast_3d(spec)
+    data = spec.data
     channels, n_frames, bins = data.shape
     if bins != params.bins:
         raise ValueError("bin count does not match frame parameters")
@@ -166,50 +165,22 @@ def long_term_psd(spec):
     Returns an array of shape (bins, channels, channels); Hermitian and
     positive semi-definite per bin by construction.
     """
-    data = spec.data if isinstance(spec, Spectrogram) else np.asarray(spec)
+    data = spec.data
     # mean over t of the outer product across channels
     psd = np.einsum("mtk,ntk->kmn", data, np.conj(data)) / data.shape[1]
     return 0.5 * (psd + np.conj(psd).transpose(0, 2, 1))
 
 
-def read_wav(path):
-    """Read a WAV file, returning (sample_rate, float64 data (channels, n)).
-
-    16-bit PCM is scaled to [-1, 1); 32-bit float is passed through.
-    """
-    rate, data = wavfile.read(path)
-    data = np.asarray(data)
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    else:
-        data = data.astype(np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
-    else:
-        data = data.T
-    return rate, data
-
-
-def write_wav(path, rate, data, dtype="float32"):
-    """Write mono (n,) or multichannel (channels, n) audio as WAV.
+def write_wav(path, rate, data):
+    """Write mono (n,) or multichannel (channels, n) audio as float32 WAV.
 
     Raises ValueError, before the file is opened, if any sample is not
     finite, float32 rounding included.
     """
     data = np.atleast_2d(np.asarray(data))
     out = data.T if data.shape[0] > 1 else data[0]
-    if dtype == "float32":
-        with np.errstate(over="ignore"):  # overflow is caught below
-            samples = out.astype(np.float32)
-    elif dtype == "int16":
-        samples = out
-    else:
-        raise ValueError("dtype must be 'float32' or 'int16'")
+    with np.errstate(over="ignore"):  # overflow is caught below
+        samples = out.astype(np.float32)
     if not np.all(np.isfinite(samples)):
         raise ValueError("refusing to write non-finite samples")
-    if dtype == "int16":
-        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        samples = np.round(clipped * 32768.0).astype(np.int16)
     wavfile.write(path, rate, samples)

@@ -356,6 +356,6 @@ def test_criterion_10_runtime_envelope():
         evaluate(stats, res, fb)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    assert cfg.n_mics == 2 and fb.n_bands == 30
+    assert stats.channels == 2 and fb.n_bands == 30
     print(f"criterion 10 PASS: 10 s scene, 2 mics, 3 methods, 30 bands "
           f"in {elapsed:.2f}s (< 10s)")

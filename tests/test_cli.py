@@ -3,9 +3,12 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minproc.cli
 from minproc.cli import main, parse_config
@@ -44,6 +47,30 @@ def test_config_parsing_round_trip(tmp_path):
     assert cfg.a_star == 0.5
 
 
+# (config text, the key its error names): geometry, physics, mu_ref,
+# frame_ms and methods errors that must exit 2 before any write
+REJECTED_KEYS = (
+    ("talker_pos = [1.5, 2.0, 1.0]", "talker_pos"),
+    ("noise_positions = [[1.5, 2.02, 1.0]]", "noise_positions"),
+    ("talker_pos = [nan, 3.0, 1.0]", "talker_pos"),
+    ("noise_positions = [[0.5, inf, 1.0]]", "noise_positions"),
+    ("mic_positions = [[1.5, 2.0, -inf], [1.5, 2.02, 1.0]]",
+     "mic_positions"),
+    ("speed_of_sound = 0", "speed_of_sound"),
+    ("speed_of_sound = nan", "speed_of_sound"),
+    ("speed_of_sound = inf", "speed_of_sound"),
+    ("speed_of_sound = -343", "speed_of_sound"),
+    ("mu_ref = -1", "mu_ref"),
+    ("mu_ref = -inf", "mu_ref"),
+    ("frame_ms = inf", "frame_ms"),
+    ("frame_ms = nan", "frame_ms"),
+    ("frame_ms = 0", "frame_ms"),
+    ("frame_ms = 1e305", "frame_ms"),
+    ("methods = joint", "methods"),
+    ("methods = [joint, joint]", "methods"),
+)
+
+
 def test_config_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("not_a_key = 1")
@@ -76,7 +103,8 @@ def test_config_rejects_bad_input():
                         ("duration = inf", "duration"),
                         ("duration = 0.01", "shorter than one frame"),
                         ("sample_rate = nan", "sample rate"),
-                        ("sample_rate = 16000.0", "sample rate")):
+                        ("sample_rate = 16000.0", "sample rate"),
+                        *REJECTED_KEYS):
         with pytest.raises(ValueError, match=match):
             parse_config(text)
     # +inf keeps its meaning: that noise is absent
@@ -260,6 +288,18 @@ def test_exit_codes(tmp_path, capsys):
         out = tmp_path / "never"
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+    for text, key in REJECTED_KEYS:
+        capsys.readouterr()
+        bad = write_cfg(tmp_path, "duration = 1.0\n" + text, name="bad.cfg")
+        out = tmp_path / "never"
+        assert main(["run", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", str(ok), "--out", str(out),
+                 "--methods", "joint,joint"]) == 2
+    assert not out.exists()
+    assert "methods" in capsys.readouterr().err
     assert main(["run", str(ok), "--sweep", "n_bands=20:2.5:25"]) == 2
     # points closer than the six-digit directory labels would share one
     out = tmp_path / "never"
@@ -270,6 +310,62 @@ def test_exit_codes(tmp_path, capsys):
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3
     capsys.readouterr()  # drop accumulated error messages
+
+
+HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+HOSTILE_KEYS = ("mic_positions", "talker_pos", "noise_positions",
+                "speed_of_sound", "mu_ref", "frame_ms")
+
+
+def _position(default):
+    """A 3-D position: the default, or it with one coordinate hostile."""
+    def replace(pick):
+        i, value = pick
+        return [value if k == i else c for k, c in enumerate(default)]
+    hostile = st.tuples(st.integers(0, 2), st.sampled_from(HOSTILE))
+    return st.one_of(st.just(list(default)), hostile.map(replace))
+
+
+@st.composite
+def hostile_configs(draw):
+    """Config text for a 0.1 s scene with one or two hostile keys: nan,
+    +-inf, 0 or negative values, or a source at a microphone."""
+    keys = draw(st.lists(st.sampled_from(HOSTILE_KEYS), min_size=1,
+                         max_size=2, unique=True))
+    mics = [[1.5, 2.0, 1.0], [1.5, 2.02, 1.0]]
+    if "mic_positions" in keys:
+        mics = [draw(_position(m)) for m in mics[:draw(st.integers(1, 2))]]
+    at_mic = st.sampled_from(mics)
+    values = {
+        "mic_positions": st.just(mics),
+        "talker_pos": st.one_of(_position((1.5, 3.0, 1.0)), at_mic),
+        "noise_positions": st.lists(st.one_of(_position((0.5, 1.0, 1.0)),
+                                              at_mic), min_size=1,
+                                    max_size=2),
+        "speed_of_sound": st.sampled_from(HOSTILE),
+        "mu_ref": st.sampled_from(HOSTILE),
+        "frame_ms": st.sampled_from(HOSTILE),
+    }
+    pairs = {"duration": 0.1}
+    pairs.update((key, draw(values[key])) for key in keys)
+
+    def fmt(v):
+        return f"[{', '.join(fmt(x) for x in v)}]" if isinstance(v, list) \
+            else repr(v)
+
+    return "\n".join(f"{k} = {fmt(v)}" for k, v in pairs.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(text=hostile_configs())
+def test_hostile_config_exits_0_or_2(tmp_path_factory, text):
+    root = tmp_path_factory.mktemp("hostile")
+    cfg = write_cfg(root, text)
+    out = root / "out"
+    code = main(["run", str(cfg), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.exists()
 
 
 def test_band_csv_without_near_noise(tmp_path):

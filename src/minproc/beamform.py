@@ -81,16 +81,14 @@ def build_beamformers(stats, mu_ref=0.0, mu_nr=5.0):
     return BeamformerSet(mwf_all(stats, mu_ref), mwf_all(stats, mu_nr))
 
 
-def apply_beamformer(spec, weights, gain=None):
-    """Apply per-bin filters (and optional per-bin gain) to a spectrogram.
+def apply_beamformer(spec, weights):
+    """Apply per-bin filters to a spectrogram.
 
     weights has shape (bins, channels); the output is the single-channel
-    spectrogram y[t, k] = g[k] * w[k]^H x[t, k].
+    spectrogram y[t, k] = w[k]^H x[t, k].
     """
     data = spec.data
     if data.shape[0] != weights.shape[1] or data.shape[2] != weights.shape[0]:
         raise ValueError("weight shape does not match spectrogram")
     y = np.einsum("km,mtk->tk", np.conj(weights), data)
-    if gain is not None:
-        y = y * np.asarray(gain)[None, :]
     return Spectrogram(y[None, :, :])

@@ -201,7 +201,7 @@ def _constraint_ratios(terms, sol, delta_u_db):
     return c1, c2
 
 
-def _write_band_csv(path, result, fb, delta_u_db):
+def _write_band_csv(path, result, report, fb, delta_u_db):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BAND_COLUMNS)
@@ -211,7 +211,8 @@ def _write_band_csv(path, result, fb, delta_u_db):
             writer.writerow([j, repr(float(fb.centers_hz[j])),
                              repr(sol.alpha), repr(sol.gain),
                              sol.status.value, repr(sol.penalty),
-                             repr(sol.xi), repr(float(result.target_snrs[j])),
+                             repr(float(report.xi[j])),
+                             repr(terms.target_snr),
                              repr(float(c1)), repr(float(c2))])
 
 
@@ -251,7 +252,7 @@ def _run_methods(cfg, params, scene, importance, out_dir):
 
         write_wav(out_dir / f"y_{name}.wav", rate, y)
         write_wav(out_dir / f"z_{name}.wav", rate, z)
-        _write_band_csv(out_dir / f"bands_{name}.csv", res, fb,
+        _write_band_csv(out_dir / f"bands_{name}.csv", res, report, fb,
                         cfg.delta_u_db)
         _write_bin_csv(out_dir / f"bins_{name}.csv", res, fb)
 

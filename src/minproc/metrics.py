@@ -22,20 +22,23 @@ class EvalReport:
 
 
 def asii(xi, gamma):
-    """Importance-weighted sum of xi/(1+xi) over bands."""
+    """Importance-weighted sum of xi/(1+xi) over bands; an infinite xi
+    counts as 1, its limit."""
     xi = np.asarray(xi, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     if np.any(xi < 0.0):
         raise ValueError("negative subband SNR")
-    return float(np.sum(gamma * xi / (1.0 + xi)))
+    inf = np.isinf(xi)
+    finite = np.where(inf, 0.0, xi)
+    return float(np.sum(np.where(inf, gamma, gamma * finite / (1.0 + finite))))
 
 
 def evaluate(stats, result, fb):
     """Score a finished enhancement result.
 
-    Per-band SNRs are recomputed from the delivered (alpha, g) through
-    the band terms the method was solved with, never read back from the
-    solver's bookkeeping.  The broadband output SNR weighs per-bin
+    Per-band SNRs are computed here, and only here, from the delivered
+    (alpha, g) through the band terms the method was solved with.  The
+    broadband output SNR weighs per-bin
     powers with the one-sided spectrum weights (interior bins count
     twice) and includes the near-end noise in the denominator.
     """

@@ -38,7 +38,7 @@ from .solver import (
     solve_band,
     subband_snr,
 )
-from .stft import synthesize
+from .stft import Spectrogram, synthesize
 
 __all__ = [
     "Method",
@@ -63,7 +63,6 @@ class EnhancementResult:
     method: Method
     band_solutions: list
     terms: list
-    target_snrs: np.ndarray
     w_mp: np.ndarray
     g_mp: np.ndarray
     y: np.ndarray = field(default=None, repr=False)
@@ -77,6 +76,10 @@ class EnhancementResult:
     @property
     def gains(self):
         return np.array([s.gain for s in self.band_solutions])
+
+    @property
+    def target_snrs(self):
+        return np.array([t.target_snr for t in self.terms])
 
 
 def recombine(bset, fb, alphas, gains):
@@ -108,7 +111,7 @@ def _run(method, stats, bset, fb, a_star, decide):
     w_mp, g_mp = recombine(bset, fb,
                            [s.alpha for s in solutions],
                            [s.gain for s in solutions])
-    return EnhancementResult(method, solutions, terms, target_snrs, w_mp, g_mp)
+    return EnhancementResult(method, solutions, terms, w_mp, g_mp)
 
 
 def run_joint(stats, bset, fb, a_star=0.7, delta_u_db=DELTA_U_DB,
@@ -169,9 +172,7 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
 
         delta_y = t.speech_power(alpha) + t.noise_power(alpha)
         g = blind_gain(delta_y, t.sigma_n2, t.target_snr)
-        penalty = (1.0 - alpha) ** 2 + (1.0 - g) ** 2
-        return BandSolution(alpha, g, status, penalty,
-                            subband_snr(t, alpha, g))
+        return BandSolution(alpha, g, status)
 
     return _run(Method.BLIND_CONCAT, stats, bset, fb, a_star, decide)
 
@@ -187,27 +188,21 @@ def run_unprocessed(stats, fb, a_star=0.7):
     e1[:, 0] = 1.0
 
     def decide(j, t):
-        xi = subband_snr(t, 1.0, 1.0)
-        met = xi >= t.target_snr * (1.0 - REL_TOL)
+        met = subband_snr(t, 1.0, 1.0) >= t.target_snr * (1.0 - REL_TOL)
         status = BandStatus.FEASIBLE if met else BandStatus.C1_INFEASIBLE
-        return BandSolution(1.0, 1.0, status, 0.0, xi)
+        return BandSolution(1.0, 1.0, status)
 
     return _run(Method.UNPROCESSED, stats, BeamformerSet(w_ref=e1, w_nr=e1),
                 fb, a_star, decide)
 
 
 def render(signals, result, params):
-    """Produce the far-end output Y and near-end observation Z = gY + N.
-
-    Mismatched lengths are trimmed to the common prefix.  The rendered
-    waveforms are also stored on the result.
-    """
+    """Produce the far-end output Y and near-end observation Z = gY + N,
+    both as long as the scene.  They are also stored on the result."""
     n = signals.x.shape[-1]
     y_spec = apply_beamformer(signals.spec_x, result.w_mp)
-    z_spec = apply_beamformer(signals.spec_x, result.w_mp, result.g_mp)
-    y = synthesize(y_spec, params, n)
-    gy = synthesize(z_spec, params, n)
-    m = min(gy.shape[-1], signals.ne_noise.shape[-1])
-    z = gy[..., :m] + signals.ne_noise[..., :m]
+    y = synthesize(y_spec, params, n)[0]
+    gy = synthesize(Spectrogram(y_spec.data * result.g_mp), params, n)[0]
+    z = gy + signals.ne_noise
     result.y, result.z = y, z
     return y, z

@@ -28,6 +28,7 @@ __all__ = [
     "SpectralStats",
     "SOURCE_KINDS",
     "DB_LIMIT",
+    "DISTANCE_LIMITS",
     "transfer_function",
     "steering_matrix",
     "make_source",
@@ -46,6 +47,11 @@ _MICS = ((1.50, 2.00, 1.00), (1.50, 2.02, 1.00))
 # level difference, and it keeps every power ratio 10^(dB/10) and every
 # float32 WAV sample finite
 DB_LIMIT = 300.0
+
+# every source lies within these distances in metres of every mic: far
+# beyond any acoustic scene, and they keep the 1/(4*pi*r) spreading and
+# every power and covariance built from it finite
+DISTANCE_LIMITS = (1e-6, 1e6)
 
 
 @dataclass
@@ -95,12 +101,17 @@ class SceneConfig:
             if not np.all(np.isfinite(pos)):
                 raise ValueError(f"{name} must be finite")
         # transfer_function divides by each source-to-mic distance
+        lo, hi = DISTANCE_LIMITS
         for name, srcs in (("talker_pos", talker[None]),
                            ("noise_positions", noises)):
-            dist = np.linalg.norm(srcs[:, None] - mics[None], axis=-1)
-            if np.any(dist <= 0.0):
-                raise ValueError(f"{name} must not coincide with a "
-                                 "microphone position")
+            with np.errstate(over="ignore"):  # an inf offset fails below
+                offset = np.abs(srcs[:, None] - mics[None])
+            # the per-axis bound comes first, so the norm cannot overflow
+            dist = (np.linalg.norm(offset, axis=-1)
+                    if np.all(offset <= hi) else np.inf)
+            if not np.all((lo <= dist) & (dist <= hi)):
+                raise ValueError(f"{name} must lie between {lo:g} m and "
+                                 f"{hi:g} m from every microphone")
         if not 0.0 < float(self.speed_of_sound) < math.inf:
             raise ValueError("speed_of_sound must be positive and finite")
 
@@ -282,7 +293,7 @@ def synthesize_scene(cfg, params):
     d_abs = steering_matrix(cfg.talker_pos, mics, freqs, cfg.speed_of_sound)
     clean_data = d_abs.T[:, None, :] * spec_src.data[0][None, :, :]
     spec_clean = Spectrogram(clean_data)
-    clean_at_mics = np.atleast_2d(synthesize(spec_clean, params, n))
+    clean_at_mics = synthesize(spec_clean, params, n)
 
     # point noise sources, mixed at the mics before any scaling
     noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
@@ -291,7 +302,7 @@ def synthesize_scene(cfg, params):
         v = make_source(cfg.fe_noise_kind, n, cfg.sample_rate, rng)
         a_i = steering_matrix(pos, mics, freqs, cfg.speed_of_sound)
         pts_data += a_i.T[:, None, :] * analyze(v, params).data[0][None, :, :]
-    pts_wave = np.atleast_2d(synthesize(Spectrogram(pts_data), params, n))
+    pts_wave = synthesize(Spectrogram(pts_data), params, n)
 
     # microphone self noise, referenced to the clean speech at each mic
     selfnoise = rng.standard_normal((n_mics, n))
@@ -305,7 +316,7 @@ def synthesize_scene(cfg, params):
     spec_fe = Spectrogram(beta * pts_data + analyze(selfnoise, params).data)
 
     spec_x = Spectrogram(spec_clean.data + spec_fe.data)
-    x = np.atleast_2d(synthesize(spec_x, params, n))
+    x = synthesize(spec_x, params, n)
 
     ne_noise = make_source(cfg.ne_noise_kind, n, cfg.sample_rate, rng)
     ne_noise = ne_noise * _snr_gain(p_clean_ref, np.mean(ne_noise ** 2),

@@ -127,11 +127,15 @@ class SolverTerms:
 
 @dataclass(frozen=True)
 class BandSolution:
+    """One band's decision; the penalty follows from it."""
+
     alpha: float
     gain: float
     status: BandStatus
-    penalty: float
-    xi: float
+
+    @property
+    def penalty(self):
+        return (1.0 - self.alpha) ** 2 + (1.0 - self.gain) ** 2
 
 
 def band_terms(stats, bset, fb, band_idx, target_snr):
@@ -167,11 +171,13 @@ def snr_margin(terms, alpha):
 
 
 def subband_snr(terms, alpha, g):
-    """Near-end SNR g^2*speech / (g^2*noise + sigma_n2); 0 on a zero denominator."""
+    """Near-end SNR g^2*speech / (g^2*noise + sigma_n2).  On a zero
+    denominator it is inf where speech arrives and 0 where it does not."""
     g = np.asarray(g, dtype=float)
     num = g * g * terms.speech_power(alpha)
     den = g * g * terms.noise_power(alpha) + terms.sigma_n2
-    out = np.divide(num, den, out=np.zeros_like(num + 0.0), where=den > 0.0)
+    out = np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
+                    where=den > 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -190,10 +196,8 @@ def _pick_last(values, mode="min"):
     return int(np.flatnonzero(mask)[-1])
 
 
-def _solution(terms, alpha, g, status):
-    penalty = (1.0 - alpha) ** 2 + (1.0 - g) ** 2
-    return BandSolution(float(alpha), float(g), status, float(penalty),
-                        subband_snr(terms, alpha, g))
+def _solution(alpha, g, status):
+    return BandSolution(float(alpha), float(g), status)
 
 
 def constraint_bounds(terms, delta_u_db=DELTA_U_DB):
@@ -221,11 +225,11 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     for alpha, margin, du in ((1.0, terms.m_ref, terms.du_ref),
                               (0.0, terms.m_nr, terms.du_nr)):
         if margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL):
-            return _solution(terms, alpha, 1.0, BandStatus.FEASIBLE)
+            return _solution(alpha, 1.0, BandStatus.FEASIBLE)
         if 0.0 < margin < rhs:
             g2 = rhs / margin
             if g2 * du <= cap * (1.0 + REL_TOL):
-                return _solution(terms, alpha, np.sqrt(g2), BandStatus.FEASIBLE)
+                return _solution(alpha, np.sqrt(g2), BandStatus.FEASIBLE)
     return None
 
 
@@ -252,7 +256,7 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
         idx = np.flatnonzero(feasible)
         penalty = (1.0 - ALPHAS[idx]) ** 2 + (1.0 - g[idx]) ** 2
         best = idx[_pick_last(penalty, "min")]
-        return _solution(terms, ALPHAS[best], g[best], BandStatus.FEASIBLE)
+        return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
     safe_du = np.where(du > 0.0, du, 1.0)
@@ -302,8 +306,8 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     _, cap = constraint_bounds(terms, delta_u_db)
     g_cap = np.sqrt(cap / du_best) if du_best > 0.0 else np.inf
     if g_cap < 1.0:
-        return _solution(terms, alpha, g_cap, BandStatus.BOTH_INFEASIBLE)
-    return _solution(terms, alpha, min(max(g, 1.0), g_cap),
+        return _solution(alpha, g_cap, BandStatus.BOTH_INFEASIBLE)
+    return _solution(alpha, min(max(g, 1.0), g_cap),
                      BandStatus.C1_INFEASIBLE)
 
 
@@ -312,7 +316,7 @@ def fallback_c2(terms):
     SNR as close to the target as the combination allows."""
     xi = subband_snr(terms, ALPHAS, 1.0)
     best = _pick_last(np.abs(xi - terms.target_snr), "min")
-    return _solution(terms, ALPHAS[best], 1.0, BandStatus.C2_INFEASIBLE)
+    return _solution(ALPHAS[best], 1.0, BandStatus.C2_INFEASIBLE)
 
 
 def fallback_both(terms, delta_u_db=DELTA_U_DB):
@@ -324,7 +328,7 @@ def fallback_both(terms, delta_u_db=DELTA_U_DB):
     xi = subband_snr(terms, ALPHAS, g)
     best = _pick_last(np.abs(xi - terms.target_snr), "min")
     g_best = g[best] if np.isfinite(g[best]) else 1.0
-    return _solution(terms, ALPHAS[best], g_best, BandStatus.BOTH_INFEASIBLE)
+    return _solution(ALPHAS[best], g_best, BandStatus.BOTH_INFEASIBLE)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -125,11 +125,10 @@ def analyze(signal, params):
     return Spectrogram(np.fft.rfft(frames, n=params.fft_len, axis=2))
 
 
-def synthesize(spec, params, num_samples=None):
-    """Overlap-add inverse STFT.
+def synthesize(spec, params, num_samples):
+    """Overlap-add inverse STFT, shaped (channels, num_samples).
 
-    ``num_samples`` trims or zero-extends the output; by default the
-    maximum number of fully covered samples is returned.
+    The output is trimmed or zero-extended to ``num_samples``.
     """
     data = spec.data
     channels, n_frames, bins = data.shape
@@ -148,14 +147,9 @@ def synthesize(spec, params, num_samples=None):
     out[:, :n_frames * hop] += frames[..., :hop].reshape(channels, -1)
     out[:, hop:] += frames[..., hop:].reshape(channels, -1)
 
-    covered = total - 2 * pad
-    if num_samples is None:
-        num_samples = covered
     y = np.zeros((channels, num_samples))
     m = min(num_samples, total - pad)
     y[:, :m] = out[:, pad:pad + m]
-    if y.shape[0] == 1:
-        return y[0]
     return y
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import minproc.cli
 from minproc.cli import main, parse_config
+from minproc.metrics import evaluate
 
 BASE = """
 # short scene so the suite stays fast
@@ -19,6 +20,13 @@ duration = 1.0
 fe_snr_db = 0
 ne_snr_db = -30
 seed = 3
+"""
+
+NOISE_FREE = """
+duration = 1.0
+fe_snr_db = inf
+mic_selfnoise_snr_db = inf
+ne_snr_db = inf
 """
 
 
@@ -68,6 +76,9 @@ REJECTED_KEYS = (
     ("frame_ms = 1e305", "frame_ms"),
     ("methods = joint", "methods"),
     ("methods = [joint, joint]", "methods"),
+    ("mic_positions = [[0, 0, 0], [0.02, 0, 0]]\n"
+     "talker_pos = [1e-160, 0, 0]", "talker_pos"),
+    ("noise_positions = [[1e300, 0, 1]]", "noise_positions"),
 )
 
 
@@ -380,6 +391,34 @@ def test_band_csv_without_near_noise(tmp_path):
         (out / "bands_joint.csv").read_text().splitlines()))
     assert {r["status"] for r in rows} <= {"Feasible", "C1Infeasible"}
     assert all(float(r["c2_ratio"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("text", [BASE, NOISE_FREE],
+                         ids=["noisy", "noise_free"])
+def test_band_csv_xi_is_evaluate_xi(tmp_path, monkeypatch, capsys, text):
+    # the band table writes the xi that evaluate scores, bit for bit,
+    # and explain reads an infinite one
+    reports = []
+
+    def recording(*args):
+        reports.append(evaluate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(minproc.cli, "evaluate", recording)
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert len(reports) == 3
+    for name, report in zip(("joint", "blind", "unprocessed"), reports):
+        path = out / f"bands_{name}.csv"
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        xi = np.array([float(r["xi"]) for r in rows])
+        assert np.array_equal(xi, report.xi), name
+        assert main(["explain", str(path)]) == 0
+    if text == NOISE_FREE:
+        rows = list(csv.DictReader(
+            (out / "metrics.csv").read_text().splitlines()))
+        assert all(r["asii"] == "1.0" and r["n_feasible"] == "30"
+                   for r in rows)
 
 
 def test_explain_reports_bands(tmp_path, capsys):

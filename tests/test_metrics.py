@@ -9,7 +9,7 @@ from minproc.metrics import asii, evaluate
 from minproc.pipeline import render, run_joint, run_unprocessed
 from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import BandStatus, subband_snr
-from minproc.stft import FrameParams, synthesize
+from minproc.stft import FrameParams, Spectrogram, synthesize
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
@@ -26,6 +26,9 @@ def test_asii_known_values():
     assert asii(np.ones(4), gamma) == pytest.approx(0.5, abs=1e-12)
     assert asii(np.full(4, 7.0 / 3.0), gamma) == pytest.approx(0.7, abs=1e-12)
     assert asii(np.zeros(4), gamma) == 0.0
+    # an infinite SNR counts at its limit, also under a zero weight
+    assert asii(np.full(4, np.inf), gamma) == 1.0
+    assert asii(np.array([np.inf, 1.0]), np.array([0.0, 1.0])) == 0.5
 
 
 def test_asii_rejects_negative_snr():
@@ -94,10 +97,13 @@ def test_broadband_snr_matches_waveform_oracle():
     report = evaluate(stats, res, fb)
 
     n = signals.x.shape[-1]
-    speech = synthesize(apply_beamformer(signals.spec_clean, res.w_mp,
-                                         res.g_mp), PARAMS, n)
-    fe = synthesize(apply_beamformer(signals.spec_fe_noise, res.w_mp,
-                                     res.g_mp), PARAMS, n)
+
+    def heard(spec):
+        gy = apply_beamformer(spec, res.w_mp).data * res.g_mp
+        return synthesize(Spectrogram(gy), PARAMS, n)[0]
+
+    speech = heard(signals.spec_clean)
+    fe = heard(signals.spec_fe_noise)
     p_noise = np.sum(fe**2) + np.sum(signals.ne_noise**2)
     wave_db = 10.0 * np.log10(np.sum(speech**2) / p_noise)
     assert abs(wave_db - report.broadband_out_snr_db) < 0.5

@@ -4,6 +4,7 @@ import numpy as np
 
 from minproc.beamform import BeamformerSet, build_beamformers
 from minproc.filterbank import build_filterbank
+from minproc.metrics import evaluate
 from minproc.pipeline import (
     Method,
     blind_gain,
@@ -136,6 +137,21 @@ def test_blind_without_far_noise_keeps_reference():
     assert all(s.status is BandStatus.FEASIBLE for s in res.band_solutions)
 
 
+def test_noise_free_scene_scores_full_intelligibility():
+    # no noise anywhere: every band delivers speech over zero noise, an
+    # infinite SNR that ASII counts at its limit of one
+    _, stats, bset, fb = make_scene(np.inf, np.inf,
+                                    mic_selfnoise_snr_db=np.inf)
+    assert np.all(stats.c_u == 0.0) and np.all(stats.sigma_n2 == 0.0)
+    for res in (run_joint(stats, bset, fb), run_blind_concat(stats, bset, fb),
+                run_unprocessed(stats, fb)):
+        report = evaluate(stats, res, fb)
+        assert report.asii == 1.0, res.method
+        assert np.all(report.xi == np.inf), res.method
+        assert all(s.status is BandStatus.FEASIBLE
+                   for s in res.band_solutions), res.method
+
+
 def test_blind_without_near_noise_keeps_unit_gain():
     _, stats, bset, fb = make_scene(0.0, np.inf)
     assert np.all(stats.sigma_n2 == 0.0)
@@ -179,11 +195,13 @@ def test_joint_never_below_unprocessed_in_feasible_bands():
     signals, stats, bset, fb = make_scene(0.0, -10.0)
     joint = run_joint(stats, bset, fb)
     unproc = run_unprocessed(stats, fb)
+    xi_joint = evaluate(stats, joint, fb).xi
+    xi_unproc = evaluate(stats, unproc, fb).xi
     for j, sol in enumerate(joint.band_solutions):
         if sol.status is not BandStatus.FEASIBLE:
             continue
-        floor = min(joint.target_snrs[j], unproc.band_solutions[j].xi)
-        assert sol.xi >= floor - 1e-9
+        floor = min(joint.target_snrs[j], xi_unproc[j])
+        assert xi_joint[j] >= floor - 1e-9
 
 
 def test_method_labels():

@@ -249,7 +249,18 @@ def test_zero_speech_band_degrades_quietly():
     assert sol.status is BandStatus.C1_INFEASIBLE
     assert sol.alpha == 1.0  # flat ratio, tie to larger alpha
     assert sol.gain == 1.0  # raw boost below one clips up to unity
-    assert sol.xi == 0.0
+    assert subband_snr(terms, sol.alpha, sol.gain) == 0.0
+
+
+def test_subband_snr_on_zero_denominator():
+    # no noise of either kind: speech that arrives is an infinite SNR,
+    # and a band where nothing arrives stays at zero
+    quiet = SolverTerms(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    assert subband_snr(quiet, 1.0, 1.0) == np.inf
+    assert subband_snr(quiet, 0.0, 1.0) == 0.0
+    assert subband_snr(quiet, 1.0, 0.0) == 0.0
+    xi = subband_snr(quiet, np.array([0.0, 0.5, 1.0]), 1.0)
+    assert np.array_equal(xi, [0.0, np.inf, np.inf])
 
 
 def test_zero_target_is_free():

@@ -39,8 +39,9 @@ class BeamformerSet:
 def _solve_loaded(c_u, d):
     """C_U^{-1} d with relative diagonal loading; batched over bins.
 
-    Bins whose noise covariance is exactly zero are returned as NaN and
-    resolved by the caller (the filter limit there is the matched filter).
+    Also returns the mask of bins whose noise covariance is exactly zero;
+    their rows are meaningless and the caller replaces them (the filter
+    limit there is the matched filter).
     """
     c_u = np.asarray(c_u)
     m = c_u.shape[-1]
@@ -54,8 +55,6 @@ def _solve_loaded(c_u, d):
         x = np.linalg.solve(loaded, d[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ValueError("noise covariance singular") from exc
-    if np.any(zero):
-        x = np.where(zero[..., None], np.nan, x)
     return x, zero
 
 

@@ -23,14 +23,15 @@ from .beamform import build_beamformers
 from .filterbank import (allocate_targets, build_filterbank,
                          load_band_importance)
 from .metrics import evaluate
-from .pipeline import render, run_blind_concat, run_joint, run_unprocessed
+from .pipeline import (Method, render, run_blind_concat, run_joint,
+                       run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
 from .solver import BandStatus, constraint_bounds, snr_margin
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
-METHOD_NAMES = ("joint", "blind", "unprocessed")
+METHOD_NAMES = tuple(m.value for m in Method)
 
 BAND_COLUMNS = ["band", "center_hz", "alpha", "gain", "status", "penalty",
                 "xi", "target_xi", "c1_ratio", "c2_ratio"]

@@ -59,9 +59,9 @@ def build_filterbank(params, n_bands=30, f_lo=150.0, f_hi=8000.0,
     params: FrameParams giving the bin grid.
     n_bands: number of bands spaced on the ERB-rate scale.
     f_lo, f_hi: band center range in Hz.
-    importance: optional per-band weights, either an array of length
-        n_bands or a two-column (center_hz, weight) table; normalized to
-        sum to one.  Default is uniform.
+    importance: optional two-column (center_hz, weight) table,
+        interpolated at the band centers and normalized to sum to one.
+        Default is uniform.
     """
     if n_bands < 2:
         raise ValueError("need at least two bands")
@@ -96,15 +96,10 @@ def _resolve_importance(importance, n_bands, centers_hz):
     if importance is None:
         return np.full(n_bands, 1.0 / n_bands)
     table = np.asarray(importance, dtype=float)
-    if table.ndim == 1:
-        if table.size != n_bands:
-            raise ValueError("importance length does not match band count")
-        values = table
-    elif table.ndim == 2 and table.shape[1] == 2:
-        order = np.argsort(table[:, 0])
-        values = np.interp(centers_hz, table[order, 0], table[order, 1])
-    else:
-        raise ValueError("importance must be 1-D or a (center_hz, weight) table")
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise ValueError("importance must be a (center_hz, weight) table")
+    order = np.argsort(table[:, 0])
+    values = np.interp(centers_hz, table[order, 0], table[order, 1])
     if not np.all(values >= 0.0) or not 0.0 < values.sum() < np.inf:
         raise ValueError("importance weights must be finite and "
                          "nonnegative with a positive sum")

@@ -33,7 +33,6 @@ from .solver import (
     BandSolution,
     BandStatus,
     _pick_last,
-    _quad,
     band_terms,
     solve_band,
     subband_snr,
@@ -76,10 +75,6 @@ class EnhancementResult:
     @property
     def gains(self):
         return np.array([s.gain for s in self.band_solutions])
-
-    @property
-    def target_snrs(self):
-        return np.array([t.target_snr for t in self.terms])
 
 
 def recombine(bset, fb, alphas, gains):
@@ -143,23 +138,16 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
     applies blind_gain to the total power the first stage delivers.
     """
 
+    # S - Y is the speech passed by the error filter e1 - w (d[:, 0] = 1),
+    # so the distortion power |S - Y|^2 is that filter pair's speech power
+    e1 = _reference_mic(stats)
+    error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
+
     def decide(j, t):
         members = fb.members[j]
-        w = fb.weight[j, members]
-        s2 = stats.sigma_s2[members]
-        clean = float(w @ s2)
-
-        # distortion power |S - Y|^2 is a quadratic in alpha through
-        # the endpoint responses e = 1 - w^H d
-        e_ref = 1.0 - np.einsum("km,km->k", np.conj(bset.w_ref[members]),
-                                stats.d[members])
-        e_nr = 1.0 - np.einsum("km,km->k", np.conj(bset.w_nr[members]),
-                               stats.d[members])
-        d_ref = float(w @ (s2 * np.abs(e_ref) ** 2))
-        d_nr = float(w @ (s2 * np.abs(e_nr) ** 2))
-        d_cross = float(w @ (s2 * 2.0 * (e_nr * np.conj(e_ref)).real))
-
-        eps = _quad(ALPHAS, d_ref, d_nr, d_cross) + t.noise_power(ALPHAS)
+        clean = float(fb.weight[j, members] @ stats.sigma_s2[members])
+        distortion = band_terms(stats, error, fb, j, t.target_snr)
+        eps = distortion.speech_power(ALPHAS) + t.noise_power(ALPHAS)
         ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
         ok = ratio >= t.target_snr * (1.0 - REL_TOL)
@@ -167,7 +155,7 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
             alpha = float(ALPHAS[np.flatnonzero(ok)[-1]])
             status = BandStatus.FEASIBLE
         else:
-            alpha = float(ALPHAS[_pick_last(ratio, "max")])
+            alpha = float(ALPHAS[_pick_last(-ratio)])
             status = BandStatus.C1_INFEASIBLE
 
         delta_y = t.speech_power(alpha) + t.noise_power(alpha)
@@ -177,6 +165,13 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
     return _run(Method.BLIND_CONCAT, stats, bset, fb, a_star, decide)
 
 
+def _reference_mic(stats):
+    """The per-bin filter e1 that selects the reference microphone."""
+    e1 = np.zeros((stats.bins, stats.channels), dtype=complex)
+    e1[:, 0] = 1.0
+    return e1
+
+
 def run_unprocessed(stats, fb, a_star=0.7):
     """Reference-microphone passthrough at unit gain.
 
@@ -184,8 +179,7 @@ def run_unprocessed(stats, fb, a_star=0.7):
     each target, so downstream tables read the same way as for the
     other methods.
     """
-    e1 = np.zeros((stats.bins, stats.channels), dtype=complex)
-    e1[:, 0] = 1.0
+    e1 = _reference_mic(stats)
 
     def decide(j, t):
         met = subband_snr(t, 1.0, 1.0) >= t.target_snr * (1.0 - REL_TOL)

@@ -111,19 +111,6 @@ class SolverTerms:
     def noise_power(self, alpha):
         return _quad(alpha, self.du_ref, self.du_nr, self.du_cross)
 
-    # margin coefficients: m(alpha) = speech - noise * target_snr
-    @property
-    def m_ref(self):
-        return self.ds_ref - self.du_ref * self.target_snr
-
-    @property
-    def m_nr(self):
-        return self.ds_nr - self.du_nr * self.target_snr
-
-    @property
-    def m_cross(self):
-        return self.ds_cross - self.du_cross * self.target_snr
-
 
 @dataclass(frozen=True)
 class BandSolution:
@@ -166,8 +153,12 @@ def band_terms(stats, bset, fb, band_idx, target_snr):
 
 
 def snr_margin(terms, alpha):
-    """p(alpha): positive where the SNR target is reachable by gain alone."""
-    return _quad(alpha, terms.m_ref, terms.m_nr, terms.m_cross)
+    """p(alpha) = speech - noise * target_snr: positive where the SNR
+    target is reachable by gain alone."""
+    t = terms.target_snr
+    return _quad(alpha, terms.ds_ref - terms.du_ref * t,
+                 terms.ds_nr - terms.du_nr * t,
+                 terms.ds_cross - terms.du_cross * t)
 
 
 def subband_snr(terms, alpha, g):
@@ -183,16 +174,13 @@ def subband_snr(terms, alpha, g):
     return out
 
 
-def _pick_last(values, mode="min"):
-    """Index of the best value, ties (to 1e-12 relative) going to the
-    largest index, i.e. toward larger alpha on an increasing grid."""
+def _pick_last(values):
+    """Index of the smallest value, ties (to 1e-12 relative) going to the
+    largest index, i.e. toward larger alpha on an increasing grid.  Pass
+    the negated values to pick the largest."""
     v = np.asarray(values, dtype=float)
-    if mode == "min":
-        best = np.min(v)
-        mask = v <= best + 1e-12 * max(abs(best), 1e-300)
-    else:
-        best = np.max(v)
-        mask = v >= best - 1e-12 * max(abs(best), 1e-300)
+    best = np.min(v)
+    mask = v <= best + 1e-12 * max(abs(best), 1e-300)
     return int(np.flatnonzero(mask)[-1])
 
 
@@ -222,8 +210,8 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     that gain respects the cap.  Returns None when nothing applies.
     """
     rhs, cap = constraint_bounds(terms, delta_u_db)
-    for alpha, margin, du in ((1.0, terms.m_ref, terms.du_ref),
-                              (0.0, terms.m_nr, terms.du_nr)):
+    for alpha in (1.0, 0.0):
+        margin, du = snr_margin(terms, alpha), terms.noise_power(alpha)
         if margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL):
             return _solution(alpha, 1.0, BandStatus.FEASIBLE)
         if 0.0 < margin < rhs:
@@ -255,7 +243,7 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     if np.any(feasible):
         idx = np.flatnonzero(feasible)
         penalty = (1.0 - ALPHAS[idx]) ** 2 + (1.0 - g[idx]) ** 2
-        best = idx[_pick_last(penalty, "min")]
+        best = idx[_pick_last(penalty)]
         return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
@@ -267,17 +255,18 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     c2_gone = np.min(du) > cap * (1.0 + REL_TOL)
 
     if c1_gone and not c2_gone:
-        return fallback_c1(terms, delta_u_db, delta_n_db)
+        return fallback_c1(terms, du, cap, delta_n_db)
     if c2_gone and not c1_gone:
         return fallback_c2(terms)
-    return fallback_both(terms, delta_u_db)
+    return fallback_both(terms, du, cap)
 
 
-def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
+def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
     """Target unreachable: best far-end SNR, then a bounded near-end boost.
 
-    alpha maximizes speech/noise over the grid.  The raw gain makes the
-    near-end noise cost exactly delta_n_db of that SNR,
+    du is noise_power over ALPHAS and cap the C2 cap of
+    constraint_bounds.  alpha maximizes speech/noise over the grid.  The
+    raw gain makes the near-end noise cost exactly delta_n_db of that SNR,
 
         g^2 = theta * sigma_n2 / ((1 - theta) * noise_power(alpha)),
         theta = 10^(-delta_n_db / 10),
@@ -290,10 +279,9 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     if not 0.0 < 10.0 ** (-delta_n_db / 10.0) < 1.0:
         raise ValueError("delta_n_db must be positive")
     ds = terms.speech_power(ALPHAS)
-    du = terms.noise_power(ALPHAS)
     ratio = np.where(du > 0.0, ds / np.where(du > 0.0, du, 1.0),
                      np.where(ds > 0.0, np.inf, 0.0))
-    best = _pick_last(ratio, "max")
+    best = _pick_last(-ratio)
     alpha = ALPHAS[best]
     du_best = du[best]
 
@@ -303,7 +291,6 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     else:
         g = 1.0
 
-    _, cap = constraint_bounds(terms, delta_u_db)
     g_cap = np.sqrt(cap / du_best) if du_best > 0.0 else np.inf
     if g_cap < 1.0:
         return _solution(alpha, g_cap, BandStatus.BOTH_INFEASIBLE)
@@ -311,24 +298,26 @@ def fallback_c1(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
                      BandStatus.C1_INFEASIBLE)
 
 
+def _steer(terms, g, status):
+    """Keep the gain g(alpha) over ALPHAS and pick the alpha whose SNR
+    lands closest to the target."""
+    xi = subband_snr(terms, ALPHAS, g)
+    best = _pick_last(np.abs(xi - terms.target_snr))
+    return _solution(ALPHAS[best], g[best], status)
+
+
 def fallback_c2(terms):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
     SNR as close to the target as the combination allows."""
-    xi = subband_snr(terms, ALPHAS, 1.0)
-    best = _pick_last(np.abs(xi - terms.target_snr), "min")
-    return _solution(ALPHAS[best], 1.0, BandStatus.C2_INFEASIBLE)
+    return _steer(terms, np.ones_like(ALPHAS), BandStatus.C2_INFEASIBLE)
 
 
-def fallback_both(terms, delta_u_db=DELTA_U_DB):
+def fallback_both(terms, du, cap):
     """Both constraints lost: run the gain at the C2 cap and steer the
-    SNR toward the target; the cap wins over g >= 1."""
-    du = terms.noise_power(ALPHAS)
-    _, cap = constraint_bounds(terms, delta_u_db)
-    g = np.sqrt(np.where(du > 0.0, cap / np.where(du > 0.0, du, 1.0), np.inf))
-    xi = subband_snr(terms, ALPHAS, g)
-    best = _pick_last(np.abs(xi - terms.target_snr), "min")
-    g_best = g[best] if np.isfinite(g[best]) else 1.0
-    return _solution(ALPHAS[best], g_best, BandStatus.BOTH_INFEASIBLE)
+    SNR toward the target; the cap wins over g >= 1.  Where no far-end
+    noise passes (du = 0) there is nothing to cap and the gain is 1."""
+    g = np.sqrt(np.divide(cap, du, out=np.ones_like(du), where=du > 0.0))
+    return _steer(terms, g, BandStatus.BOTH_INFEASIBLE)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -51,17 +51,13 @@ class FrameParams:
         return self.frame_len // 2
 
     @property
-    def fft_len(self):
-        return self.frame_len
-
-    @property
     def bins(self):
-        return self.fft_len // 2 + 1
+        return self.frame_len // 2 + 1
 
     @property
     def freqs(self):
         """Center frequency of each one-sided bin in Hz."""
-        return np.fft.rfftfreq(self.fft_len, 1.0 / self.sample_rate)
+        return np.fft.rfftfreq(self.frame_len, 1.0 / self.sample_rate)
 
 
 @dataclass
@@ -94,12 +90,12 @@ def sqrt_hann(frame_len):
     return np.sin(np.pi * n / frame_len)
 
 
-def _pad_layout(n_samples, params):
-    """Return (pad_front, n_frames, total) covering every sample fully."""
-    pad = params.frame_len - params.hop
-    n_frames = int(np.ceil(n_samples / params.hop)) + 1
-    total = (n_frames - 1) * params.hop + params.frame_len
-    return pad, n_frames, total
+def _frame_buffer(channels, n_frames, params):
+    """The zero buffer that n_frames frames at 50% overlap span,
+    (n_frames + 1) hops long, and the view of it where the signal sits,
+    from one hop in to the end."""
+    buf = np.zeros((channels, (n_frames + 1) * params.hop))
+    return buf, buf[:, params.hop:]
 
 
 def analyze(signal, params):
@@ -114,15 +110,14 @@ def analyze(signal, params):
     if n < params.frame_len:
         raise ValueError("insufficient samples")
 
-    pad, n_frames, total = _pad_layout(n, params)
-    padded = np.zeros((x.shape[0], total))
-    padded[:, pad:pad + n] = x
+    n_frames = int(np.ceil(n / params.hop)) + 1
+    padded, signal_part = _frame_buffer(x.shape[0], n_frames, params)
+    signal_part[:, :n] = x
 
     window = sqrt_hann(params.frame_len)
     frames = np.lib.stride_tricks.sliding_window_view(
-        padded, params.frame_len, axis=1)[:, ::params.hop, :]
-    frames = frames[:, :n_frames, :] * window
-    return Spectrogram(np.fft.rfft(frames, n=params.fft_len, axis=2))
+        padded, params.frame_len, axis=1)[:, ::params.hop, :] * window
+    return Spectrogram(np.fft.rfft(frames, n=params.frame_len, axis=2))
 
 
 def synthesize(spec, params, num_samples):
@@ -136,20 +131,18 @@ def synthesize(spec, params, num_samples):
         raise ValueError("bin count does not match frame parameters")
 
     window = sqrt_hann(params.frame_len)
-    frames = np.fft.irfft(data, n=params.fft_len, axis=2) * window
+    frames = np.fft.irfft(data, n=params.frame_len, axis=2) * window
 
     hop = params.hop
-    pad = params.frame_len - hop
-    total = (n_frames - 1) * hop + params.frame_len
     # at 50% overlap, hop-block i sums the first half of frame i and the
     # second half of frame i-1: two shifted adds, same sum per sample
-    out = np.zeros((channels, total))
+    out, signal_part = _frame_buffer(channels, n_frames, params)
     out[:, :n_frames * hop] += frames[..., :hop].reshape(channels, -1)
     out[:, hop:] += frames[..., hop:].reshape(channels, -1)
 
     y = np.zeros((channels, num_samples))
-    m = min(num_samples, total - pad)
-    y[:, :m] = out[:, pad:pad + m]
+    m = min(num_samples, signal_part.shape[1])
+    y[:, :m] = signal_part[:, :m]
     return y
 
 

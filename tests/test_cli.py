@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minproc.cli
-from minproc.cli import main, parse_config
+from minproc.cli import (METHOD_NAMES, config_echo, config_from_pairs, main,
+                         parse_config)
 from minproc.metrics import evaluate
+from minproc.scene import SOURCE_KINDS
 
 BASE = """
 # short scene so the suite stays fast
@@ -56,7 +58,7 @@ def test_config_parsing_round_trip(tmp_path):
 
 
 # (config text, the key its error names): geometry, physics, mu_ref,
-# frame_ms and methods errors that must exit 2 before any write
+# mu_nr, frame_ms and methods errors that must exit 2 before any write
 REJECTED_KEYS = (
     ("talker_pos = [1.5, 2.0, 1.0]", "talker_pos"),
     ("noise_positions = [[1.5, 2.02, 1.0]]", "noise_positions"),
@@ -70,6 +72,10 @@ REJECTED_KEYS = (
     ("speed_of_sound = -343", "speed_of_sound"),
     ("mu_ref = -1", "mu_ref"),
     ("mu_ref = -inf", "mu_ref"),
+    ("mu_nr = nan", "mu_nr"),
+    ("mu_nr = -inf", "mu_nr"),
+    ("mu_nr = 0", "mu_nr"),
+    ("mu_nr = -1", "mu_nr"),
     ("frame_ms = inf", "frame_ms"),
     ("frame_ms = nan", "frame_ms"),
     ("frame_ms = 0", "frame_ms"),
@@ -266,6 +272,49 @@ def test_manifest_reproduces_run(tmp_path):
     assert manifest["sweep"] is None
 
 
+def _levels(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.just(math.inf))
+
+
+@st.composite
+def valid_pairs(draw):
+    """A few config keys set to valid values, the rest left default."""
+    values = {
+        "duration": st.floats(0.1, 5.0),
+        "seed": st.integers(0, 2**31),
+        "fe_noise_kind": st.sampled_from(sorted(SOURCE_KINDS)),
+        "ne_noise_kind": st.sampled_from(sorted(SOURCE_KINDS)),
+        "fe_snr_db": _levels(-300.0, 300.0),
+        "ne_snr_db": _levels(-300.0, 300.0),
+        "mic_selfnoise_snr_db": _levels(-300.0, 300.0),
+        # above the default mics' plane z = 1, so never at a mic
+        "talker_pos": st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0),
+                                st.floats(2.0, 5.0)).map(list),
+        "mu_ref": st.floats(0.0, 4.5),
+        "mu_nr": st.one_of(st.floats(5.0, 1000.0), st.just(math.inf)),
+        "a_star": st.floats(0.0, 0.99),
+        "delta_u_db": st.one_of(st.floats(-300.0, 300.0),
+                                st.sampled_from([math.inf, -math.inf])),
+        "delta_n_db": st.floats(0.1, 100.0),
+        "n_bands": st.integers(2, 30),
+        "frame_ms": st.sampled_from([16.0, 32.0, 64.0]),
+        "methods": st.lists(st.sampled_from(METHOD_NAMES), min_size=1,
+                            unique=True),
+        "output_dir": st.sampled_from(["runs", "out/a"]),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=6,
+                         unique=True))
+    return {key: draw(values[key]) for key in keys}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pairs=valid_pairs())
+def test_config_echo_round_trips(pairs):
+    # the manifest echo, fed back as pairs, resolves to the same config
+    echo = config_echo(config_from_pairs(pairs))
+    assert config_echo(config_from_pairs(echo)) == echo
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     bad = write_cfg(tmp_path, "no_such_key = 1", name="bad.cfg")
@@ -325,7 +374,7 @@ def test_exit_codes(tmp_path, capsys):
 
 HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 HOSTILE_KEYS = ("mic_positions", "talker_pos", "noise_positions",
-                "speed_of_sound", "mu_ref", "frame_ms")
+                "speed_of_sound", "mu_ref", "mu_nr", "frame_ms")
 
 
 def _position(default):
@@ -355,6 +404,7 @@ def hostile_configs(draw):
                                     max_size=2),
         "speed_of_sound": st.sampled_from(HOSTILE),
         "mu_ref": st.sampled_from(HOSTILE),
+        "mu_nr": st.sampled_from(HOSTILE),
         "frame_ms": st.sampled_from(HOSTILE),
     }
     pairs = {"duration": 0.1}
@@ -377,6 +427,13 @@ def test_hostile_config_exits_0_or_2(tmp_path_factory, text):
     assert code in (0, 2)
     if code == 2:
         assert not out.exists()
+
+
+def test_infinite_mu_nr_runs(tmp_path):
+    # mu_nr = inf is the zero-filter limit of the Wiener filter, not an
+    # error; RuntimeWarnings fail the suite, so the run is also quiet
+    cfg = write_cfg(tmp_path, BASE + "mu_nr = inf\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_band_csv_without_near_noise(tmp_path):

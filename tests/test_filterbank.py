@@ -85,13 +85,14 @@ def test_importance_from_table(tmp_path):
 
 
 def test_importance_vector_and_errors():
-    fb = build_filterbank(PARAMS, 5, 150.0, 8000.0, importance=[1, 2, 3, 4, 5])
-    assert np.isclose(fb.importance.sum(), 1.0)
-    assert np.isclose(fb.importance[-1] / fb.importance[0], 5.0)
+    # importance is a (center_hz, weight) table; a bare vector is refused
     with pytest.raises(ValueError):
         build_filterbank(PARAMS, 5, 150.0, 8000.0, importance=[1, 2])
     with pytest.raises(ValueError):
         build_filterbank(PARAMS, 5, 150.0, 8000.0, importance=[-1, 1, 1, 1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_filterbank(PARAMS, 5, 150.0, 8000.0,
+                         importance=[[100.0, -1.0], [8000.0, 1.0]])
 
 
 def test_allocate_targets():

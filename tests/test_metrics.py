@@ -54,7 +54,7 @@ def test_feasible_bands_never_short_of_target():
     report = evaluate(stats, res, fb)
     for j, sol in enumerate(res.band_solutions):
         if sol.status is BandStatus.FEASIBLE:
-            assert report.xi[j] >= res.target_snrs[j] * (1.0 - 1e-9)
+            assert report.xi[j] >= res.terms[j].target_snr * (1.0 - 1e-9)
 
 
 def test_all_feasible_run_reaches_target_asii():

@@ -113,12 +113,12 @@ def test_rendered_energy_matches_spectral_power():
     pw = np.full(PARAMS.bins, 2.0)
     pw[0] = pw[-1] = 1.0
     frames = signals.spec_x.data.shape[1]
-    predicted = frames / PARAMS.fft_len * np.sum(pw * res.g_mp**2 * quad)
+    predicted = frames / PARAMS.frame_len * np.sum(pw * res.g_mp**2 * quad)
 
     # in the spectral domain the quadratic form is an identity
     z_spec = res.g_mp[None, :] * np.einsum("km,mtk->tk", np.conj(res.w_mp),
                                            signals.spec_x.data)
-    e_spec = np.sum(pw[None, :] * np.abs(z_spec) ** 2) / PARAMS.fft_len
+    e_spec = np.sum(pw[None, :] * np.abs(z_spec) ** 2) / PARAMS.frame_len
     assert abs(e_spec - predicted) < 1e-10 * predicted
     # the waveform realizes that energy only up to the overlap-add
     # projection: per-bin filtering leaves frames that are not the
@@ -171,6 +171,18 @@ def test_joint_without_near_noise_leaves_c2_inactive():
     assert np.all(res.gains == 1.0)
 
 
+def test_infinite_mu_nr_is_the_zero_filter_limit():
+    # mu_nr -> inf drives the noise-reduction Wiener filter to zero; the
+    # joint method still solves and renders finite output
+    signals, stats, _, fb = make_scene(0.0, -10.0)
+    bset = build_beamformers(stats, 0.0, np.inf)
+    assert np.all(bset.w_nr == 0.0)
+    res = run_joint(stats, bset, fb)
+    y, z = render(signals, res, PARAMS)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(z))
+    assert np.all(np.isfinite(res.alphas)) and np.all(np.isfinite(res.gains))
+
+
 def test_blind_gain_rule():
     assert blind_gain(2.0, 1.0, 1.0) == 1.0  # already above target
     assert abs(blind_gain(0.5, 1.0, 7.0 / 3.0) - np.sqrt(14.0 / 3.0)) < 1e-12
@@ -200,7 +212,7 @@ def test_joint_never_below_unprocessed_in_feasible_bands():
     for j, sol in enumerate(joint.band_solutions):
         if sol.status is not BandStatus.FEASIBLE:
             continue
-        floor = min(joint.target_snrs[j], xi_unproc[j])
+        floor = min(joint.terms[j].target_snr, xi_unproc[j])
         assert xi_joint[j] >= floor - 1e-9
 
 

@@ -182,13 +182,16 @@ def test_c2_fallback_keeps_unit_gain():
 
 
 def test_both_fallback_runs_gain_at_cap():
-    terms = SolverTerms(0.5, 0.5, 1.0, 10.0, 10.0, 20.0, 0.1, 1.0)
-    sol = solve_band(terms)
-    assert sol.status is BandStatus.BOTH_INFEASIBLE
-    _, cap = oracles.constraint_bounds(terms, 12.0)
-    lhs = sol.gain**2 * terms.noise_power(sol.alpha)
-    assert abs(lhs - cap) < 1e-9 * cap
-    assert sol.gain < 1.0  # the cap wins over g >= 1
+    # the second band passes neither speech nor far-end noise at
+    # alpha = 1: nothing to cap there, so no inf gain and no warning
+    for terms in (SolverTerms(0.5, 0.5, 1.0, 10.0, 10.0, 20.0, 0.1, 1.0),
+                  SolverTerms(0.0, 2e9, 0.0, 0.0, 1e9, 0.0, 1.0, 1.0)):
+        sol = solve_band(terms)
+        assert sol.status is BandStatus.BOTH_INFEASIBLE
+        _, cap = oracles.constraint_bounds(terms, 12.0)
+        lhs = sol.gain**2 * terms.noise_power(sol.alpha)
+        assert abs(lhs - cap) < 1e-9 * cap
+        assert sol.gain < 1.0  # the cap wins over g >= 1
 
 
 def test_residual_corner_degrades_as_both():

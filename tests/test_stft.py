@@ -14,7 +14,6 @@ PARAMS = FrameParams.from_ms(16000, 32.0)
 def test_frame_params_defaults():
     assert PARAMS.frame_len == 512
     assert PARAMS.hop == 256
-    assert PARAMS.fft_len == 512
     assert PARAMS.bins == 257
     assert PARAMS.freqs[0] == 0.0
     assert PARAMS.freqs[-1] == 8000.0
@@ -69,7 +68,7 @@ def test_synthesis_matches_frame_loop_bit_for_bit():
     x[2, 1000:2500] = 0.0
     data = analyze(x, PARAMS).data
     data[0, 5] = -0.0
-    frames = np.fft.irfft(data, n=PARAMS.fft_len, axis=2) \
+    frames = np.fft.irfft(data, n=PARAMS.frame_len, axis=2) \
         * sqrt_hann(PARAMS.frame_len)
     pad = PARAMS.frame_len - PARAMS.hop
     expected = overlap_add(frames, PARAMS.hop)[:, pad:pad + x.shape[1]]
@@ -95,7 +94,7 @@ def test_parseval():
     spec = analyze(x, PARAMS)
     weights = np.full(PARAMS.bins, 2.0)
     weights[0] = weights[-1] = 1.0
-    p_spec = np.sum(weights * np.abs(spec.data[0]) ** 2) / PARAMS.fft_len
+    p_spec = np.sum(weights * np.abs(spec.data[0]) ** 2) / PARAMS.frame_len
     p_time = np.sum(x ** 2)
     assert abs(p_spec - p_time) / p_time <= 1e-6
 
@@ -126,7 +125,7 @@ def _windowed_tone_dft(k0, psi, n_fft):
 def test_pure_tone_concentrates():
     """A tone on an exact bin stays inside the window mainlobe."""
     k0, phi = 32, 0.7
-    f0 = k0 * PARAMS.sample_rate / PARAMS.fft_len
+    f0 = k0 * PARAMS.sample_rate / PARAMS.frame_len
     n = np.arange(4 * PARAMS.frame_len)
     x = np.cos(2 * np.pi * f0 / PARAMS.sample_rate * n + phi)
     spec = analyze(x, PARAMS)
@@ -134,8 +133,8 @@ def test_pure_tone_concentrates():
     # frame t starts at sample t*hop - pad = (t-1)*hop of the input
     t = 3
     offset = (t - 1) * PARAMS.hop
-    psi = 2 * np.pi * k0 * offset / PARAMS.fft_len + phi
-    expected = _windowed_tone_dft(k0, psi, PARAMS.fft_len)
+    psi = 2 * np.pi * k0 * offset / PARAMS.frame_len + phi
+    expected = _windowed_tone_dft(k0, psi, PARAMS.frame_len)
     frame = spec.data[0, t]
     assert np.max(np.abs(frame - expected)) <= 1e-10 * np.max(np.abs(expected))
 

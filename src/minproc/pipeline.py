@@ -32,6 +32,7 @@ from .solver import (
     REL_TOL,
     BandSolution,
     BandStatus,
+    _last_true,
     _pick_last,
     band_terms,
     solve_band,
@@ -152,7 +153,7 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
                           where=eps > 0.0)
         ok = ratio >= t.target_snr * (1.0 - REL_TOL)
         if np.any(ok):
-            alpha = float(ALPHAS[np.flatnonzero(ok)[-1]])
+            alpha = float(ALPHAS[_last_true(ok)])
             status = BandStatus.FEASIBLE
         else:
             alpha = float(ALPHAS[_pick_last(-ratio)])

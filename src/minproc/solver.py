@@ -23,6 +23,13 @@ and alpha = 1 exactly and applies the same C1/C2 tests there as the
 closed-form boundary cases of boundary_solution, so whenever a boundary
 candidate exists the grid answer is feasible and at least as good.
 
+The search is skipped where the do-nothing point is admissible: its
+penalty 0 is the minimum and ties go to the larger alpha, so for finite
+terms the search would return the same (1, 1).  The quadratic basis
+alpha^2, (1-alpha)^2, alpha*(1-alpha) on ALPHAS is formed once at
+import, with the operations applied to any other alpha, so every power
+on the grid is the same to the bit as one evaluated at a single alpha.
+
 When no (alpha, g) is admissible the solver degrades deliberately:
 
 * fallback_c1 (target unreachable): maximize the far-end SNR over
@@ -64,9 +71,18 @@ REL_TOL = 1e-9
 DELTA_U_DB = 12.0
 DELTA_N_DB = 10.0
 
+
+def _basis(a):
+    """alpha^2, (1-alpha)^2 and alpha*(1-alpha): the quadratic basis."""
+    return a * a, (1.0 - a) * (1.0 - a), a * (1.0 - a)
+
+
 # the alpha grid of every search; it holds 0.0 and 1.0 exactly
 ALPHAS = np.linspace(0.0, 1.0, 2001)
-ALPHAS.flags.writeable = False
+# its basis, formed once
+_BASIS = _basis(ALPHAS)
+for _read_only in (ALPHAS, *_BASIS):
+    _read_only.flags.writeable = False
 
 
 class BandStatus(Enum):
@@ -81,8 +97,13 @@ class BandStatus(Enum):
 
 def _quad(alpha, at_one, at_zero, cross):
     """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross."""
-    a = np.asarray(alpha, dtype=float)
-    return a * a * at_one + (1.0 - a) * (1.0 - a) * at_zero + a * (1.0 - a) * cross
+    a2, b2, ab = _BASIS if alpha is ALPHAS \
+        else _basis(np.asarray(alpha, dtype=float))
+    # in place, fewer temporaries; the sum keeps its left-to-right order
+    out = a2 * at_one
+    out += b2 * at_zero
+    out += ab * cross
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,36 +173,51 @@ def band_terms(stats, bset, fb, band_idx, target_snr):
                        sigma_n2, float(target_snr))
 
 
+def _margin_at_one(terms):
+    """p(1), the at_one coefficient of the margin quadratic."""
+    return terms.ds_ref - terms.du_ref * terms.target_snr
+
+
 def snr_margin(terms, alpha):
     """p(alpha) = speech - noise * target_snr: positive where the SNR
     target is reachable by gain alone."""
     t = terms.target_snr
-    return _quad(alpha, terms.ds_ref - terms.du_ref * t,
+    return _quad(alpha, _margin_at_one(terms),
                  terms.ds_nr - terms.du_nr * t,
                  terms.ds_cross - terms.du_cross * t)
+
+
+def _snr(g2, speech, noise, sigma_n2):
+    """subband_snr from the squared gain and the two processed powers."""
+    num = g2 * speech
+    den = g2 * noise + sigma_n2
+    return np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
+                     where=den > 0.0)
 
 
 def subband_snr(terms, alpha, g):
     """Near-end SNR g^2*speech / (g^2*noise + sigma_n2).  On a zero
     denominator it is inf where speech arrives and 0 where it does not."""
     g = np.asarray(g, dtype=float)
-    num = g * g * terms.speech_power(alpha)
-    den = g * g * terms.noise_power(alpha) + terms.sigma_n2
-    out = np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
-                    where=den > 0.0)
+    out = _snr(g * g, terms.speech_power(alpha), terms.noise_power(alpha),
+               terms.sigma_n2)
     if out.ndim == 0:
         return float(out)
     return out
 
 
+def _last_true(mask):
+    """Index of the last True entry of a boolean array."""
+    return mask.size - 1 - int(np.argmax(mask[::-1]))
+
+
 def _pick_last(values):
-    """Index of the smallest value, ties (to 1e-12 relative) going to the
-    largest index, i.e. toward larger alpha on an increasing grid.  Pass
-    the negated values to pick the largest."""
+    """Index of the smallest value, NaN entries left out, ties (to 1e-12
+    relative) going to the largest index, i.e. toward larger alpha on an
+    increasing grid.  Pass the negated values to pick the largest."""
     v = np.asarray(values, dtype=float)
-    best = np.min(v)
-    mask = v <= best + 1e-12 * max(abs(best), 1e-300)
-    return int(np.flatnonzero(mask)[-1])
+    best = np.fmin.reduce(v)
+    return _last_true(v <= best + 1e-12 * max(abs(best), 1e-300))
 
 
 def _solution(alpha, g, status):
@@ -199,6 +235,11 @@ def constraint_bounds(terms, delta_u_db=DELTA_U_DB):
     return rhs, terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
 
 
+def _unit_gain_ok(margin, du, rhs, cap):
+    """C1 and C2 hold at g = 1, each to REL_TOL."""
+    return margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL)
+
+
 def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     """Closed-form boundary candidates, checked in the order
     alpha=1 (i), alpha=1 (ii), alpha=0 (i), alpha=0 (ii).
@@ -212,7 +253,7 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     rhs, cap = constraint_bounds(terms, delta_u_db)
     for alpha in (1.0, 0.0):
         margin, du = snr_margin(terms, alpha), terms.noise_power(alpha)
-        if margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL):
+        if _unit_gain_ok(margin, du, rhs, cap):
             return _solution(alpha, 1.0, BandStatus.FEASIBLE)
         if 0.0 < margin < rhs:
             g2 = rhs / margin
@@ -224,40 +265,52 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
 def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     """Grid search over alpha with the closed-form minimal gain per point.
 
-    Dispatches to the matching fallback when no point is admissible.
+    The do-nothing point is answered first: where alpha = 1 at unit gain
+    is admissible its penalty 0 is the minimum and ties go to the larger
+    alpha, so the search would return it too.  Dispatches to the
+    matching fallback when no point is admissible.
     """
+    rhs, cap = constraint_bounds(terms, delta_u_db)
+    if _unit_gain_ok(_margin_at_one(terms), terms.du_ref, rhs, cap):
+        return _solution(1.0, 1.0, BandStatus.FEASIBLE)
+
     du = terms.noise_power(ALPHAS)
     p = snr_margin(terms, ALPHAS)
-    rhs, cap = constraint_bounds(terms, delta_u_db)
 
     # smallest gain meeting C1 at each alpha: 1 where the margin already
     # covers the target, sqrt(rhs/p) where it is positive but short
     at_unit = p >= rhs * (1.0 - REL_TOL)
     amp = (~at_unit) & (p > 0.0)
     g = np.ones_like(ALPHAS)
-    g[amp] = np.sqrt(rhs / p[amp])
-    c1_ok = at_unit | amp
-    c2_ok = g * g * du <= cap * (1.0 + REL_TOL)
-    feasible = c1_ok & c2_ok
+    np.divide(rhs, p, out=g, where=amp)
+    np.sqrt(g, out=g, where=amp)
+    feasible = (at_unit | amp) & (g * g * du <= cap * (1.0 + REL_TOL))
 
-    if np.any(feasible):
-        idx = np.flatnonzero(feasible)
-        penalty = (1.0 - ALPHAS[idx]) ** 2 + (1.0 - g[idx]) ** 2
-        best = idx[_pick_last(penalty)]
+    if feasible.any():
+        # (1-alpha)^2 + (1-g)^2, NaN leaving inadmissible points out
+        penalty = np.where(feasible, _BASIS[1] + (1.0 - g) ** 2, np.nan)
+        best = _pick_last(penalty)
         return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
-    safe_du = np.where(du > 0.0, du, 1.0)
-    reach = np.where(du > 0.0, p * (cap / safe_du),
-                     np.where(p > 0.0, np.inf, 0.0))
-    c1_gone = np.max(reach) < rhs * (1.0 - REL_TOL) if rhs > 0.0 \
-        else np.max(reach) < 0.0
-    c2_gone = np.min(du) > cap * (1.0 + REL_TOL)
+    c2_gone = du.min() > cap * (1.0 + REL_TOL)
+    if rhs > 0.0 and not (p > 0.0).any():
+        c1_gone = True  # no gain lifts a margin that is nowhere positive
+    else:
+        # the largest C1 left-hand side the cap admits, p*cap/du: a
+        # positive margin without far-end noise reaches any target, a
+        # zero margin nothing, even under an infinite cap
+        reach = np.where(p > 0.0, np.inf, 0.0)
+        pos = du > 0.0
+        np.multiply(p, cap / np.where(pos, du, 1.0), out=reach,
+                    where=pos & (p != 0.0))
+        c1_gone = reach.max() < rhs * (1.0 - REL_TOL) if rhs > 0.0 \
+            else reach.max() < 0.0
 
     if c1_gone and not c2_gone:
         return fallback_c1(terms, du, cap, delta_n_db)
     if c2_gone and not c1_gone:
-        return fallback_c2(terms)
+        return fallback_c2(terms, du)
     return fallback_both(terms, du, cap)
 
 
@@ -279,8 +332,8 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
     if not 0.0 < 10.0 ** (-delta_n_db / 10.0) < 1.0:
         raise ValueError("delta_n_db must be positive")
     ds = terms.speech_power(ALPHAS)
-    ratio = np.where(du > 0.0, ds / np.where(du > 0.0, du, 1.0),
-                     np.where(ds > 0.0, np.inf, 0.0))
+    ratio = np.divide(ds, du, out=np.where(ds > 0.0, np.inf, 0.0),
+                      where=du > 0.0)
     best = _pick_last(-ratio)
     alpha = ALPHAS[best]
     du_best = du[best]
@@ -298,18 +351,18 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
                      BandStatus.C1_INFEASIBLE)
 
 
-def _steer(terms, g, status):
+def _steer(terms, du, g, status):
     """Keep the gain g(alpha) over ALPHAS and pick the alpha whose SNR
-    lands closest to the target."""
-    xi = subband_snr(terms, ALPHAS, g)
+    lands closest to the target; du is noise_power over ALPHAS."""
+    xi = _snr(g * g, terms.speech_power(ALPHAS), du, terms.sigma_n2)
     best = _pick_last(np.abs(xi - terms.target_snr))
     return _solution(ALPHAS[best], g[best], status)
 
 
-def fallback_c2(terms):
+def fallback_c2(terms, du):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
     SNR as close to the target as the combination allows."""
-    return _steer(terms, np.ones_like(ALPHAS), BandStatus.C2_INFEASIBLE)
+    return _steer(terms, du, np.ones_like(ALPHAS), BandStatus.C2_INFEASIBLE)
 
 
 def fallback_both(terms, du, cap):
@@ -317,7 +370,7 @@ def fallback_both(terms, du, cap):
     SNR toward the target; the cap wins over g >= 1.  Where no far-end
     noise passes (du = 0) there is nothing to cap and the gain is 1."""
     g = np.sqrt(np.divide(cap, du, out=np.ones_like(du), where=du > 0.0))
-    return _steer(terms, g, BandStatus.BOTH_INFEASIBLE)
+    return _steer(terms, du, g, BandStatus.BOTH_INFEASIBLE)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -1,9 +1,13 @@
 """Per-band solver: boundary candidates, grid search, fallbacks."""
 
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from minproc.beamform import build_beamformers
@@ -11,6 +15,7 @@ from minproc.filterbank import build_filterbank
 from minproc.scene import SpectralStats
 from minproc.solver import (
     ALPHAS,
+    REL_TOL,
     BandStatus,
     SolverTerms,
     band_terms,
@@ -210,6 +215,78 @@ def test_residual_corner_degrades_as_both():
     assert sol.status is BandStatus.BOTH_INFEASIBLE
     lhs = sol.gain**2 * terms.noise_power(sol.alpha)
     assert abs(lhs - cap) < 1e-9 * cap
+
+
+def test_zero_margin_under_infinite_cap_is_c1_infeasible():
+    # the margin is identically 0 and delta_u_db = inf removes the cap:
+    # no gain reaches the target, so only C1 is lost, as at 12 dB
+    terms = SolverTerms(1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0)
+    for delta_u_db in (np.inf, 12.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_band(terms, delta_u_db)
+        assert (sol.alpha, sol.gain, sol.status) \
+            == (1.0, 1.0, BandStatus.C1_INFEASIBLE)
+
+
+# sha256 of every (alpha, gain, status) of
+# test_solutions_unchanged_bit_for_bit.  It changes only with a
+# deliberate change of the solver's numerics, recorded in CHANGES.md
+# (such as replacing the grid optimum by exact roots); a speed-up must
+# leave it as it is.
+SOLUTIONS_SHA256 = "4d823a32c695be1fd54ecc0d0de270a71583787b553797fb6618e6402fb7455f"
+
+
+def test_solutions_unchanged_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    terms = [oracles.random_terms(rng) for _ in range(1500)]
+    digest = hashlib.sha256()
+    for delta_u_db in (12.0, 0.0, -6.0, np.inf):
+        for t in terms:
+            sol = solve_band(t, delta_u_db)
+            digest.update(f"{sol.alpha.hex()} {sol.gain.hex()} "
+                          f"{sol.status.value}\n".encode())
+    assert digest.hexdigest() == SOLUTIONS_SHA256
+
+
+def _psd_pair(draw, magnitude):
+    """at_one, at_zero, cross of a power quadratic that is nonnegative
+    on [0, 1]: cross = 2*rho*sqrt(at_one*at_zero), |rho| <= 1."""
+    ref, nr = draw(magnitude), draw(magnitude)
+    rho = draw(st.floats(-1.0, 1.0))
+    return ref, nr, 2.0 * rho * np.sqrt(ref * nr)
+
+
+@st.composite
+def psd_terms(draw):
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+    ds = _psd_pair(draw, magnitude)
+    du = _psd_pair(draw, magnitude)
+    return SolverTerms(*ds, *du, sigma_n2=draw(magnitude),
+                       target_snr=draw(st.one_of(st.just(0.0),
+                                                 st.floats(1e-3, 1e3))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(terms=psd_terms(),
+       delta_u_db=st.one_of(st.just(np.inf), st.floats(-300.0, 300.0)))
+def test_solver_invariants(terms, delta_u_db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_band(terms, delta_u_db)
+    assert 0.0 <= sol.alpha <= 1.0
+    if sol.status is not BandStatus.BOTH_INFEASIBLE:
+        assert sol.gain >= 1.0
+    rhs, cap = oracles.constraint_bounds(terms, delta_u_db)
+    if sol.status is BandStatus.FEASIBLE:
+        g2 = sol.gain * sol.gain
+        assert g2 * snr_margin(terms, sol.alpha) >= rhs * (1.0 - REL_TOL)
+        assert g2 * terms.noise_power(sol.alpha) <= cap * (1.0 + REL_TOL)
+    # the do-nothing point, wherever it is admissible
+    margin = terms.ds_ref - terms.du_ref * terms.target_snr
+    if margin >= rhs * (1.0 - REL_TOL) and terms.du_ref <= cap * (1.0 + REL_TOL):
+        assert (sol.alpha, sol.gain, sol.status) \
+            == (1.0, 1.0, BandStatus.FEASIBLE)
 
 
 def test_zero_far_end_noise_needs_only_gain():

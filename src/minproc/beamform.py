@@ -36,42 +36,32 @@ class BeamformerSet:
     w_nr: np.ndarray    # (bins, channels), distortion weight mu_nr
 
 
-def _solve_loaded(c_u, d):
-    """C_U^{-1} d with relative diagonal loading; batched over bins.
-
-    Also returns the mask of bins whose noise covariance is exactly zero;
-    their rows are meaningless and the caller replaces them (the filter
-    limit there is the matched filter).
-    """
-    c_u = np.asarray(c_u)
-    m = c_u.shape[-1]
-    tr = np.trace(c_u, axis1=-2, axis2=-1).real
-    load = DIAG_LOAD * tr / m
-    loaded = c_u + load[..., None, None] * np.eye(m)
-    zero = tr <= 0.0
-    if np.any(zero):
-        loaded = np.where(zero[..., None, None], np.eye(m), loaded)
-    try:
-        x = np.linalg.solve(loaded, d[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("noise covariance singular") from exc
-    return x, zero
-
-
 def mwf_all(stats, mu):
-    """Vectorized MWF across all bins of a SpectralStats. Returns (bins, M)."""
+    """Vectorized MWF across all bins of a SpectralStats. Returns (bins, M).
+
+    C_U gets a relative diagonal loading before the solve.  A bin whose
+    noise covariance is exactly zero solves against the identity only to
+    keep the batch regular; its filter is the zero-noise limit, the
+    matched filter d / ||d||^2, whatever mu.
+    """
     if mu < 0.0:
         raise ValueError("distortion weight must be nonnegative")
     d = np.asarray(stats.d, dtype=complex)
     sigma_s2 = np.asarray(stats.sigma_s2, dtype=float)
-    x, zero = _solve_loaded(np.asarray(stats.c_u, dtype=complex), d)
-    if np.any(zero):
-        matched = d / np.einsum("km,km->k", np.conj(d), d).real[:, None]
-        x = np.where(zero[:, None], matched, x)
-    lam = sigma_s2 * np.einsum("km,km->k", np.conj(d), x).real
-    denom = np.where(zero, 1.0, mu + lam)
-    scale = np.where(zero, 1.0, sigma_s2 / np.where(denom > 0.0, denom, 1.0))
-    w = np.where(zero[:, None], x, scale[:, None] * x)
+    c_u = np.asarray(stats.c_u, dtype=complex)
+    m = c_u.shape[-1]
+    tr = np.trace(c_u, axis1=-2, axis2=-1).real
+    loaded = c_u + (DIAG_LOAD * tr / m)[:, None, None] * np.eye(m)
+    zero = tr <= 0.0
+    loaded[zero] = np.eye(m)
+    try:
+        x = np.linalg.solve(loaded, d[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("noise covariance singular") from exc
+    denom = mu + sigma_s2 * np.einsum("km,km->k", np.conj(d), x).real
+    w = (sigma_s2 / np.where(denom > 0.0, denom, 1.0))[:, None] * x
+    d0 = d[zero]
+    w[zero] = d0 / np.einsum("km,km->k", np.conj(d0), d0).real[:, None]
     return np.where((sigma_s2 > 0.0)[:, None], w, 0.0)
 
 

@@ -54,6 +54,8 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self):
+        """Raise ValueError for any bad value; returns the FrameParams and
+        Filterbank the checks build, so a run builds them once."""
         if not 0.0 <= self.mu_ref < self.mu_nr:
             raise ValueError("mu_ref must be nonnegative and below mu_nr "
                              "(reference keeps low distortion)")
@@ -84,19 +86,19 @@ class RunConfig:
                 < params.frame_len:
             raise ValueError("insufficient samples: duration is shorter "
                              "than one frame")
-        allocate_targets(self.a_star, build_filterbank(
-            params, self.n_bands, self.f_lo, self.f_hi, self.importance()))
-
-    def importance(self):
-        """The band-importance table, or None for uniform weights."""
         if not isinstance(self.importance_file, str):
             raise ValueError("importance_file must be a path")
-        if not self.importance_file:
-            return None
-        try:
-            return load_band_importance(self.importance_file)
-        except OSError as exc:
-            raise ValueError(f"cannot read importance_file: {exc}") from None
+        importance = None
+        if self.importance_file:
+            try:
+                importance = load_band_importance(self.importance_file)
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot read importance_file: {exc}") from None
+        fb = build_filterbank(params, self.n_bands, self.f_lo, self.f_hi,
+                              importance)
+        allocate_targets(self.a_star, fb)
+        return params, fb
 
 
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"scene"}
@@ -139,8 +141,8 @@ def _parse_value(text):
     return text
 
 
-def parse_config(text):
-    """Parse flat config text into a validated RunConfig."""
+def parse_pairs(text):
+    """Parse flat config text into its key/value pairs, in file order."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,24 +155,26 @@ def parse_config(text):
         if key in pairs:
             raise ValueError(f"line {lineno}: duplicate key {key}")
         pairs[key] = _parse_value(value)
-    return config_from_pairs(pairs)
-
-
-def _set_key(cfg, key, value):
-    if key in _SCENE_KEYS:
-        setattr(cfg.scene, key, value)
-    elif key in _RUN_KEYS:
-        setattr(cfg, key, value)
-    else:
-        raise ValueError(f"unknown config key: {key}")
+    return pairs
 
 
 def config_from_pairs(pairs):
+    """The validated RunConfig of ``pairs`` over the defaults, with the
+    FrameParams and Filterbank its validation built."""
     cfg = RunConfig()
     for key, value in pairs.items():
-        _set_key(cfg, key, value)
-    cfg.validate()
-    return cfg
+        if key in _SCENE_KEYS:
+            setattr(cfg.scene, key, value)
+        elif key in _RUN_KEYS:
+            setattr(cfg, key, value)
+        else:
+            raise ValueError(f"unknown config key: {key}")
+    return (cfg, *cfg.validate())
+
+
+def parse_config(text):
+    """Parse flat config text into a validated RunConfig."""
+    return config_from_pairs(parse_pairs(text))[0]
 
 
 def config_echo(cfg):
@@ -228,12 +232,11 @@ def _write_bin_csv(path, result, fb):
                              repr(float(result.g_mp[k]))])
 
 
-def _run_methods(cfg, params, scene, importance, out_dir):
+def _run_methods(cfg, params, fb, scene, out_dir):
     """Run the configured methods on one synthesized ``scene``, a
     ``(signals, stats)`` pair that is only read; returns metric rows."""
     signals, stats = scene
     bset = build_beamformers(stats, cfg.mu_ref, cfg.mu_nr)
-    fb = build_filterbank(params, cfg.n_bands, cfg.f_lo, cfg.f_hi, importance)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rate = cfg.scene.sample_rate
@@ -300,26 +303,26 @@ def cmd_run(args):
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
+        # the overrides replace the file's values before validation
+        pairs = parse_pairs(text)
         if args.seed is not None:
-            cfg.scene.seed = args.seed
+            pairs["seed"] = args.seed
         if args.methods is not None:
-            cfg.methods = [m.strip() for m in args.methods.split(",")]
+            pairs["methods"] = [m.strip() for m in args.methods.split(",")]
         if args.out is not None:
-            cfg.output_dir = args.out
-        cfg.validate()
+            pairs["output_dir"] = args.out
+        # the base config is validated even under a sweep: the manifest
+        # echoes it
+        cfg, params, fb = config_from_pairs(pairs)
         out_root = Path(cfg.output_dir)
-        points, sweep = [("", "", cfg, out_root)], None
+        points, sweep = [("", "", (cfg, params, fb), out_root)], None
         if args.sweep:
             key, values = _parse_sweep(args.sweep)
             sweep = {"key": key, "values": values}
             # the key must exist and every point must make sense
             points = []
             for v in values:
-                point = dataclasses.replace(
-                    cfg, scene=dataclasses.replace(cfg.scene))
-                _set_key(point, key, v)
-                point.validate()
+                point = config_from_pairs({**pairs, key: v})
                 label = v if type(v) is int else format(v, "g")
                 out_dir = out_root / f"{key}_{label}"
                 # labels keep six significant digits; a finer grid
@@ -328,9 +331,6 @@ def cmd_run(args):
                     raise ValueError(f"sweep points share the directory "
                                      f"{out_dir.name}; use a coarser step")
                 points.append((key, repr(v), point, out_dir))
-        # a sweep over importance_file fails validation, so one table
-        # serves every point
-        importance = cfg.importance()
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -340,15 +340,12 @@ def cmd_run(args):
         # consecutive points with equal scene inputs share one synthesis;
         # only the last scene is held
         scene_inputs = scene = None
-        for key, value, point, out_dir in points:
-            params = FrameParams.from_ms(point.scene.sample_rate,
-                                         point.frame_ms)
+        for key, value, (point, params, fb), out_dir in points:
             if (point.scene, params) != scene_inputs:
                 scene = None  # release the previous scene first
                 scene = synthesize_scene(point.scene, params)
                 scene_inputs = (point.scene, params)
-            for row in _run_methods(point, params, scene, importance,
-                                    out_dir):
+            for row in _run_methods(point, params, fb, scene, out_dir):
                 metric_rows.append({"sweep_key": key, "sweep_value": value,
                                     **row})
 
@@ -374,7 +371,9 @@ def cmd_run(args):
     return 0
 
 
-def _describe(row):
+def _describe(row, joint):
+    """One band's line; only the joint solver's table gets notes on the
+    solver's steps."""
     status = row["status"]
     alpha, gain = float(row["alpha"]), float(row["gain"])
     penalty = float(row["penalty"])
@@ -384,7 +383,12 @@ def _describe(row):
         tags.append("C1 tight")
     if abs(c2 - 1.0) <= 1e-6:
         tags.append("C2 tight")
-    if status == "Feasible" and penalty <= 1e-12:
+    if not joint:
+        # blind and unprocessed bands report only whether the target
+        # was met
+        way = "reference passthrough" if penalty <= 1e-12 else "processed"
+        note = f"{way}, target {'met' if status == 'Feasible' else 'missed'}"
+    elif status == "Feasible" and penalty <= 1e-12:
         note = "minimum processing: reference passthrough"
     elif status == "Feasible":
         note = "processed within constraints"
@@ -410,9 +414,11 @@ def cmd_explain(args):
     if not rows or any(c not in rows[0] for c in BAND_COLUMNS):
         print("error: not a band-solution CSV", file=sys.stderr)
         return 2
+    # the run layout names the joint solver's table bands_joint.csv
+    joint = Path(args.csv).name == "bands_joint.csv"
     try:
         for row in rows:
-            print(_describe(row))
+            print(_describe(row, joint))
     except (KeyError, ValueError) as exc:
         print(f"error: malformed CSV row: {exc}", file=sys.stderr)
         return 2

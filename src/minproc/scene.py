@@ -302,7 +302,8 @@ def synthesize_scene(cfg, params):
         v = make_source(cfg.fe_noise_kind, n, cfg.sample_rate, rng)
         a_i = steering_matrix(pos, mics, freqs, cfg.speed_of_sound)
         pts_data += a_i.T[:, None, :] * analyze(v, params).data[0][None, :, :]
-    pts_wave = synthesize(Spectrogram(pts_data), params, n)
+    # only mic 0's waveform is read: it sets the far-end SNR
+    pts_ref = synthesize(Spectrogram(pts_data[:1]), params, n)[0]
 
     # microphone self noise, referenced to the clean speech at each mic
     selfnoise = rng.standard_normal((n_mics, n))
@@ -312,7 +313,7 @@ def synthesize_scene(cfg, params):
                                   cfg.mic_selfnoise_snr_db)
 
     p_clean_ref = np.mean(clean_at_mics[0] ** 2)
-    beta = _snr_gain(p_clean_ref, np.mean(pts_wave[0] ** 2), cfg.fe_snr_db)
+    beta = _snr_gain(p_clean_ref, np.mean(pts_ref ** 2), cfg.fe_snr_db)
     spec_fe = Spectrogram(beta * pts_data + analyze(selfnoise, params).data)
 
     spec_x = Spectrogram(spec_clean.data + spec_fe.data)

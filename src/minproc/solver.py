@@ -329,7 +329,8 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
     itself sits below one it wins and the status reports both
     constraints lost.
     """
-    if not 0.0 < 10.0 ** (-delta_n_db / 10.0) < 1.0:
+    theta = 10.0 ** (-delta_n_db / 10.0)
+    if not 0.0 < theta < 1.0:
         raise ValueError("delta_n_db must be positive")
     ds = terms.speech_power(ALPHAS)
     ratio = np.divide(ds, du, out=np.where(ds > 0.0, np.inf, 0.0),
@@ -338,7 +339,6 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
     alpha = ALPHAS[best]
     du_best = du[best]
 
-    theta = 10.0 ** (-delta_n_db / 10.0)
     if du_best > 0.0:
         g = np.sqrt(theta * terms.sigma_n2 / ((1.0 - theta) * du_best))
     else:

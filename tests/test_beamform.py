@@ -86,7 +86,7 @@ def test_rank_deficient_noise_survives_loading():
 
 def test_zero_noise_matched_filter():
     d = np.array([1.0 + 1j, 2.0 - 1j])
-    for mu in (0.0, 5.0):
+    for mu in (0.0, 5.0, np.inf):
         w = mwf(1.0, d, np.zeros((2, 2), dtype=complex), mu)
         assert abs(np.vdot(w, d) - 1.0) <= 1e-12
         assert np.allclose(w, d / np.vdot(d, d))
@@ -109,12 +109,14 @@ def test_mwf_all_matches_per_bin():
     c_u = np.stack([random_hpd(rng, m) for _ in range(bins)])
     sigma_s2 = 10.0 ** rng.uniform(-2, 2, bins)
     sigma_s2[5] = 0.0
+    c_u[9] = 0.0  # a noise-free bin among noisy ones
     stats = _Stats(sigma_s2, d, c_u)
     for mu in (0.0, 5.0):
         w_all = mwf_all(stats, mu)
         for k in range(bins):
             w_k = mwf(sigma_s2[k], d[k], c_u[k], mu)
             assert np.allclose(w_all[k], w_k, atol=1e-12)
+        assert np.allclose(w_all[9], d[9] / np.vdot(d[9], d[9]).real)
 
 
 def test_apply_selector_passthrough():

@@ -248,6 +248,40 @@ def test_reused_scene_matches_standalone_run(tmp_path, scene_calls):
         assert (point / name).read_bytes() == (alone / name).read_bytes()
 
 
+@pytest.fixture
+def filterbank_calls(monkeypatch):
+    """Record the CLI's build_filterbank calls."""
+    calls = []
+    real = minproc.cli.build_filterbank
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(minproc.cli, "build_filterbank", recording)
+    return calls
+
+
+def test_sweep_builds_each_filterbank_once(tmp_path, filterbank_calls):
+    # one for the base config, one for each point, none again to run it
+    assert main(["run", str(write_cfg(tmp_path)), "--out",
+                 str(tmp_path / "out"), "--methods", "unprocessed",
+                 "--sweep", "a_star=0.5:0.1:0.9"]) == 0
+    assert len(filterbank_calls) == 6
+
+
+def test_overrides_replace_invalid_file_values(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("seed = 3", "seed = -1"))
+    out = tmp_path / "seed"
+    assert main(["run", str(cfg), "--out", str(out), "--seed", "3",
+                 "--methods", "unprocessed"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+    cfg = write_cfg(tmp_path, BASE + "methods = [joint, psycho]\n",
+                    name="methods.cfg")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "methods"),
+                 "--methods", "joint"]) == 0
+
+
 def test_manifest_reproduces_run(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a = tmp_path / "a"
@@ -311,8 +345,8 @@ def valid_pairs(draw):
 @given(pairs=valid_pairs())
 def test_config_echo_round_trips(pairs):
     # the manifest echo, fed back as pairs, resolves to the same config
-    echo = config_echo(config_from_pairs(pairs))
-    assert config_echo(config_from_pairs(echo)) == echo
+    echo = config_echo(config_from_pairs(pairs)[0])
+    assert config_echo(config_from_pairs(echo)[0]) == echo
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -325,6 +359,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(ok), "--sweep", "methods=0:1:2"]) == 2
     assert main(["run", str(ok), "--seed", "-1"]) == 2
     assert main(["run", str(ok), "--sweep", "a_star=0.5:0.3:1.1"]) == 2
+    # the manifest echoes the base config, so it must be valid even where
+    # every sweep point replaces the value
+    bad = write_cfg(tmp_path, BASE + "a_star = 1.0\n", name="bad.cfg")
+    out = tmp_path / "never"
+    assert main(["run", str(bad), "--out", str(out),
+                 "--sweep", "a_star=0.5:0.2:0.9"]) == 2
+    assert not out.exists()
     negative = tmp_path / "negative.txt"
     negative.write_text("200 1\n1000 -1\n4000 1\n")
     for key, text in (("grid_n", "grid_n = 2001"),
@@ -492,6 +533,21 @@ def test_explain_reports_bands(tmp_path, capsys):
     assert "minimum processing: reference passthrough" in text
     assert "30 bands" in text
     assert "Feasible: 30" in text
+
+
+def test_explain_notes_only_steps_the_method_took(tmp_path, capsys):
+    # fallbacks and boosts are joint solver steps; an unprocessed band
+    # that misses its target took none of them
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out),
+                 "--methods", "joint,unprocessed"]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(out / "bands_unprocessed.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "C1Infeasible" in text
+    assert "fallback" not in text and "boost" not in text
+    assert main(["explain", str(out / "bands_joint.csv")]) == 0
+    assert "best-SNR fallback with bounded boost" in capsys.readouterr().out
 
 
 def test_explain_rejects_wrong_csv(tmp_path, capsys):

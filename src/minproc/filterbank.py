@@ -65,6 +65,10 @@ def build_filterbank(params, n_bands=30, f_lo=150.0, f_hi=8000.0,
     """
     if n_bands < 2:
         raise ValueError("need at least two bands")
+    # a band needs a bin within one center spacing, and a bin lies within
+    # one spacing of at most two centers; refuse before any allocation
+    if n_bands > 2 * params.bins:
+        raise ValueError("empty band: n_bands exceeds twice the bin count")
     if not (0.0 < f_lo < f_hi):
         raise ValueError("band edges must satisfy 0 < f_lo < f_hi")
     if f_hi > params.sample_rate / 2.0 + 1e-9:

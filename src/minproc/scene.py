@@ -2,9 +2,10 @@
 
 A single talker and a set of point noise sources are placed in free space
 and propagated to the microphones with anechoic direct-path transfer
-functions.  Mixing happens in the STFT domain, so the multichannel
-mixture decomposes per bin exactly as x = d*s + u; the matching
-waveforms are produced by overlap-add synthesis of those spectra.
+functions.  Each source is drawn once in the time domain and shaped per
+STFT bin (``make_source``), and mixing happens in the STFT domain, so the
+multichannel mixture decomposes per bin exactly as x = d*s + u; the
+matching waveforms are overlap-add syntheses of those spectra.
 
 Statistics use the reference microphone (index 0) as the level anchor:
 the steering vector is normalized to mic 0 and the speech power is the
@@ -14,11 +15,9 @@ noise on one common scale.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sig
 
 from .stft import Spectrogram, analyze, long_term_psd, synthesize
 
@@ -31,6 +30,7 @@ __all__ = [
     "DISTANCE_LIMITS",
     "transfer_function",
     "steering_matrix",
+    "lowpass_response",
     "make_source",
     "synthesize_scene",
     "estimate_stats",
@@ -183,80 +183,67 @@ def steering_matrix(src_pos, mic_positions, freqs, speed_of_sound=343.0):
     return np.stack(cols, axis=1)
 
 
-def _shape_filter(kind, sample_rate):
-    if kind == "speech_shaped":
-        return sig.butter(1, 500.0, fs=sample_rate, btype="low")
-    if kind == "car_like":
-        return sig.butter(1, 200.0, fs=sample_rate, btype="low")
-    raise ValueError(f"no shaping filter for kind: {kind}")
+# first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
+_CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
+              "car_like": 200.0}
 
 
-def _unit_rms(x):
-    rms = np.sqrt(np.mean(x ** 2))
-    return x / rms if rms > 0 else x
+def lowpass_response(freqs, cutoff, fs, order=1):
+    """Complex response at ``freqs`` (Hz) of the bilinear-transform
+    Butterworth low-pass of ``order``: prod_k K c / (j s - p_k K c), with
+    c, s = cos, sin(pi f/fs), K = tan(pi cutoff/fs) and the analog poles
+    p_k, so Nyquist maps to 0.  A cutoff at or above Nyquist passes every
+    frequency."""
+    f = np.asarray(freqs, dtype=float)[..., None] * (np.pi / fs)
+    if 2.0 * cutoff >= fs:
+        return np.ones(f.shape[:-1], dtype=complex)
+    kc = math.tan(math.pi * cutoff / fs) * np.cos(f)
+    poles = np.exp(1j * np.pi * (2 * np.arange(order) + order + 1)
+                   / (2 * order))
+    return np.prod(kc / (1j * np.sin(f) - poles * kc), axis=-1)
 
 
-def _babble(n_samples, sample_rate, rng):
-    """Eight independent speech-shaped talkers with slow random AM.
-
-    Talker i shapes a (talker, envelope) noise pair drawn as one (2, n)
-    fill, which holds exactly the values of two consecutive
-    ``standard_normal(n)`` calls.  A helper thread draws pair i + 1 into
-    the other of two caller-owned buffers while this thread shapes pair
-    i; both steps release the GIL.  The draws keep their order, so the
-    output and the final ``rng`` state match a one-thread loop bit for
-    bit.  The helper only draws: allocations on it would grow its own
-    heap arena, and a call to a module function would run outside the
-    caller's call stack, where wrappers that time those functions
-    cannot nest it.
-    """
-    b, a = _shape_filter("speech_shaped", sample_rate)
-    be, ae = sig.butter(2, 4.0, fs=sample_rate, btype="low")
-    talkers = 8
-    total = np.zeros(n_samples)
-    bufs = (np.empty((2, n_samples)), np.empty((2, n_samples)))
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(rng.standard_normal, out=bufs[0])
-        for i in range(talkers):
-            noise = pending.result()
-            if i + 1 < talkers:
-                pending = helper.submit(rng.standard_normal,
-                                        out=bufs[(i + 1) % 2])
-            talker = sig.lfilter(b, a, noise[0])
-            env = sig.lfilter(be, ae, noise[1])
-            env_std = np.std(env)
-            if env_std > 0:
-                env = env / env_std
-            total += talker * np.maximum(1.0 + 0.5 * env, 0.05)
-    return _unit_rms(total)
+def _babble_envelope(n_frames, frame_rate, rng):
+    """Per frame, sqrt(mean_i m_i^2) over eight talkers' AM envelopes
+    m_i = max(1 + 0.5 e_i, 0.05): e_i is white noise at the frame rate,
+    low-passed at 4 Hz in its rfft domain, at unit standard deviation.
+    Eight independent talkers under m_i sum, frame by frame, to the power
+    of one talker under this envelope."""
+    freqs = np.fft.rfftfreq(n_frames, 1.0 / frame_rate)
+    env = np.fft.irfft(np.fft.rfft(rng.standard_normal((8, n_frames)))
+                       * lowpass_response(freqs, 4.0, frame_rate, order=2),
+                       n=n_frames)
+    std = env.std(axis=1, keepdims=True)
+    np.divide(env, std, out=env, where=std > 0)
+    return np.sqrt(np.mean(np.maximum(1.0 + 0.5 * env, 0.05) ** 2, axis=0))
 
 
-def make_source(kind, n_samples, sample_rate, rng):
-    """Generate one unit-RMS source waveform of the given kind."""
-    if kind == "white":
-        return _unit_rms(rng.standard_normal(n_samples))
-
-    if kind in ("speech_shaped", "car_like"):
-        b, a = _shape_filter(kind, sample_rate)
-        return _unit_rms(sig.lfilter(b, a, rng.standard_normal(n_samples)))
-
-    if kind == "babble_like":
-        return _babble(n_samples, sample_rate, rng)
-
+def make_source(kind, n_samples, params, rng):
+    """One unit-power (mean |X|^2 = 1) source spectrum, (1, frames, bins):
+    one time-domain draw, analysed once and shaped per bin by its low-pass
+    response; babble is also scaled by its per-frame envelope."""
+    if kind not in SOURCE_KINDS:
+        raise ValueError(f"unknown source kind: {kind}")
     if kind == "speech":
-        # harmonic pulse train with drifting pitch, then speech shaping
-        t = np.arange(n_samples) / sample_rate
+        # harmonic pulse train with drifting pitch
+        t = np.arange(n_samples) / params.sample_rate
         drift_phase = rng.uniform(0.0, 2.0 * np.pi)
         f0 = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t + drift_phase))
-        phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
-        cycles = np.floor(phase / (2.0 * np.pi))
-        pulses = np.zeros(n_samples)
-        pulses[1:] = (np.diff(cycles) > 0).astype(float)
-        pulses += 0.03 * rng.standard_normal(n_samples)
-        b, a = _shape_filter("speech_shaped", sample_rate)
-        return _unit_rms(sig.lfilter(b, a, pulses))
-
-    raise ValueError(f"unknown source kind: {kind}")
+        cycles = np.floor(np.cumsum(f0) / params.sample_rate)
+        draw = np.zeros(n_samples)
+        draw[1:] = (np.diff(cycles) > 0).astype(float)
+        draw += 0.03 * rng.standard_normal(n_samples)
+    else:
+        draw = rng.standard_normal(n_samples)
+    data = analyze(draw, params).data
+    if kind in _CUTOFF_HZ:
+        data *= lowpass_response(params.freqs, _CUTOFF_HZ[kind],
+                                 params.sample_rate)
+    if kind == "babble_like":
+        data *= _babble_envelope(data.shape[1],
+                                 params.sample_rate / params.hop, rng)[:, None]
+    power = np.mean(np.abs(data) ** 2)
+    return Spectrogram(data / math.sqrt(power) if power > 0 else data)
 
 
 def _snr_gain(ref_power, raw_power, snr_db):
@@ -288,10 +275,9 @@ def synthesize_scene(cfg, params):
     n_mics = mics.shape[0]
 
     # talker through its steering vector
-    source = make_source("speech", n, cfg.sample_rate, rng)
-    spec_src = analyze(source, params)
+    spec_src = make_source("speech", n, params, rng)
     d_abs = steering_matrix(cfg.talker_pos, mics, freqs, cfg.speed_of_sound)
-    clean_data = d_abs.T[:, None, :] * spec_src.data[0][None, :, :]
+    clean_data = d_abs.T[:, None, :] * spec_src.data
     spec_clean = Spectrogram(clean_data)
     clean_at_mics = synthesize(spec_clean, params, n)
 
@@ -299,9 +285,9 @@ def synthesize_scene(cfg, params):
     noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
     pts_data = np.zeros_like(clean_data)
     for pos in noises:
-        v = make_source(cfg.fe_noise_kind, n, cfg.sample_rate, rng)
+        v = make_source(cfg.fe_noise_kind, n, params, rng)
         a_i = steering_matrix(pos, mics, freqs, cfg.speed_of_sound)
-        pts_data += a_i.T[:, None, :] * analyze(v, params).data[0][None, :, :]
+        pts_data += a_i.T[:, None, :] * v.data
     # only mic 0's waveform is read: it sets the far-end SNR
     pts_ref = synthesize(Spectrogram(pts_data[:1]), params, n)[0]
 
@@ -319,13 +305,14 @@ def synthesize_scene(cfg, params):
     spec_x = Spectrogram(spec_clean.data + spec_fe.data)
     x = synthesize(spec_x, params, n)
 
-    ne_noise = make_source(cfg.ne_noise_kind, n, cfg.sample_rate, rng)
-    ne_noise = ne_noise * _snr_gain(p_clean_ref, np.mean(ne_noise ** 2),
-                                    cfg.ne_snr_db)
+    spec_ne = make_source(cfg.ne_noise_kind, n, params, rng)
+    ne_noise = synthesize(spec_ne, params, n)[0]
+    gamma = _snr_gain(p_clean_ref, np.mean(ne_noise ** 2), cfg.ne_snr_db)
+    ne_noise *= gamma
 
     d_norm = d_abs / d_abs[:, :1]
-    stats = estimate_stats(spec_clean, spec_fe, analyze(ne_noise, params),
-                           d_norm)
+    stats = estimate_stats(spec_clean, spec_fe,
+                           Spectrogram(gamma * spec_ne.data), d_norm)
     signals = SceneSignals(clean_at_mics, x, ne_noise,
                            spec_clean, spec_fe, spec_x)
     return signals, stats

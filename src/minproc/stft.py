@@ -8,10 +8,10 @@ full window coverage (no edge taper on the reconstruction).
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = [
     "FrameParams",
@@ -165,9 +165,17 @@ def write_wav(path, rate, data):
     finite, float32 rounding included.
     """
     data = np.atleast_2d(np.asarray(data))
-    out = data.T if data.shape[0] > 1 else data[0]
     with np.errstate(over="ignore"):  # overflow is caught below
-        samples = out.astype(np.float32)
+        samples = data.T.astype("<f4")  # (n, channels), interleaved
     if not np.all(np.isfinite(samples)):
         raise ValueError("refusing to write non-finite samples")
-    wavfile.write(path, rate, samples)
+    n, channels = samples.shape
+    # RIFF of an IEEE-float file (format tag 3): an 18-byte fmt chunk,
+    # a fact chunk holding the frame count, then the data chunk
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF",
+                             50 + samples.nbytes, b"WAVE", b"fmt ", 18, 3,
+                             channels, rate, 4 * channels * rate,
+                             4 * channels, 32, 0, b"fact", 4, n, b"data",
+                             samples.nbytes))
+        samples.tofile(fh)

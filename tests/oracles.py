@@ -12,16 +12,6 @@ from minproc.beamform import mwf_all
 from minproc.scene import SpectralStats
 from minproc.solver import REL_TOL, SolverTerms
 
-_SCRATCH = {}
-
-
-def _buf(key, shape):
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape)
-        _SCRATCH[key] = buf
-    return buf
-
 
 def combo_quad(alpha, at_one, at_zero, cross):
     a = np.asarray(alpha, dtype=float)
@@ -67,13 +57,28 @@ def feasible_exists(terms, delta_u_db, n_alpha=2001):
                for a in np.linspace(0.0, 1.0, n_alpha))
 
 
-def brute_force_band(terms, delta_u_db, n_alpha=2001, n_g=2001):
-    """Dense 2-D scan over (alpha, g).  Returns (alpha, g, penalty) of
-    the best admissible grid point, or None if the scan finds nothing.
+def _true_run(suffix, holds, n):
+    """Per row, the run [start, stop) of indices in [0, n) where
+    ``holds(idx)`` is true, given that it is true on a suffix of the row
+    where ``suffix`` is set and on a prefix elsewhere.  Bisects, per row,
+    for the first index where the truth value equals ``suffix``."""
+    lo = np.zeros(suffix.size, dtype=int)
+    hi = np.full(suffix.size, n)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        turned = holds(np.minimum(mid, n - 1)) == suffix
+        hi = np.where(turned & (lo < hi), mid, hi)
+        lo = np.where(~turned & (lo < hi), mid + 1, lo)
+    return np.where(suffix, lo, 0), np.where(suffix, n, lo)
+
+
+def _scan_grid(terms, delta_u_db, n_alpha, n_g):
+    """The brute force's grid: alphas, gains, p and du per alpha, and the
+    C1 and C2 tests c1(i), c2(i) of gain indices i, one per alpha (or
+    broadcast against the alphas).
 
     The gain axis spans [1, g_hi] where g_hi generously covers every
-    gain any alpha could need or be allowed.  Within a row the penalty
-    grows with g, so the first admissible gain is the row's best.
+    gain any alpha could need or be allowed.
     """
     alphas = np.linspace(0.0, 1.0, n_alpha)
     ds = combo_quad(alphas, terms.ds_ref, terms.ds_nr, terms.ds_cross)
@@ -88,23 +93,49 @@ def brute_force_band(terms, delta_u_db, n_alpha=2001, n_g=2001):
     finite = finite[np.isfinite(finite)]
     g_hi = max(2.0, 1.05 * finite.max()) if finite.size else 2.0
     gs = np.linspace(1.0, g_hi, n_g)
-
     g2 = gs * gs
-    shape = (n_alpha, n_g)
-    lhs1 = _buf("lhs1", shape)
-    lhs2 = _buf("lhs2", shape)
-    np.multiply(p[:, None], g2[None, :], out=lhs1)
-    np.multiply(du[:, None], g2[None, :], out=lhs2)
-    ok = (lhs1 >= rhs * (1.0 - REL_TOL)) & (lhs2 <= cap * (1.0 + REL_TOL))
+    return (alphas, gs, p, du,
+            lambda i: p * g2[i] >= rhs * (1.0 - REL_TOL),
+            lambda i: du * g2[i] <= cap * (1.0 + REL_TOL))
 
-    first = ok.argmax(axis=1)
-    rows = np.flatnonzero(ok[np.arange(n_alpha), first])
+
+def _best_point(alphas, gs, first, admissible):
+    """(alpha, g, penalty) of the best row's first admissible gain, or
+    None if no row has one."""
+    rows = np.flatnonzero(admissible)
     if rows.size == 0:
         return None
     pen = (1.0 - alphas[rows]) ** 2 + (1.0 - gs[first[rows]]) ** 2
     best = int(pen.argmin())
     row = rows[best]
     return float(alphas[row]), float(gs[first[row]]), float(pen[best])
+
+
+def brute_force_band(terms, delta_u_db, n_alpha=2001, n_g=2001):
+    """Scan of the 2-D (alpha, g) grid.  Returns (alpha, g, penalty) of
+    the best admissible grid point, or None if the scan finds nothing.
+
+    Within a row the penalty grows with g, so the first admissible gain
+    is the row's best.  The row products p*g^2 and du*g^2 are monotone
+    in g, so each row's admissible gains form one run, found by
+    bisection with the same float comparisons a dense scan makes
+    (``dense_brute_force_band``).
+    """
+    alphas, gs, p, du, c1, c2 = _scan_grid(terms, delta_u_db, n_alpha, n_g)
+    lo1, hi1 = _true_run(p > 0.0, c1, n_g)
+    lo2, hi2 = _true_run(du < 0.0, c2, n_g)
+    first = np.maximum(lo1, lo2)
+    return _best_point(alphas, gs, first, first < np.minimum(hi1, hi2))
+
+
+def dense_brute_force_band(terms, delta_u_db, n_alpha=2001, n_g=2001):
+    """``brute_force_band`` by testing every grid point: the reference
+    for its bisection."""
+    alphas, gs, _, _, c1, c2 = _scan_grid(terms, delta_u_db, n_alpha, n_g)
+    every = np.arange(n_g)[:, None]
+    ok = c1(every) & c2(every)  # (gains, alphas)
+    first = ok.argmax(axis=0)
+    return _best_point(alphas, gs, first, ok[first, np.arange(n_alpha)])
 
 
 def random_terms(rng, target_span=(-2.0, 1.0)):
@@ -152,24 +183,25 @@ def design_response(kind, freqs, sample_rate):
     return np.abs(h)
 
 
-def serial_babble(n_samples, sample_rate, rng):
-    """The babble_like source drawn and shaped talker by talker on one
-    thread: eight speech-shaped talkers, each with a slow random AM
-    envelope normalized to unit standard deviation, summed to unit RMS.
+def babble_envelope(n_frames, frame_rate, rng):
+    """Per-frame babble envelope sqrt(mean_i m_i^2), talker by talker.
+
+    Talker i draws white noise at the frame rate, filters it in its rfft
+    domain by scipy's second-order 4 Hz Butterworth, scales it to unit
+    standard deviation as e_i and modulates by m_i = max(1 + 0.5 e_i,
+    0.05).
     """
-    b, a = sig.butter(1, _SHAPE_CUTOFF_HZ["speech_shaped"], fs=sample_rate,
-                      btype="low")
-    be, ae = sig.butter(2, 4.0, fs=sample_rate, btype="low")
-    total = np.zeros(n_samples)
+    b, a = sig.butter(2, 4.0, fs=frame_rate)
+    _, h = sig.freqz(b, a, worN=np.fft.rfftfreq(n_frames, 1.0 / frame_rate),
+                     fs=frame_rate)
+    power = np.zeros(n_frames)
     for _ in range(8):
-        talker = sig.lfilter(b, a, rng.standard_normal(n_samples))
-        env = sig.lfilter(be, ae, rng.standard_normal(n_samples))
-        env_std = np.std(env)
-        if env_std > 0:
-            env = env / env_std
-        total += talker * np.maximum(1.0 + 0.5 * env, 0.05)
-    rms = np.sqrt(np.mean(total ** 2))
-    return total / rms if rms > 0 else total
+        env = np.fft.irfft(np.fft.rfft(rng.standard_normal(n_frames)) * h,
+                           n=n_frames)
+        if np.std(env) > 0:
+            env = env / np.std(env)
+        power += np.maximum(1.0 + 0.5 * env, 0.05) ** 2
+    return np.sqrt(power / 8)
 
 
 def overlap_add(frames, hop):

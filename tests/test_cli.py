@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +479,60 @@ def test_infinite_mu_nr_runs(tmp_path):
     # error; RuntimeWarnings fail the suite, so the run is also quiet
     cfg = write_cfg(tmp_path, BASE + "mu_nr = inf\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_huge_n_bands_exits_2(tmp_path, capsys):
+    # refused before the filterbank allocates anything: arrays with this
+    # many bands could never be allocated
+    cfg = write_cfg(tmp_path, "duration = 1.0\nn_bands = 1000000000000000\n")
+    out = tmp_path / "never"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "n_bands" in capsys.readouterr().err
+
+
+def test_sample_rate_below_shaping_cutoffs_runs(tmp_path):
+    # at 800 Hz the 500 Hz speech shaping cutoff lies above Nyquist, where
+    # the low-pass passes every bin
+    cfg = write_cfg(tmp_path, "duration = 1.0\nsample_rate = 800\n"
+                              "f_hi = 400\nn_bands = 4\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+# imports minproc and runs the CLI with every scipy import refused
+NO_SCIPY = """
+import sys
+
+class Refuse:
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.tried.append(name)
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, Refuse())
+from minproc import cli
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+assert not Refuse.tried, Refuse.tried
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.exit(code)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    """The package needs numpy alone: a fresh process imports minproc
+    and completes a 1 s run without ever importing scipy."""
+    src = str(Path(minproc.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY,
+                           str(write_cfg(tmp_path)), str(out)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.json").exists()
 
 
 def test_band_csv_without_near_noise(tmp_path):

@@ -1,16 +1,16 @@
 """Scene synthesis: transfer functions, calibration, oracle statistics."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
-from minproc.scene import (SceneConfig, estimate_stats, make_source,
-                           steering_matrix, synthesize_scene,
+from minproc.scene import (SceneConfig, estimate_stats, lowpass_response,
+                           make_source, steering_matrix, synthesize_scene,
                            transfer_function)
 from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
-from oracles import design_response, serial_babble
+from oracles import babble_envelope, design_response
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
@@ -161,18 +161,31 @@ def test_noise_covariance_monte_carlo():
     assert np.max(num / den) <= 0.10
 
 
-def test_speech_shaped_psd_matches_design():
-    """Long-term source PSD tracks the shaping filter magnitude squared."""
-    n_frames = 10_000
+def _source_psd(kind, seed, n_frames=10_000):
+    """Long-term PSD of one source spectrum over n_frames frames."""
     n = (n_frames - 1) * PARAMS.hop
-    rng = np.random.default_rng(13)
-    x = make_source("speech_shaped", n, 16000, rng)
-    psd = long_term_psd(analyze(x, PARAMS))[:, 0, 0].real
+    spec = make_source(kind, n, PARAMS, np.random.default_rng(seed))
+    return long_term_psd(spec)[:, 0, 0].real
+
+
+def _assert_psd_tracks_speech_shaping(kind):
+    psd = _source_psd(kind, 13)
     h2 = design_response("speech_shaped", PARAMS.freqs, 16000) ** 2
     mask = h2 > 1e-4 * h2.max()
     scale = _fit_scale(psd[mask], h2[mask])
     rel = np.abs(psd[mask] - scale * h2[mask]) / (scale * h2[mask])
     assert np.max(rel) <= 0.10
+
+
+def test_speech_shaped_psd_matches_design():
+    """Long-term source PSD tracks the shaping filter magnitude squared."""
+    _assert_psd_tracks_speech_shaping("speech_shaped")
+
+
+def test_babble_psd_matches_speech_shaping():
+    """Babble's slow envelope scales every bin alike, so its long-term PSD
+    is proportional to the speech shaping's magnitude squared too."""
+    _assert_psd_tracks_speech_shaping("babble_like")
 
 
 def test_design_response_kinds():
@@ -187,55 +200,56 @@ def test_design_response_kinds():
         design_response("babble_like", f, 16000)
 
 
+@pytest.mark.parametrize("order, cutoff, fs, freqs", [
+    (1, 500.0, 16000, PARAMS.freqs),
+    (1, 200.0, 16000, PARAMS.freqs),
+    (2, 500.0, 16000, PARAMS.freqs),
+    (2, 4.0, 62.5, np.fft.rfftfreq(626, 1.0 / 62.5)),
+])
+def test_lowpass_response_matches_scipy_design(order, cutoff, fs, freqs):
+    """The closed form equals freqz of scipy's bilinear Butterworth.
+
+    Below Nyquist the two agree to 1e-12 relative; at Nyquist both are
+    zero up to rounding, where freqz's (1 + z^-1)^order cancels.
+    """
+    b, a = sig.butter(order, cutoff, fs=fs)
+    _, ref = sig.freqz(b, a, worN=freqs, fs=fs)
+    h = lowpass_response(freqs, cutoff, fs, order)
+    assert np.all(np.abs(h - ref)[:-1] <= 1e-12 * np.abs(ref)[:-1])
+    assert abs(h[-1]) <= 1e-15 and abs(ref[-1]) <= 1e-15
+
+
+def test_lowpass_cutoff_at_nyquist_passes_everything():
+    assert np.all(lowpass_response(PARAMS.freqs, 8000.0, 16000) == 1.0)
+
+
 @pytest.mark.parametrize("kind", ["white", "speech_shaped", "babble_like",
                                   "car_like", "speech"])
 def test_sources_unit_rms(kind):
+    """Every source spectrum has unit power: mean |X|^2 over frames and
+    bins is 1."""
     rng = np.random.default_rng(17)
-    x = make_source(kind, 32000, 16000, rng)
-    assert x.shape == (32000,)
-    assert np.isclose(np.sqrt(np.mean(x ** 2)), 1.0, rtol=1e-9)
+    x = make_source(kind, 32000, PARAMS, rng)
+    assert x.data.shape == (1, 126, PARAMS.bins)
+    assert np.isclose(np.mean(np.abs(x.data) ** 2), 1.0, rtol=1e-12)
 
 
-@pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (7, 1),
-                                     (12, 16000 * 3 + 1)])
-def test_babble_matches_serial_reference(seed, n):
-    """The pipelined babble draws the same stream in the same order."""
+@pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (12, 48001)])
+def test_babble_is_speech_shaped_under_oracle_envelope(seed, n):
+    """Babble is the speech-shaped draw times the eight-talker envelope
+    the oracle builds talker by talker, and draws nothing more."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = make_source("babble_like", n, 16000, rng)
-    assert np.array_equal(x, serial_babble(n, 16000, ref_rng))
-    # later draws of synthesize_scene (self noise, near end) are unchanged
+    x = make_source("babble_like", n, PARAMS, rng).data
+    shaped = make_source("speech_shaped", n, PARAMS, ref_rng).data
+    env = babble_envelope(shaped.shape[1], 16000 / PARAMS.hop, ref_rng)
+    ref = shaped * env[:, None]
+    ref /= np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert np.allclose(x, ref, rtol=1e-9, atol=1e-12)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-class _FailingRng:
-    """Draws like a Generator until its third standard_normal call."""
-
-    def __init__(self):
-        self.calls = 0
-        self.rng = np.random.default_rng(0)
-        self.error = RuntimeError("draw failed")
-
-    def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == 3:
-            raise self.error
-        return self.rng.standard_normal(*args, **kwargs)
-
-
-def test_babble_draw_failure_propagates():
-    before = threading.active_count()
-    rng = _FailingRng()
-    with pytest.raises(RuntimeError) as excinfo:
-        make_source("babble_like", 8000, 16000, rng)
-    assert excinfo.value is rng.error
-    assert rng.calls == 3
-    assert threading.active_count() == before
-
-
 def test_car_like_is_lowpass():
-    rng = np.random.default_rng(19)
-    x = make_source("car_like", 160000, 16000, rng)
-    psd = long_term_psd(analyze(x, PARAMS))[:, 0, 0].real
+    psd = _source_psd("car_like", 19, n_frames=626)
     f = PARAMS.freqs
     low = psd[(f > 0) & (f < 400)].mean()
     high = psd[f > 2000].mean()
@@ -243,9 +257,7 @@ def test_car_like_is_lowpass():
 
 
 def test_speech_source_is_harmonic():
-    rng = np.random.default_rng(23)
-    x = make_source("speech", 160000, 16000, rng)
-    psd = long_term_psd(analyze(x, PARAMS))[:, 0, 0].real
+    psd = _source_psd("speech", 23, n_frames=626)
     f = PARAMS.freqs
     # pitch near 110 Hz: strong energy in the first harmonics band
     voiced = psd[(f >= 80) & (f <= 500)].mean()

@@ -82,6 +82,19 @@ def test_boundary_none_when_margins_negative():
     assert boundary_solution(terms) is None
 
 
+def test_brute_force_bisection_matches_dense_scan():
+    """The brute force bisects each row for its first admissible gain;
+    on criterion 1's 100 draws, testing every grid point agrees."""
+    rng = np.random.default_rng(101)
+    for _ in range(100):
+        target = rng.choice([0.25, 1.0, 7.0 / 3.0])
+        du_db = rng.choice([0.0, 12.0])
+        terms = dataclasses.replace(oracles.random_terms(rng),
+                                    target_snr=target)
+        assert oracles.brute_force_band(terms, du_db) \
+            == oracles.dense_brute_force_band(terms, du_db)
+
+
 def test_grid_never_beaten_by_brute_force():
     compared = 0
     for seed in range(50):

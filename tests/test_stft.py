@@ -196,6 +196,16 @@ def test_wav_mono(tmp_path):
     assert np.allclose(y, x, atol=1e-6)
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_wav_bytes_match_scipy(tmp_path, channels):
+    x = np.random.default_rng(channels).standard_normal((channels, 777))
+    ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+    write_wav(ours, 16000, x[0] if channels == 1 else x)
+    wavfile.write(ref, 16000, (x[0] if channels == 1 else x.T)
+                  .astype(np.float32))
+    assert ours.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300],
                          ids=lambda bad: f"float32-{bad}")
 def test_wav_rejects_non_finite_samples(tmp_path, bad):

@@ -56,7 +56,7 @@ class RunConfig:
     def validate(self):
         """Raise ValueError for any bad value; returns the FrameParams and
         Filterbank the checks build, so a run builds them once."""
-        if not 0.0 <= self.mu_ref < self.mu_nr:
+        if not 0.0 <= float(self.mu_ref) < float(self.mu_nr):
             raise ValueError("mu_ref must be nonnegative and below mu_nr "
                              "(reference keeps low distortion)")
         if not isinstance(self.methods, list) or not self.methods:
@@ -169,7 +169,10 @@ def config_from_pairs(pairs):
             setattr(cfg, key, value)
         else:
             raise ValueError(f"unknown config key: {key}")
-    return (cfg, *cfg.validate())
+    try:
+        return (cfg, *cfg.validate())
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise ValueError(f"a number is beyond float range: {exc}") from None
 
 
 def parse_config(text):
@@ -240,7 +243,7 @@ def _run_methods(cfg, params, fb, scene, out_dir):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rate = cfg.scene.sample_rate
-    write_wav(out_dir / "x_mic1.wav", rate, signals.x[0])
+    write_wav(out_dir / "x_mic1.wav", rate, signals.x)
 
     rows = []
     for name in cfg.methods:
@@ -276,30 +279,39 @@ def _run_methods(cfg, params, fb, scene, out_dir):
 
 
 def _parse_sweep(spec):
-    """``key=lo:step:hi`` -> (key, values); integral values of an integer
-    key become ints, so ``n_bands`` and ``seed`` can be swept."""
+    """``key=lo:step:hi`` -> (key, {directory label: value}); integral
+    values of an integer key, such as ``n_bands`` or ``seed``, are ints."""
     key, _, grid = spec.partition("=")
     key = key.strip()
     try:
         lo, step, hi = (float(p) for p in grid.split(":"))
     except ValueError:
         raise ValueError("sweep must be key=lo:step:hi") from None
+    if not all(math.isfinite(p) for p in (lo, step, hi)):
+        raise ValueError("sweep lo, step and hi must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("sweep must advance from lo to hi")
-    values = []
+    points = {}
     v = lo
     while v <= hi + 1e-9 * step:
-        values.append(round(v, 12))
+        value = round(v, 12)
+        if key in _INT_KEYS and value.is_integer():
+            value = int(value)
+        # labels keep six significant digits; this also ends a step too
+        # small to move v
+        label = value if type(value) is int else format(value, "g")
+        if label in points:
+            raise ValueError(f"sweep points share the directory "
+                             f"{key}_{label}; use a coarser step")
+        points[label] = value
         v += step
-    if key in _INT_KEYS:
-        values = [int(x) if x.is_integer() else x for x in values]
-    return key, values
+    return key, points
 
 
 def cmd_run(args):
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -317,20 +329,12 @@ def cmd_run(args):
         out_root = Path(cfg.output_dir)
         points, sweep = [("", "", (cfg, params, fb), out_root)], None
         if args.sweep:
-            key, values = _parse_sweep(args.sweep)
-            sweep = {"key": key, "values": values}
+            key, grid = _parse_sweep(args.sweep)
+            sweep = {"key": key, "values": list(grid.values())}
             # the key must exist and every point must make sense
-            points = []
-            for v in values:
-                point = config_from_pairs({**pairs, key: v})
-                label = v if type(v) is int else format(v, "g")
-                out_dir = out_root / f"{key}_{label}"
-                # labels keep six significant digits; a finer grid
-                # would write two points into one directory
-                if any(out_dir == d for *_, d in points):
-                    raise ValueError(f"sweep points share the directory "
-                                     f"{out_dir.name}; use a coarser step")
-                points.append((key, repr(v), point, out_dir))
+            points = [(key, repr(v), config_from_pairs({**pairs, key: v}),
+                       out_root / f"{key}_{label}")
+                      for label, v in grid.items()]
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,9 +410,9 @@ def _describe(row, joint):
 
 def cmd_explain(args):
     try:
-        with open(args.csv, newline="") as fh:
+        with open(args.csv, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read CSV: {exc}", file=sys.stderr)
         return 2
     if not rows or any(c not in rows[0] for c in BAND_COLUMNS):

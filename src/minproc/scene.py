@@ -73,7 +73,7 @@ class SceneConfig:
         if not isinstance(self.sample_rate, (int, np.integer)) \
                 or self.sample_rate <= 0:
             raise ValueError("sample rate must be a positive integer")
-        if not 0.0 < self.duration < math.inf:
+        if not 0.0 < float(self.duration) < math.inf:
             raise ValueError("duration must be positive and finite")
         if self.fe_noise_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
@@ -102,6 +102,7 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite")
         # transfer_function divides by each source-to-mic distance
         lo, hi = DISTANCE_LIMITS
+        r_max = 0.0
         for name, srcs in (("talker_pos", talker[None]),
                            ("noise_positions", noises)):
             with np.errstate(over="ignore"):  # an inf offset fails below
@@ -112,8 +113,14 @@ class SceneConfig:
             if not np.all((lo <= dist) & (dist <= hi)):
                 raise ValueError(f"{name} must lie between {lo:g} m and "
                                  f"{hi:g} m from every microphone")
-        if not 0.0 < float(self.speed_of_sound) < math.inf:
-            raise ValueError("speed_of_sound must be positive and finite")
+            r_max = max(r_max, float(np.max(dist)))
+        # the propagation phase 2*pi*f*r/c must stay finite up to Nyquist;
+        # the bound checked is twice that phase, a margin for rounding
+        c = float(self.speed_of_sound)
+        if not (0.0 < c < math.inf and math.isfinite(
+                2.0 * math.pi * self.sample_rate * r_max / c)):
+            raise ValueError("speed_of_sound must be positive and finite, "
+                             "and keep the propagation phase finite")
 
 
 @dataclass
@@ -153,13 +160,14 @@ class SpectralStats:
 
 @dataclass
 class SceneSignals:
-    """Time-domain components plus the spectra they were mixed from.
+    """The reference-mic (mic 0) mixture waveform and the near-end noise,
+    plus the spectra the mixture was made from.
 
-    The far-end noise is kept as its spectrum only; synthesize
-    ``spec_fe_noise`` to get its waveform.
+    Clean speech and far-end noise are kept as spectra only; synthesize
+    ``spec_clean`` or ``spec_fe_noise`` to get their waveforms at the
+    mics.
     """
 
-    clean_at_mics: np.ndarray
     x: np.ndarray
     ne_noise: np.ndarray
     spec_clean: Spectrogram = field(repr=False, default=None)
@@ -270,51 +278,48 @@ def synthesize_scene(cfg, params):
     n = int(round(cfg.duration * cfg.sample_rate))
     if n < params.frame_len:
         raise ValueError("insufficient samples")
-    freqs = params.freqs
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
-    n_mics = mics.shape[0]
 
     # talker through its steering vector
-    spec_src = make_source("speech", n, params, rng)
-    d_abs = steering_matrix(cfg.talker_pos, mics, freqs, cfg.speed_of_sound)
-    clean_data = d_abs.T[:, None, :] * spec_src.data
-    spec_clean = Spectrogram(clean_data)
-    clean_at_mics = synthesize(spec_clean, params, n)
+    d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
+                            cfg.speed_of_sound)
+    spec_clean = Spectrogram(d_abs.T[:, None, :]
+                             * make_source("speech", n, params, rng).data)
+    # clean speech power at each mic, the level reference
+    p_clean = [np.mean(c ** 2) for c in synthesize(spec_clean, params, n)]
 
-    # point noise sources, mixed at the mics before any scaling
-    noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
-    pts_data = np.zeros_like(clean_data)
-    for pos in noises:
-        v = make_source(cfg.fe_noise_kind, n, params, rng)
-        a_i = steering_matrix(pos, mics, freqs, cfg.speed_of_sound)
-        pts_data += a_i.T[:, None, :] * v.data
-    # only mic 0's waveform is read: it sets the far-end SNR
-    pts_ref = synthesize(Spectrogram(pts_data[:1]), params, n)[0]
+    # point noise sources, mixed at the mics, then scaled to the far-end
+    # SNR, which only mic 0's waveform sets
+    fe_data = np.zeros_like(spec_clean.data)
+    for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
+        a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
+        fe_data += a_i.T[:, None, :] * make_source(cfg.fe_noise_kind, n,
+                                                   params, rng).data
+    p_pts = np.mean(synthesize(Spectrogram(fe_data[:1]), params, n)[0] ** 2)
+    fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
 
     # microphone self noise, referenced to the clean speech at each mic
-    selfnoise = rng.standard_normal((n_mics, n))
-    for m in range(n_mics):
-        selfnoise[m] *= _snr_gain(np.mean(clean_at_mics[m] ** 2),
-                                  np.mean(selfnoise[m] ** 2),
-                                  cfg.mic_selfnoise_snr_db)
-
-    p_clean_ref = np.mean(clean_at_mics[0] ** 2)
-    beta = _snr_gain(p_clean_ref, np.mean(pts_ref ** 2), cfg.fe_snr_db)
-    spec_fe = Spectrogram(beta * pts_data + analyze(selfnoise, params).data)
+    selfnoise = rng.standard_normal((mics.shape[0], n))
+    for m, row in enumerate(selfnoise):
+        row *= _snr_gain(p_clean[m], np.mean(row ** 2),
+                         cfg.mic_selfnoise_snr_db)
+    fe_data += analyze(selfnoise, params).data
+    del selfnoise  # the far-end noise is kept as its spectrum only
+    spec_fe = Spectrogram(fe_data)
 
     spec_x = Spectrogram(spec_clean.data + spec_fe.data)
-    x = synthesize(spec_x, params, n)
+    # only the reference mic's mixture waveform is read
+    x = synthesize(Spectrogram(spec_x.data[:1]), params, n)[0]
 
     spec_ne = make_source(cfg.ne_noise_kind, n, params, rng)
     ne_noise = synthesize(spec_ne, params, n)[0]
-    gamma = _snr_gain(p_clean_ref, np.mean(ne_noise ** 2), cfg.ne_snr_db)
+    gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
     ne_noise *= gamma
 
     d_norm = d_abs / d_abs[:, :1]
     stats = estimate_stats(spec_clean, spec_fe,
                            Spectrogram(gamma * spec_ne.data), d_norm)
-    signals = SceneSignals(clean_at_mics, x, ne_noise,
-                           spec_clean, spec_fe, spec_x)
+    signals = SceneSignals(x, ne_noise, spec_clean, spec_fe, spec_x)
     return signals, stats
 
 

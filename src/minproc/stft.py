@@ -90,14 +90,6 @@ def sqrt_hann(frame_len):
     return np.sin(np.pi * n / frame_len)
 
 
-def _frame_buffer(channels, n_frames, params):
-    """The zero buffer that n_frames frames at 50% overlap span,
-    (n_frames + 1) hops long, and the view of it where the signal sits,
-    from one hop in to the end."""
-    buf = np.zeros((channels, (n_frames + 1) * params.hop))
-    return buf, buf[:, params.hop:]
-
-
 def analyze(signal, params):
     """STFT of a mono (n,) or multichannel (channels, n) signal.
 
@@ -110,9 +102,10 @@ def analyze(signal, params):
     if n < params.frame_len:
         raise ValueError("insufficient samples")
 
+    # zero-pad by one hop in front and to the end of the last frame
     n_frames = int(np.ceil(n / params.hop)) + 1
-    padded, signal_part = _frame_buffer(x.shape[0], n_frames, params)
-    signal_part[:, :n] = x
+    padded = np.zeros((x.shape[0], (n_frames + 1) * params.hop))
+    padded[:, params.hop:params.hop + n] = x
 
     window = sqrt_hann(params.frame_len)
     frames = np.lib.stride_tricks.sliding_window_view(
@@ -130,20 +123,17 @@ def synthesize(spec, params, num_samples):
     if bins != params.bins:
         raise ValueError("bin count does not match frame parameters")
 
-    window = sqrt_hann(params.frame_len)
-    frames = np.fft.irfft(data, n=params.frame_len, axis=2) * window
+    frames = np.fft.irfft(data, n=params.frame_len, axis=2)
+    frames *= sqrt_hann(params.frame_len)
 
+    # the signal starts one hop in, so its hop-block i is the second half
+    # of frame i plus the first half of frame i + 1; adding both into
+    # zeros gives a sum per sample equal to frame-by-frame overlap-add
     hop = params.hop
-    # at 50% overlap, hop-block i sums the first half of frame i and the
-    # second half of frame i-1: two shifted adds, same sum per sample
-    out, signal_part = _frame_buffer(channels, n_frames, params)
-    out[:, :n_frames * hop] += frames[..., :hop].reshape(channels, -1)
-    out[:, hop:] += frames[..., hop:].reshape(channels, -1)
-
-    y = np.zeros((channels, num_samples))
-    m = min(num_samples, signal_part.shape[1])
-    y[:, :m] = signal_part[:, :m]
-    return y
+    y = np.zeros((channels, max(-(-num_samples // hop), n_frames), hop))
+    y[:, :n_frames] += frames[..., hop:]
+    y[:, :n_frames - 1] += frames[:, 1:, :hop]
+    return y.reshape(channels, -1)[:, :num_samples]
 
 
 def long_term_psd(spec):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minproc.cli
-from minproc.cli import (METHOD_NAMES, config_echo, config_from_pairs, main,
-                         parse_config)
+from minproc.cli import (BAND_COLUMNS, METHOD_NAMES, config_echo,
+                         config_from_pairs, main, parse_config)
 from minproc.metrics import evaluate
 from minproc.scene import SOURCE_KINDS
 
@@ -89,7 +89,18 @@ REJECTED_KEYS = (
     ("mic_positions = [[0, 0, 0], [0.02, 0, 0]]\n"
      "talker_pos = [1e-160, 0, 0]", "talker_pos"),
     ("noise_positions = [[1e300, 0, 1]]", "noise_positions"),
+    # so slow a medium that the phase 2*pi*f*r/c overflows
+    ("speed_of_sound = 1e-305", "speed_of_sound"),
 )
+
+# integer literals beyond float range, one in each kind of float key
+HUGE = "1" + "0" * 400
+OVERFLOWING = tuple(f"{key} = {value}" for key, value in (
+    ("speed_of_sound", HUGE), ("fe_snr_db", HUGE), ("delta_u_db", HUGE),
+    ("delta_n_db", HUGE), ("frame_ms", HUGE), ("mu_nr", HUGE),
+    ("duration", HUGE), ("sample_rate", HUGE),
+    ("talker_pos", f"[{HUGE}, 3.0, 1.0]"),
+    ("mic_positions", f"[[1.5, 2.0, -{HUGE}], [1.5, 2.02, 1.0]]")))
 
 
 def test_config_rejects_bad_input():
@@ -125,7 +136,9 @@ def test_config_rejects_bad_input():
                         ("duration = 0.01", "shorter than one frame"),
                         ("sample_rate = nan", "sample rate"),
                         ("sample_rate = 16000.0", "sample rate"),
-                        *REJECTED_KEYS):
+                        *REJECTED_KEYS,
+                        *((text, "beyond float range")
+                          for text in OVERFLOWING)):
         with pytest.raises(ValueError, match=match):
             parse_config(text)
     # +inf keeps its meaning: that noise is absent
@@ -355,6 +368,11 @@ def test_config_echo_round_trips(pairs):
 
 def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("duration = 1.0  # caf\u00e9\n".encode("latin-1"))
+    out = tmp_path / "never"
+    assert main(["run", str(latin1), "--out", str(out)]) == 2
+    assert not out.exists()
     bad = write_cfg(tmp_path, "no_such_key = 1", name="bad.cfg")
     assert main(["run", str(bad)]) == 2
     ok = write_cfg(tmp_path)
@@ -386,7 +404,7 @@ def test_exit_codes(tmp_path, capsys):
                  "fe_snr_db = 4000", "delta_u_db = 4000",
                  "duration = nan", "duration = 0.01", "sample_rate = nan",
                  f"importance_file = {tmp_path / 'missing.txt'}",
-                 f"importance_file = {negative}"):
+                 f"importance_file = {negative}", *OVERFLOWING):
         if not text.startswith("duration"):
             text = "duration = 1.0\n" + text
         bad = write_cfg(tmp_path, text, name="bad.cfg")
@@ -406,6 +424,16 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
     assert "methods" in capsys.readouterr().err
     assert main(["run", str(ok), "--sweep", "n_bands=20:2.5:25"]) == 2
+    # grids that are not finite, or whose step is too small to move a
+    # point and so would never reach hi
+    for grid in ("nan:0.1:0.9", "-inf:0.1:0.9", "0.5:inf:0.9",
+                 "0.5:0.1:inf", "0.5:1e-20:0.9"):
+        capsys.readouterr()
+        out = tmp_path / "never"
+        assert main(["run", str(ok), "--out", str(out),
+                     "--sweep", f"a_star={grid}"]) == 2
+        assert not out.exists()
+        assert "sweep" in capsys.readouterr().err
     # points closer than the six-digit directory labels would share one
     out = tmp_path / "never"
     assert main(["run", str(ok), "--out", str(out), "--sweep",
@@ -615,4 +643,7 @@ def test_explain_rejects_wrong_csv(tmp_path, capsys):
                  "--methods", "unprocessed"]) == 0
     assert main(["explain", str(out / "metrics.csv")]) == 2
     assert main(["explain", str(tmp_path / "nope.csv")]) == 2
+    latin1 = tmp_path / "bands_joint.csv"
+    latin1.write_bytes(",".join(BAND_COLUMNS).encode() + b"\n0,\xff\n")
+    assert main(["explain", str(latin1)]) == 2
     capsys.readouterr()

@@ -90,8 +90,8 @@ def test_unprocessed_renders_mic_plus_near_noise():
     signals, stats, _, fb = make_scene(0.0, -10.0)
     res = run_unprocessed(stats, fb)
     y, z = render(signals, res, PARAMS)
-    assert np.allclose(y, signals.x[0], atol=1e-8)
-    assert np.allclose(z, signals.x[0] + signals.ne_noise, atol=1e-8)
+    assert np.allclose(y, signals.x, atol=1e-8)
+    assert np.allclose(z, signals.x + signals.ne_noise, atol=1e-8)
 
 
 def test_zero_gain_renders_noise_only():

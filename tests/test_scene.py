@@ -13,6 +13,7 @@ from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
 from oracles import babble_envelope, design_response
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
+MICS = SceneConfig().mic_positions
 
 
 def short_cfg(**kw):
@@ -22,7 +23,12 @@ def short_cfg(**kw):
 
 def fe_noise(signals):
     """The far-end noise at the mics, synthesized from its spectrum."""
-    return synthesize(signals.spec_fe_noise, PARAMS, signals.x.shape[-1])
+    return synthesize(signals.spec_fe_noise, PARAMS, signals.x.size)
+
+
+def clean_at_mics(signals):
+    """The clean speech at the mics, synthesized from its spectrum."""
+    return synthesize(signals.spec_clean, PARAMS, signals.x.size)
 
 
 def test_transfer_function_values():
@@ -51,10 +57,23 @@ def test_mixture_identity_bitwise():
                           signals.spec_clean.data + signals.spec_fe_noise.data)
 
 
+@pytest.mark.parametrize("mics", [MICS[:1], MICS,
+                                  MICS + ((1.50, 2.04, 1.00),)])
+def test_mixture_waveform_is_reference_mic_synthesis(mics):
+    """x is the mono mic-0 waveform, bit for bit the first channel of a
+    synthesis of every mic."""
+    signals, _ = synthesize_scene(short_cfg(seed=5, mic_positions=mics),
+                                  PARAMS)
+    full = synthesize(signals.spec_x, PARAMS, 48000)
+    assert signals.x.shape == (48000,)
+    assert np.array_equal(signals.x, full[0])
+    assert np.array_equal(np.signbit(signals.x), np.signbit(full[0]))
+
+
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 12.0])
 def test_fe_snr_calibration(snr_db):
     signals, _ = synthesize_scene(short_cfg(seed=1, fe_snr_db=snr_db), PARAMS)
-    p_clean = np.mean(signals.clean_at_mics[0] ** 2)
+    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
     p_noise = np.mean(fe_noise(signals)[0] ** 2)
     measured = 10.0 * np.log10(p_clean / p_noise)
     assert abs(measured - snr_db) <= 0.1
@@ -63,7 +82,7 @@ def test_fe_snr_calibration(snr_db):
 @pytest.mark.parametrize("snr_db", [-30.0, -5.0, 20.0])
 def test_ne_snr_calibration(snr_db):
     signals, _ = synthesize_scene(short_cfg(seed=2, ne_snr_db=snr_db), PARAMS)
-    p_clean = np.mean(signals.clean_at_mics[0] ** 2)
+    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
     p_noise = np.mean(signals.ne_noise ** 2)
     measured = 10.0 * np.log10(p_clean / p_noise)
     assert abs(measured - snr_db) <= 1e-9
@@ -74,7 +93,7 @@ def test_infinite_snr_gives_clean_mixture():
                     ne_snr_db=math.inf)
     signals, _ = synthesize_scene(cfg, PARAMS)
     assert np.array_equal(signals.spec_x.data, signals.spec_clean.data)
-    assert np.array_equal(signals.x, signals.clean_at_mics)
+    assert np.array_equal(signals.x, clean_at_mics(signals)[0])
     assert np.all(fe_noise(signals) == 0.0)
     assert np.all(signals.ne_noise == 0.0)
 
@@ -83,7 +102,7 @@ def test_mic_selfnoise_level():
     # with the point sources muted, the residual is the 60 dB self noise
     cfg = short_cfg(seed=4, fe_snr_db=math.inf)
     signals, _ = synthesize_scene(cfg, PARAMS)
-    p_clean = np.mean(signals.clean_at_mics[0] ** 2)
+    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
     p_noise = np.mean(fe_noise(signals)[0] ** 2)
     assert abs(10.0 * np.log10(p_clean / p_noise) - 60.0) <= 0.1
 
@@ -128,6 +147,10 @@ def test_config_validation():
         short_cfg(mic_positions=((1, 2), (3, 4))).validate()
     with pytest.raises(ValueError):
         short_cfg(duration=-1.0).validate()
+    # the propagation phase 2*pi*f*r/c must stay finite up to Nyquist
+    with pytest.raises(ValueError, match="speed_of_sound"):
+        short_cfg(speed_of_sound=1e-305).validate()
+    short_cfg(speed_of_sound=1e-290).validate()
 
 
 def _fit_scale(emp, model):

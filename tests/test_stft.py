@@ -71,10 +71,16 @@ def test_synthesis_matches_frame_loop_bit_for_bit():
     frames = np.fft.irfft(data, n=PARAMS.frame_len, axis=2) \
         * sqrt_hann(PARAMS.frame_len)
     pad = PARAMS.frame_len - PARAMS.hop
-    expected = overlap_add(frames, PARAMS.hop)[:, pad:pad + x.shape[1]]
-    y = synthesize(Spectrogram(data), PARAMS, x.shape[1])
-    assert np.array_equal(y, expected)
-    assert np.array_equal(np.signbit(y), np.signbit(expected))
+    span = overlap_add(frames, PARAMS.hop)[:, pad:]
+    # the 17 frames span 4352 samples after the first hop: shorter
+    # outputs are trimmed, longer ones zero-extended
+    for num_samples in (4000, 600, 4351, 4352, 4353, 9000):
+        expected = np.zeros((3, num_samples))
+        m = min(num_samples, span.shape[1])
+        expected[:, :m] = span[:, :m]
+        y = synthesize(Spectrogram(data), PARAMS, num_samples)
+        assert np.array_equal(y, expected)
+        assert np.array_equal(np.signbit(y), np.signbit(expected))
 
 
 def test_insufficient_samples():

@@ -26,12 +26,16 @@ from .metrics import evaluate
 from .pipeline import (Method, render, run_blind_concat, run_joint,
                        run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import BandStatus, constraint_bounds, snr_margin
+from .solver import BandStatus, snr_margin
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
 METHOD_NAMES = tuple(m.value for m in Method)
+
+# the most points one --sweep may run; every point is validated before
+# the first is run
+MAX_SWEEP_POINTS = 10_000
 
 BAND_COLUMNS = ["band", "center_hz", "alpha", "gain", "status", "penalty",
                 "xi", "target_xi", "c1_ratio", "c2_ratio"]
@@ -198,30 +202,37 @@ def config_echo(cfg):
     return out
 
 
-def _constraint_ratios(terms, sol, delta_u_db):
-    """How close the delivered point sits to C1 and C2 (1.0 = tight)."""
-    g2 = sol.gain**2
-    rhs1, cap = constraint_bounds(terms, delta_u_db)
-    lhs1 = g2 * snr_margin(terms, sol.alpha)
-    c1 = lhs1 / rhs1 if rhs1 > 0.0 else float("inf")
-    lhs2 = g2 * terms.noise_power(sol.alpha)
-    c2 = lhs2 / cap if cap > 0.0 else float("inf")
+def _constraint_ratios(table, alphas, gains, delta_u_db):
+    """How close each band's delivered point sits to C1 and C2 (1.0 =
+    tight); inf where the bound is zero."""
+    g2 = gains**2
+    rhs = table.sigma_n2 * table.target_snr
+    # constraint_bounds per band: without near-end noise C2 is inactive
+    cap = np.full_like(rhs, np.inf)
+    np.multiply(table.sigma_n2, 10.0 ** (delta_u_db / 10.0), out=cap,
+                where=table.sigma_n2 != 0.0)
+    c1 = np.divide(g2 * snr_margin(table, alphas), rhs,
+                   out=np.full_like(rhs, np.inf), where=rhs > 0.0)
+    c2 = np.divide(g2 * table.noise_power(alphas), cap,
+                   out=np.full_like(rhs, np.inf), where=cap > 0.0)
     return c1, c2
 
 
 def _write_band_csv(path, result, report, fb, delta_u_db):
+    table = result.table
+    c1, c2 = _constraint_ratios(table, result.alphas, result.gains,
+                                delta_u_db)
+    columns = zip(fb.centers_hz.tolist(), result.band_solutions,
+                  report.xi.tolist(), table.target_snr.tolist(),
+                  c1.tolist(), c2.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BAND_COLUMNS)
-        for j, (sol, terms) in enumerate(zip(result.band_solutions,
-                                             result.terms)):
-            c1, c2 = _constraint_ratios(terms, sol, delta_u_db)
-            writer.writerow([j, repr(float(fb.centers_hz[j])),
-                             repr(sol.alpha), repr(sol.gain),
-                             sol.status.value, repr(sol.penalty),
-                             repr(float(report.xi[j])),
-                             repr(terms.target_snr),
-                             repr(float(c1)), repr(float(c2))])
+        for j, (center, sol, xi, target, r1, r2) in enumerate(columns):
+            writer.writerow([j, repr(center), repr(sol.alpha),
+                             repr(sol.gain), sol.status.value,
+                             repr(sol.penalty), repr(xi), repr(target),
+                             repr(r1), repr(r2)])
 
 
 def _write_bin_csv(path, result, fb):
@@ -291,6 +302,10 @@ def _parse_sweep(spec):
         raise ValueError("sweep lo, step and hi must be finite")
     if step <= 0.0 or hi < lo:
         raise ValueError("sweep must advance from lo to hi")
+    # floor((hi - lo) / step) + 1 points; an overflowing span counts as
+    # too many
+    if (hi - lo) / step >= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep has more than {MAX_SWEEP_POINTS} points")
     points = {}
     v = lo
     while v <= hi + 1e-9 * step:
@@ -372,6 +387,9 @@ def cmd_run(args):
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a valid scene too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

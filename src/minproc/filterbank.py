@@ -7,7 +7,7 @@ copy of the weights, normalized per bin across bands, is kept for
 recombining per-band decisions back to per-bin values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class Filterbank:
     recomb: np.ndarray
     importance: np.ndarray
     bin_freqs: np.ndarray
-    members: list = field(repr=False, default_factory=list)
 
     @property
     def n_bands(self):
@@ -84,8 +83,7 @@ def build_filterbank(params, n_bands=30, f_lo=150.0, f_hi=8000.0,
     dist = np.abs(e_bins[None, :] - e_centers[:, None]) / spacing
     weight = np.where(dist < 1.0, np.cos(0.5 * np.pi * dist) ** 2, 0.0)
 
-    members = [np.flatnonzero(weight[j] > 0.0) for j in range(n_bands)]
-    if any(m.size == 0 for m in members):
+    if not np.all(np.any(weight > 0.0, axis=1)):
         raise ValueError("empty band")
 
     colsum = weight.sum(axis=0)
@@ -93,7 +91,7 @@ def build_filterbank(params, n_bands=30, f_lo=150.0, f_hi=8000.0,
                        where=colsum > 0.0)
 
     gamma = _resolve_importance(importance, n_bands, centers_hz)
-    return Filterbank(centers_hz, weight, recomb, gamma, freqs, members)
+    return Filterbank(centers_hz, weight, recomb, gamma, freqs)
 
 
 def _resolve_importance(importance, n_bands, centers_hz):

@@ -37,13 +37,12 @@ def evaluate(stats, result, fb):
     """Score a finished enhancement result.
 
     Per-band SNRs are computed here, and only here, from the delivered
-    (alpha, g) through the band terms the method was solved with.  The
-    broadband output SNR weighs per-bin
-    powers with the one-sided spectrum weights (interior bins count
-    twice) and includes the near-end noise in the denominator.
+    (alpha, g) through the band terms the method was solved with, all
+    bands in one array expression.  The broadband output SNR weighs
+    per-bin powers with the one-sided spectrum weights (interior bins
+    count twice) and includes the near-end noise in the denominator.
     """
-    xi = np.array([subband_snr(t, s.alpha, s.gain)
-                   for t, s in zip(result.terms, result.band_solutions)])
+    xi = subband_snr(result.table, result.alphas, result.gains)
 
     pw = np.full(stats.bins, 2.0)
     pw[0] = pw[-1] = 1.0

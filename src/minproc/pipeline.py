@@ -32,11 +32,16 @@ from .solver import (
     REL_TOL,
     BandSolution,
     BandStatus,
+    SolverTerms,
     _last_true,
     _pick_last,
-    band_terms,
+    _quad,
+    band_rows,
+    band_term_table,
+    band_terms,  # noqa: F401 -- perfbench's tracer times this lookup site
     solve_band,
     subband_snr,
+    table_terms,
 )
 from .stft import Spectrogram, synthesize
 
@@ -60,9 +65,18 @@ class Method(Enum):
 
 @dataclass
 class EnhancementResult:
+    """A method's per-band decisions and the per-bin filter they make.
+
+    table holds every band's terms as one SolverTerms of (n_bands,)
+    arrays; alphas and gains are the decisions as arrays, and
+    band_solutions the same decisions one BandSolution per band.
+    """
+
     method: Method
     band_solutions: list
-    terms: list
+    table: SolverTerms
+    alphas: np.ndarray
+    gains: np.ndarray
     w_mp: np.ndarray
     g_mp: np.ndarray
     y: np.ndarray = field(default=None, repr=False)
@@ -70,12 +84,9 @@ class EnhancementResult:
     report: object = None
 
     @property
-    def alphas(self):
-        return np.array([s.alpha for s in self.band_solutions])
-
-    @property
-    def gains(self):
-        return np.array([s.gain for s in self.band_solutions])
+    def terms(self):
+        """One float SolverTerms per band."""
+        return band_rows(self.table)
 
 
 def recombine(bset, fb, alphas, gains):
@@ -98,35 +109,49 @@ def recombine(bset, fb, alphas, gains):
 
 
 def _run(method, stats, bset, fb, a_star, decide):
-    """The shared skeleton: integrate every band's terms, let
-    ``decide(j, terms)`` return the band's BandSolution, recombine."""
+    """The shared skeleton: integrate every band's terms in one table,
+    let ``decide(table)`` return the per-band alphas, gains and
+    statuses, recombine."""
     _, target_snrs = allocate_targets(a_star, fb)
-    terms = [band_terms(stats, bset, fb, j, target_snrs[j])
-             for j in range(fb.n_bands)]
-    solutions = [decide(j, t) for j, t in enumerate(terms)]
-    w_mp, g_mp = recombine(bset, fb,
-                           [s.alpha for s in solutions],
-                           [s.gain for s in solutions])
-    return EnhancementResult(method, solutions, terms, w_mp, g_mp)
+    table = table_terms(band_term_table(stats, bset, fb), target_snrs)
+    alphas, gains, statuses = decide(table)
+    solutions = [BandSolution(a, g, s) for a, g, s
+                 in zip(alphas.tolist(), gains.tolist(), statuses)]
+    w_mp, g_mp = recombine(bset, fb, alphas, gains)
+    return EnhancementResult(method, solutions, table, alphas, gains,
+                             w_mp, g_mp)
 
 
 def run_joint(stats, bset, fb, a_star=0.7, delta_u_db=DELTA_U_DB,
               delta_n_db=DELTA_N_DB):
     """Solve every band jointly over beamformer mix and playback gain."""
-    return _run(Method.JOINT, stats, bset, fb, a_star,
-                lambda j, t: solve_band(t, delta_u_db, delta_n_db))
+
+    def decide(table):
+        solutions = [solve_band(t, delta_u_db, delta_n_db)
+                     for t in band_rows(table)]
+        return (np.array([s.alpha for s in solutions]),
+                np.array([s.gain for s in solutions]),
+                [s.status for s in solutions])
+
+    return _run(Method.JOINT, stats, bset, fb, a_star, decide)
 
 
 def blind_gain(delta_y, sigma_n2, target_snr):
-    """Near-end gain from total received band power alone.
+    """Near-end gain from total received band power alone, elementwise.
 
     The stage treats everything it receives as speech: g lifts the
     apparent SNR delta_y / sigma_n2 up to the target, never below unit
     gain, with no cap on what that does to residual far-end noise.
     """
-    if delta_y <= 0.0:
-        return 1.0
-    return float(np.sqrt(max(1.0, sigma_n2 * target_snr / delta_y)))
+    delta_y = np.asarray(delta_y, dtype=float)
+    lift = np.divide(sigma_n2 * target_snr, delta_y,
+                     out=np.ones_like(delta_y), where=delta_y > 0.0)
+    return np.sqrt(np.fmax(1.0, lift))
+
+
+def _on_grid(at_one, at_zero, cross):
+    """Every band's quadratic over ALPHAS, one row per band."""
+    return _quad(ALPHAS, at_one[:, None], at_zero[:, None], cross[:, None])
 
 
 def run_blind_concat(stats, bset, fb, a_star=0.7):
@@ -144,26 +169,29 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
     e1 = _reference_mic(stats)
     error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
 
-    def decide(j, t):
-        members = fb.members[j]
-        clean = float(fb.weight[j, members] @ stats.sigma_s2[members])
-        distortion = band_terms(stats, error, fb, j, t.target_snr)
-        eps = distortion.speech_power(ALPHAS) + t.noise_power(ALPHAS)
-        ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
+    def decide(t):
+        clean = fb.weight @ stats.sigma_s2
+        distortion = band_term_table(stats, error, fb)
+        eps = _on_grid(*distortion.T[:3])
+        eps += _on_grid(t.du_ref, t.du_nr, t.du_cross)
+        ratio = np.divide(clean[:, None], eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
-        ok = ratio >= t.target_snr * (1.0 - REL_TOL)
-        if np.any(ok):
-            alpha = float(ALPHAS[_last_true(ok)])
-            status = BandStatus.FEASIBLE
-        else:
-            alpha = float(ALPHAS[_pick_last(-ratio)])
-            status = BandStatus.C1_INFEASIBLE
+        ok = ratio >= (t.target_snr * (1.0 - REL_TOL))[:, None]
+        met = ok.any(axis=1)
+        alphas = ALPHAS[[_last_true(row) if m else _pick_last(-r)
+                         for row, r, m in zip(ok, ratio, met)]]
 
-        delta_y = t.speech_power(alpha) + t.noise_power(alpha)
-        g = blind_gain(delta_y, t.sigma_n2, t.target_snr)
-        return BandSolution(alpha, g, status)
+        delta_y = t.speech_power(alphas) + t.noise_power(alphas)
+        return (alphas, blind_gain(delta_y, t.sigma_n2, t.target_snr),
+                _met_status(met))
 
     return _run(Method.BLIND_CONCAT, stats, bset, fb, a_star, decide)
+
+
+def _met_status(met):
+    """Feasible where a band's target is met, C1Infeasible elsewhere."""
+    return [BandStatus.FEASIBLE if m else BandStatus.C1_INFEASIBLE
+            for m in met.tolist()]
 
 
 def _reference_mic(stats):
@@ -182,10 +210,9 @@ def run_unprocessed(stats, fb, a_star=0.7):
     """
     e1 = _reference_mic(stats)
 
-    def decide(j, t):
+    def decide(t):
         met = subband_snr(t, 1.0, 1.0) >= t.target_snr * (1.0 - REL_TOL)
-        status = BandStatus.FEASIBLE if met else BandStatus.C1_INFEASIBLE
-        return BandSolution(1.0, 1.0, status)
+        return np.ones(met.shape), np.ones(met.shape), _met_status(met)
 
     return _run(Method.UNPROCESSED, stats, BeamformerSet(w_ref=e1, w_nr=e1),
                 fb, a_star, decide)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import Spectrogram, analyze, long_term_psd, synthesize
+from .stft import (WAV_DATA_LIMIT, Spectrogram, analyze, long_term_psd,
+                   synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -75,6 +76,11 @@ class SceneConfig:
             raise ValueError("sample rate must be a positive integer")
         if not 0.0 < float(self.duration) < math.inf:
             raise ValueError("duration must be positive and finite")
+        # each scene waveform is written as one mono float32 WAV
+        n = float(self.duration) * self.sample_rate
+        if not (math.isfinite(n) and 4 * round(n) <= WAV_DATA_LIMIT):
+            raise ValueError("duration is too long: a scene's float32 WAV "
+                             f"holds at most {WAV_DATA_LIMIT // 4} samples")
         if self.fe_noise_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
         if self.ne_noise_kind not in SOURCE_KINDS:

@@ -41,7 +41,7 @@ When no (alpha, g) is admissible the solver degrades deliberately:
   sits below one; the cap wins) and choose alpha as above.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -54,6 +54,9 @@ __all__ = [
     "BandStatus",
     "SolverTerms",
     "BandSolution",
+    "band_term_table",
+    "table_terms",
+    "band_rows",
     "band_terms",
     "snr_margin",
     "subband_snr",
@@ -114,7 +117,9 @@ class SolverTerms:
     *_nr to alpha = 0 (the noise-reduction filter), and *_cross carries
     the interference term 2*Re{w_nr^H C w_ref}.  sigma_n2 is the
     near-end noise power in the band and target_snr the SNR-domain
-    intelligibility target.
+    intelligibility target.  Fields are floats for one band, or
+    (n_bands,) arrays for every band at once (table_terms); the methods
+    and subband_snr work elementwise on either.
     """
 
     ds_ref: float
@@ -146,31 +151,49 @@ class BandSolution:
         return (1.0 - self.alpha) ** 2 + (1.0 - self.gain) ** 2
 
 
-def band_terms(stats, bset, fb, band_idx, target_snr):
-    """Integrate per-bin filter powers into one band's SolverTerms."""
-    members = fb.members[band_idx]
-    w = fb.weight[band_idx, members]
-    d = stats.d[members]
-    cu = stats.c_u[members]
-    s2 = stats.sigma_s2[members]
-    wr = bset.w_ref[members]
-    wn = bset.w_nr[members]
+def band_term_table(stats, bset, fb):
+    """Every band's filter powers in one (n_bands, 7) table.
 
+    Columns follow SolverTerms: ds_ref, ds_nr, ds_cross, du_ref, du_nr,
+    du_cross, sigma_n2.  The seven per-bin powers of the filter pair are
+    formed once over all bins and integrated under the band weights in
+    one product.
+    """
+    d, cu, wr, wn = stats.d, stats.c_u, bset.w_ref, bset.w_nr
     cu_wr = np.einsum("kmn,kn->km", cu, wr)
     cu_wn = np.einsum("kmn,kn->km", cu, wn)
-    du_ref = float(w @ np.einsum("km,km->k", np.conj(wr), cu_wr).real)
-    du_nr = float(w @ np.einsum("km,km->k", np.conj(wn), cu_wn).real)
-    du_cross = float(w @ (2.0 * np.einsum("km,km->k", np.conj(wn), cu_wr).real))
-
     h_ref = np.einsum("km,km->k", np.conj(wr), d)
     h_nr = np.einsum("km,km->k", np.conj(wn), d)
-    ds_ref = float(w @ (s2 * np.abs(h_ref) ** 2))
-    ds_nr = float(w @ (s2 * np.abs(h_nr) ** 2))
-    ds_cross = float(w @ (s2 * 2.0 * (h_nr * np.conj(h_ref)).real))
+    s2 = stats.sigma_s2
+    per_bin = np.stack([
+        s2 * np.abs(h_ref) ** 2,
+        s2 * np.abs(h_nr) ** 2,
+        s2 * 2.0 * (h_nr * np.conj(h_ref)).real,
+        np.einsum("km,km->k", np.conj(wr), cu_wr).real,
+        np.einsum("km,km->k", np.conj(wn), cu_wn).real,
+        2.0 * np.einsum("km,km->k", np.conj(wn), cu_wr).real,
+        stats.sigma_n2,
+    ], axis=1)
+    return fb.weight @ per_bin
 
-    sigma_n2 = float(w @ stats.sigma_n2[members])
-    return SolverTerms(ds_ref, ds_nr, ds_cross, du_ref, du_nr, du_cross,
-                       sigma_n2, float(target_snr))
+
+def table_terms(table, target_snrs):
+    """SolverTerms whose fields are the (n_bands,) columns of a
+    band_term_table, with the per-band targets: every band at once."""
+    return SolverTerms(*table.T, np.asarray(target_snrs, dtype=float))
+
+
+def band_rows(terms):
+    """One float SolverTerms per band of an array SolverTerms."""
+    columns = [np.asarray(getattr(terms, f.name)).tolist()
+               for f in fields(SolverTerms)]
+    return [SolverTerms(*row) for row in zip(*columns)]
+
+
+def band_terms(stats, bset, fb, band_idx, target_snr):
+    """Band band_idx's SolverTerms: row band_idx of band_term_table."""
+    row = band_term_table(stats, bset, fb)[band_idx].tolist()
+    return SolverTerms(*row, float(target_snr))
 
 
 def _margin_at_one(terms):

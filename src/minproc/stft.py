@@ -20,8 +20,13 @@ __all__ = [
     "analyze",
     "synthesize",
     "long_term_psd",
+    "WAV_DATA_LIMIT",
     "write_wav",
 ]
+
+# the most sample bytes one WAV file can hold: its RIFF size field is 32
+# bits and counts the 50 bytes of header after it too
+WAV_DATA_LIMIT = 2**32 - 1 - 50
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,12 @@ def write_wav(path, rate, data):
     """Write mono (n,) or multichannel (channels, n) audio as float32 WAV.
 
     Raises ValueError, before the file is opened, if any sample is not
-    finite, float32 rounding included.
+    finite, float32 rounding included, or if the samples exceed
+    WAV_DATA_LIMIT bytes.
     """
     data = np.atleast_2d(np.asarray(data))
+    if 4 * data.size > WAV_DATA_LIMIT:
+        raise ValueError("too many samples for one WAV file")
     with np.errstate(over="ignore"):  # overflow is caught below
         samples = data.T.astype("<f4")  # (n, channels), interleaved
     if not np.all(np.isfinite(samples)):

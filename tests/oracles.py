@@ -8,7 +8,7 @@ the library's own search logic, so agreement is meaningful.
 import numpy as np
 from scipy import signal as sig
 
-from minproc.beamform import mwf_all
+from minproc.beamform import BeamformerSet, mwf_all
 from minproc.scene import SpectralStats
 from minproc.solver import REL_TOL, SolverTerms
 
@@ -215,3 +215,86 @@ def overlap_add(frames, hop):
     for t in range(n_frames):
         out[:, t * hop:t * hop + frame_len] += frames[:, t, :]
     return out
+
+
+def band_terms_by_members(stats, bset, fb, band_idx, target_snr):
+    """0.3.0's band integration: one band's powers from its member bins
+    alone, each term its own weighted dot product."""
+    members = np.flatnonzero(fb.weight[band_idx] > 0.0)
+    w = fb.weight[band_idx, members]
+    d = stats.d[members]
+    cu = stats.c_u[members]
+    s2 = stats.sigma_s2[members]
+    wr = bset.w_ref[members]
+    wn = bset.w_nr[members]
+
+    cu_wr = np.einsum("kmn,kn->km", cu, wr)
+    cu_wn = np.einsum("kmn,kn->km", cu, wn)
+    du_ref = float(w @ np.einsum("km,km->k", np.conj(wr), cu_wr).real)
+    du_nr = float(w @ np.einsum("km,km->k", np.conj(wn), cu_wn).real)
+    du_cross = float(w @ (2.0 * np.einsum("km,km->k", np.conj(wn),
+                                          cu_wr).real))
+
+    h_ref = np.einsum("km,km->k", np.conj(wr), d)
+    h_nr = np.einsum("km,km->k", np.conj(wn), d)
+    ds_ref = float(w @ (s2 * np.abs(h_ref) ** 2))
+    ds_nr = float(w @ (s2 * np.abs(h_nr) ** 2))
+    ds_cross = float(w @ (s2 * 2.0 * (h_nr * np.conj(h_ref)).real))
+
+    sigma_n2 = float(w @ stats.sigma_n2[members])
+    return SolverTerms(ds_ref, ds_nr, ds_cross, du_ref, du_nr, du_cross,
+                       sigma_n2, float(target_snr))
+
+
+def reference_filter_pair(stats):
+    """The filter pair (e1, e1) that selects the reference microphone."""
+    e1 = np.zeros((stats.sigma_s2.size, stats.d.shape[1]), dtype=complex)
+    e1[:, 0] = 1.0
+    return BeamformerSet(w_ref=e1, w_nr=e1)
+
+
+def blind_by_band(stats, bset, fb, terms):
+    """0.3.0's blind concatenation, band by band on ``terms`` (one
+    SolverTerms per band): [(alpha, gain, met)], met telling whether the
+    first stage reached the band target.
+
+    Stage 1 takes the last alpha of the 2001-point grid whose
+    clean-to-error ratio reaches the target, else the last alpha within
+    1e-12 relative of the best ratio; stage 2 lifts the apparent SNR of
+    the delivered power to the target, never below unit gain.
+    """
+    alphas = np.linspace(0.0, 1.0, 2001)
+    e1 = reference_filter_pair(stats).w_ref
+    error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
+    out = []
+    for j, t in enumerate(terms):
+        members = np.flatnonzero(fb.weight[j] > 0.0)
+        clean = float(fb.weight[j, members] @ stats.sigma_s2[members])
+        distortion = band_terms_by_members(stats, error, fb, j, t.target_snr)
+        eps = distortion.speech_power(alphas) + t.noise_power(alphas)
+        ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
+                          where=eps > 0.0)
+        ok = ratio >= t.target_snr * (1.0 - REL_TOL)
+        if ok.any():
+            alpha = alphas[np.flatnonzero(ok)[-1]]
+        else:
+            best = np.nanmin(-ratio)
+            near = -ratio <= best + 1e-12 * max(abs(best), 1e-300)
+            alpha = alphas[np.flatnonzero(near)[-1]]
+        delta_y = float(t.speech_power(alpha) + t.noise_power(alpha))
+        gain = 1.0 if delta_y <= 0.0 else \
+            float(np.sqrt(max(1.0, t.sigma_n2 * t.target_snr / delta_y)))
+        out.append((float(alpha), gain, bool(ok.any())))
+    return out
+
+
+def xi_by_band(terms, alpha, gain):
+    """One band's delivered SNR g^2*speech / (g^2*noise + sigma_n2); on a
+    zero denominator inf where speech arrives and 0 where it does not."""
+    g2 = gain * gain
+    num = g2 * combo_quad(alpha, terms.ds_ref, terms.ds_nr, terms.ds_cross)
+    den = g2 * combo_quad(alpha, terms.du_ref, terms.du_nr, terms.du_cross) \
+        + terms.sigma_n2
+    if den > 0.0:
+        return float(num / den)
+    return np.inf if num > 0.0 else 0.0

@@ -42,6 +42,26 @@ def write_cfg(tmp_path, text=BASE, name="run.cfg"):
     return path
 
 
+def run_script(script, argv, timeout):
+    """Python ``script`` with ``argv`` in a fresh process that imports
+    this package, killed after ``timeout`` seconds."""
+    src = str(Path(minproc.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+# minproc's main under a 2 GiB address-space limit
+LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from minproc import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_config_parsing_round_trip(tmp_path):
     cfg = parse_config("""
         duration = 2.5          # trailing comment
@@ -91,6 +111,8 @@ REJECTED_KEYS = (
     ("noise_positions = [[1e300, 0, 1]]", "noise_positions"),
     # so slow a medium that the phase 2*pi*f*r/c overflows
     ("speed_of_sound = 1e-305", "speed_of_sound"),
+    # a scene whose float32 WAV would exceed the RIFF size limit
+    ("duration = 1e12", "duration"),
 )
 
 # integer literals beyond float range, one in each kind of float key
@@ -413,7 +435,9 @@ def test_exit_codes(tmp_path, capsys):
         assert not out.exists()
     for text, key in REJECTED_KEYS:
         capsys.readouterr()
-        bad = write_cfg(tmp_path, "duration = 1.0\n" + text, name="bad.cfg")
+        if not text.startswith("duration"):
+            text = "duration = 1.0\n" + text
+        bad = write_cfg(tmp_path, text, name="bad.cfg")
         out = tmp_path / "never"
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
@@ -443,6 +467,31 @@ def test_exit_codes(tmp_path, capsys):
     blocker.write_text("")
     assert main(["run", str(ok), "--out", str(blocker / "sub")]) == 3
     capsys.readouterr()  # drop accumulated error messages
+    # grids of too many points: an integer key over a huge range, and a
+    # float grid with a tiny step; each in a process of its own under a
+    # timeout and an address-space limit, so an endless grid fails the
+    # test instead of hanging it
+    for grid in ("seed=0:1:1e12", "a_star=0.0:1e-6:0.9"):
+        out = tmp_path / "never"
+        proc = run_script(LIMITED_RUN, ["run", ok, "--out", out,
+                                        "--sweep", grid], timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "sweep has more than" in proc.stderr
+        assert not out.exists()
+
+
+def test_out_of_memory_is_a_run_error(tmp_path, monkeypatch, capsys):
+    # a scene that passes validation but does not fit in memory exits 2
+    # with an error line, not a traceback
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 114. PiB")
+
+    monkeypatch.setattr(minproc.cli, "synthesize_scene", exhausted)
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "114. PiB" in err
+    assert not out.exists()
 
 
 HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
@@ -551,14 +600,8 @@ sys.exit(code)
 def test_runs_without_scipy(tmp_path):
     """The package needs numpy alone: a fresh process imports minproc
     and completes a 1 s run without ever importing scipy."""
-    src = str(Path(minproc.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY,
-                           str(write_cfg(tmp_path)), str(out)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run_script(NO_SCIPY, [write_cfg(tmp_path), out], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
 

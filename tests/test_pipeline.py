@@ -1,10 +1,13 @@
 """End-to-end methods: recombination, rendering, blind baseline."""
 
 import numpy as np
+import pytest
+from oracles import (band_terms_by_members, blind_by_band,
+                     reference_filter_pair, xi_by_band)
 
 from minproc.beamform import BeamformerSet, build_beamformers
-from minproc.filterbank import build_filterbank
-from minproc.metrics import evaluate
+from minproc.filterbank import allocate_targets, build_filterbank
+from minproc.metrics import asii, evaluate
 from minproc.pipeline import (
     Method,
     blind_gain,
@@ -15,7 +18,8 @@ from minproc.pipeline import (
     run_unprocessed,
 )
 from minproc.scene import SceneConfig, synthesize_scene
-from minproc.solver import BandStatus
+from minproc.solver import (REL_TOL, BandStatus, band_term_table,
+                            band_terms, solve_band, subband_snr)
 from minproc.stft import FrameParams, long_term_psd
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -220,3 +224,103 @@ def test_method_labels():
     assert Method.JOINT.value == "joint"
     assert Method.BLIND_CONCAT.value == "blind"
     assert Method.UNPROCESSED.value == "unprocessed"
+
+
+# scenes of the band-core checks: microphone counts, no noise at all,
+# a quiet near end (the joint method loses the noise cap at
+# delta_u_db = -6) and the zero-filter limit mu_nr = inf
+MIC = (1.50, 2.00, 1.00)
+CORE_SCENES = {
+    "quiet_near_end": dict(ne_snr_db=10.0),
+    "one_mic": dict(mic_positions=(MIC,)),
+    "two_mics": {},
+    "three_mics": dict(mic_positions=(MIC, (1.50, 2.02, 1.00),
+                                      (1.52, 2.00, 1.00))),
+    "noise_free": dict(fe_snr_db=np.inf, ne_snr_db=np.inf,
+                       mic_selfnoise_snr_db=np.inf),
+    "mu_nr_inf": {},
+}
+
+
+def core_scene(name):
+    kw = {"fe_snr_db": 0.0, "ne_snr_db": -30.0, **CORE_SCENES[name]}
+    _, stats, bset, fb = make_scene(kw.pop("fe_snr_db"),
+                                    kw.pop("ne_snr_db"), seed=5, **kw)
+    if name == "mu_nr_inf":
+        bset = build_beamformers(stats, 0.0, np.inf)
+    return stats, bset, fb
+
+
+def assert_close(new, old):
+    """Equal to 1e-12 relative; infinities equal."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert np.array_equal(np.isinf(new), np.isinf(old))
+    fin = np.isfinite(old)
+    assert np.all(np.abs(new[fin] - old[fin]) <= 1e-12 * np.abs(old[fin]))
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SCENES))
+@pytest.mark.parametrize("a_star", [0.6, 0.8])
+def test_band_core_matches_per_band_integration(name, a_star):
+    # the one-product band table against 0.3.0's band-by-band
+    # integration and blind loop: same statuses, and alpha, g, xi and
+    # ASII equal to 1e-12 relative
+    stats, bset, fb = core_scene(name)
+    _, targets = allocate_targets(a_star, fb)
+
+    def per_band(pair):
+        return [band_terms_by_members(stats, pair, fb, j, targets[j])
+                for j in range(fb.n_bands)]
+
+    joint_terms = per_band(bset)
+    blind = blind_by_band(stats, bset, fb, joint_terms)
+    unproc_terms = per_band(reference_filter_pair(stats))
+    met = [xi_by_band(t, 1.0, 1.0) >= t.target_snr * (1.0 - REL_TOL)
+           for t in unproc_terms]
+    feasible = {True: BandStatus.FEASIBLE, False: BandStatus.C1_INFEASIBLE}
+    runs = [(run_blind_concat(stats, bset, fb, a_star), joint_terms,
+             [(a, g, feasible[m]) for a, g, m in blind]),
+            (run_unprocessed(stats, fb, a_star), unproc_terms,
+             [(1.0, 1.0, feasible[m]) for m in met])]
+    for delta_u_db in (12.0, -6.0):
+        runs.append((run_joint(stats, bset, fb, a_star, delta_u_db),
+                     joint_terms,
+                     [(s.alpha, s.gain, s.status) for s in
+                      (solve_band(t, delta_u_db) for t in joint_terms)]))
+    for res, terms, old in runs:
+        assert [s.status for s in res.band_solutions] == [o[2] for o in old]
+        assert_close(res.alphas, [o[0] for o in old])
+        assert_close(res.gains, [o[1] for o in old])
+        report = evaluate(stats, res, fb)
+        old_xi = [xi_by_band(t, a, g) for t, (a, g, _) in zip(terms, old)]
+        assert_close(report.xi, old_xi)
+        assert_close(report.asii, asii(old_xi, fb.importance))
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SCENES))
+def test_band_terms_is_a_row_of_the_table(name):
+    stats, bset, fb = core_scene(name)
+    table = band_term_table(stats, bset, fb)
+    assert table.shape == (fb.n_bands, 7)
+    for j in range(fb.n_bands):
+        terms = band_terms(stats, bset, fb, j, 2.5)
+        row = [terms.ds_ref, terms.ds_nr, terms.ds_cross, terms.du_ref,
+               terms.du_nr, terms.du_cross, terms.sigma_n2]
+        assert np.array_equal(row, table[j])
+        assert terms.target_snr == 2.5
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SCENES))
+def test_array_xi_is_per_band_subband_snr(name):
+    # evaluate's one array expression against subband_snr band by band,
+    # bit for bit
+    stats, bset, fb = core_scene(name)
+    for res in (run_joint(stats, bset, fb), run_blind_concat(stats, bset, fb),
+                run_unprocessed(stats, fb)):
+        xi = evaluate(stats, res, fb).xi
+        per_band = [subband_snr(t, s.alpha, s.gain)
+                    for t, s in zip(res.terms, res.band_solutions)]
+        assert np.array_equal(xi, per_band), res.method
+        assert np.array_equal(res.alphas,
+                              [s.alpha for s in res.band_solutions])
+        assert np.array_equal(res.gains, [s.gain for s in res.band_solutions])

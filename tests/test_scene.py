@@ -151,6 +151,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="speed_of_sound"):
         short_cfg(speed_of_sound=1e-305).validate()
     short_cfg(speed_of_sound=1e-290).validate()
+    # a scene's mono float32 WAV holds at most WAV_DATA_LIMIT // 4
+    # samples: 1073741811, 67108.86 s at 16 kHz
+    short_cfg(duration=67108.0).validate()
+    for duration in (67109.0, 1e12, 1e300):
+        with pytest.raises(ValueError, match="duration"):
+            short_cfg(duration=duration).validate()
 
 
 def _fit_scale(emp, model):

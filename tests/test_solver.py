@@ -402,7 +402,7 @@ def test_band_terms_match_direct_filter_powers():
         for alpha in (0.0, 0.3, 1.0):
             w = alpha * bset.w_ref + (1.0 - alpha) * bset.w_nr
             noise = speech = 0.0
-            for k in fb.members[j]:
+            for k in np.flatnonzero(fb.weight[j] > 0.0):
                 wk = w[k]
                 noise += fb.weight[j, k] * (wk.conj() @ c_u[k] @ wk).real
                 proj = np.abs(wk.conj() @ d[k]) ** 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
-                          sqrt_hann, synthesize, write_wav)
+from minproc.stft import (WAV_DATA_LIMIT, FrameParams, Spectrogram, analyze,
+                          long_term_psd, sqrt_hann, synthesize, write_wav)
 from oracles import overlap_add
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -220,4 +220,13 @@ def test_wav_rejects_non_finite_samples(tmp_path, bad):
     path = tmp_path / "bad.wav"
     with pytest.raises(ValueError, match="non-finite"):
         write_wav(path, 16000, x)
+    assert not path.exists()
+
+
+def test_wav_rejects_too_many_samples(tmp_path):
+    # the RIFF size field is 32 bits; a broadcast view of one sample
+    # stands in for the 4 GiB of data
+    path = tmp_path / "long.wav"
+    with pytest.raises(ValueError, match="too many samples"):
+        write_wav(path, 16000, np.broadcast_to(0.0, (WAV_DATA_LIMIT // 4 + 1,)))
     assert not path.exists()

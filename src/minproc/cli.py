@@ -26,7 +26,7 @@ from .metrics import evaluate
 from .pipeline import (Method, render, run_blind_concat, run_joint,
                        run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import BandStatus, snr_margin
+from .solver import BandStatus, constraint_bounds, snr_margin
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -202,28 +202,23 @@ def config_echo(cfg):
     return out
 
 
-def _constraint_ratios(table, alphas, gains, delta_u_db):
+def _constraint_ratios(result, delta_u_db):
     """How close each band's delivered point sits to C1 and C2 (1.0 =
     tight); inf where the bound is zero."""
-    g2 = gains**2
-    rhs = table.sigma_n2 * table.target_snr
-    # constraint_bounds per band: without near-end noise C2 is inactive
-    cap = np.full_like(rhs, np.inf)
-    np.multiply(table.sigma_n2, 10.0 ** (delta_u_db / 10.0), out=cap,
-                where=table.sigma_n2 != 0.0)
-    c1 = np.divide(g2 * snr_margin(table, alphas), rhs,
+    table, g2 = result.table, result.gains**2
+    rhs, cap = np.array([constraint_bounds(t, delta_u_db)
+                         for t in result.terms]).T
+    c1 = np.divide(g2 * snr_margin(table, result.alphas), rhs,
                    out=np.full_like(rhs, np.inf), where=rhs > 0.0)
-    c2 = np.divide(g2 * table.noise_power(alphas), cap,
+    c2 = np.divide(g2 * table.noise_power(result.alphas), cap,
                    out=np.full_like(rhs, np.inf), where=cap > 0.0)
     return c1, c2
 
 
 def _write_band_csv(path, result, report, fb, delta_u_db):
-    table = result.table
-    c1, c2 = _constraint_ratios(table, result.alphas, result.gains,
-                                delta_u_db)
+    c1, c2 = _constraint_ratios(result, delta_u_db)
     columns = zip(fb.centers_hz.tolist(), result.band_solutions,
-                  report.xi.tolist(), table.target_snr.tolist(),
+                  report.xi.tolist(), result.table.target_snr.tolist(),
                   c1.tolist(), c2.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import (WAV_DATA_LIMIT, Spectrogram, analyze, long_term_psd,
-                   synthesize)
+from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram, analyze,
+                   long_term_psd, synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "lowpass_response",
     "make_source",
     "synthesize_scene",
-    "estimate_stats",
 ]
 
 SOURCE_KINDS = ("speech", "speech_shaped", "babble_like", "car_like", "white")
@@ -76,11 +75,16 @@ class SceneConfig:
             raise ValueError("sample rate must be a positive integer")
         if not 0.0 < float(self.duration) < math.inf:
             raise ValueError("duration must be positive and finite")
-        # each scene waveform is written as one mono float32 WAV
+        # each scene waveform is written as one mono float32 WAV: its
+        # samples fit WAV_DATA_LIMIT bytes, and its header holds the byte
+        # rate 4 * sample_rate in 32 bits
         n = float(self.duration) * self.sample_rate
         if not (math.isfinite(n) and 4 * round(n) <= WAV_DATA_LIMIT):
             raise ValueError("duration is too long: a scene's float32 WAV "
                              f"holds at most {WAV_DATA_LIMIT // 4} samples")
+        if self.sample_rate > WAV_RATE_LIMIT:
+            raise ValueError("sample_rate is too high: a mono float32 WAV "
+                             f"header holds at most {WAV_RATE_LIMIT} Hz")
         if self.fe_noise_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
         if self.ne_noise_kind not in SOURCE_KINDS:
@@ -167,18 +171,15 @@ class SpectralStats:
 @dataclass
 class SceneSignals:
     """The reference-mic (mic 0) mixture waveform and the near-end noise,
-    plus the spectra the mixture was made from.
+    plus the mixture spectrum at every mic.
 
-    Clean speech and far-end noise are kept as spectra only; synthesize
-    ``spec_clean`` or ``spec_fe_noise`` to get their waveforms at the
-    mics.
+    Clean speech and far-end noise are not kept apart: their statistics
+    are in SpectralStats, and only their sum ``spec_x`` is read.
     """
 
     x: np.ndarray
     ne_noise: np.ndarray
-    spec_clean: Spectrogram = field(repr=False, default=None)
-    spec_fe_noise: Spectrogram = field(repr=False, default=None)
-    spec_x: Spectrogram = field(repr=False, default=None)
+    spec_x: Spectrogram = field(repr=False)
 
 
 def transfer_function(src_pos, mic_pos, freqs, speed_of_sound=343.0):
@@ -272,10 +273,11 @@ def _snr_gain(ref_power, raw_power, snr_db):
 def synthesize_scene(cfg, params):
     """Build the far-end mixture and near-end noise for one scenario.
 
-    Returns (signals, stats).  The mixture spectrum satisfies
-    spec_x = spec_clean + spec_fe_noise exactly, by construction, and the
-    broadband SNRs at mic 0 match the configured values.  An infinite
-    SNR disables the corresponding noise entirely.
+    Returns (signals, stats).  The mixture spectrum is the clean speech
+    plus the far-end noise at every mic, and the broadband SNRs at mic 0
+    match the configured values.  An infinite SNR disables the
+    corresponding noise entirely.  Each component spectrum is kept only
+    until its statistic is taken; the mixture spectrum is the one kept.
     """
     cfg.validate()
     if params.sample_rate != cfg.sample_rate:
@@ -286,17 +288,19 @@ def synthesize_scene(cfg, params):
         raise ValueError("insufficient samples")
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
 
-    # talker through its steering vector
+    # the mixture starts as the talker through its steering vector; the
+    # speech power is taken at the reference mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
-    spec_clean = Spectrogram(d_abs.T[:, None, :]
-                             * make_source("speech", n, params, rng).data)
+    spec_x = Spectrogram(d_abs.T[:, None, :]
+                         * make_source("speech", n, params, rng).data)
+    sigma_s2 = np.mean(np.abs(spec_x.data[0]) ** 2, axis=0)
     # clean speech power at each mic, the level reference
-    p_clean = [np.mean(c ** 2) for c in synthesize(spec_clean, params, n)]
+    p_clean = [np.mean(c ** 2) for c in synthesize(spec_x, params, n)]
 
     # point noise sources, mixed at the mics, then scaled to the far-end
     # SNR, which only mic 0's waveform sets
-    fe_data = np.zeros_like(spec_clean.data)
+    fe_data = np.zeros_like(spec_x.data)
     for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
         fe_data += a_i.T[:, None, :] * make_source(cfg.fe_noise_kind, n,
@@ -310,10 +314,11 @@ def synthesize_scene(cfg, params):
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
     fe_data += analyze(selfnoise, params).data
-    del selfnoise  # the far-end noise is kept as its spectrum only
-    spec_fe = Spectrogram(fe_data)
-
-    spec_x = Spectrogram(spec_clean.data + spec_fe.data)
+    del selfnoise
+    # C_U is taken before the far-end noise joins the mixture in place
+    c_u = long_term_psd(Spectrogram(fe_data))
+    spec_x.data += fe_data
+    del fe_data
     # only the reference mic's mixture waveform is read
     x = synthesize(Spectrogram(spec_x.data[:1]), params, n)[0]
 
@@ -321,23 +326,9 @@ def synthesize_scene(cfg, params):
     ne_noise = synthesize(spec_ne, params, n)[0]
     gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
     ne_noise *= gamma
+    spec_ne.data *= gamma
+    sigma_n2 = np.mean(np.abs(spec_ne.data[0]) ** 2, axis=0)
 
-    d_norm = d_abs / d_abs[:, :1]
-    stats = estimate_stats(spec_clean, spec_fe,
-                           Spectrogram(gamma * spec_ne.data), d_norm)
-    signals = SceneSignals(x, ne_noise, spec_clean, spec_fe, spec_x)
-    return signals, stats
-
-
-def estimate_stats(clean, noise_fe, noise_ne, d):
-    """Long-term statistics from separated component spectrograms.
-
-    The speech power is taken at the reference mic (channel 0 of
-    ``clean``), matching the normalization of the steering vector ``d``.
-    """
-    sigma_s2 = np.mean(np.abs(clean.data[0]) ** 2, axis=0)
-    c_u = long_term_psd(noise_fe)
-    sigma_n2 = np.mean(np.abs(noise_ne.data[0]) ** 2, axis=0)
-    stats = SpectralStats(sigma_s2, np.asarray(d, dtype=complex), c_u, sigma_n2)
+    stats = SpectralStats(sigma_s2, d_abs / d_abs[:, :1], c_u, sigma_n2)
     stats.validate()
-    return stats
+    return SceneSignals(x, ne_noise, spec_x), stats

@@ -21,12 +21,17 @@ __all__ = [
     "synthesize",
     "long_term_psd",
     "WAV_DATA_LIMIT",
+    "WAV_RATE_LIMIT",
     "write_wav",
 ]
 
 # the most sample bytes one WAV file can hold: its RIFF size field is 32
 # bits and counts the 50 bytes of header after it too
 WAV_DATA_LIMIT = 2**32 - 1 - 50
+
+# the most samples per second one mono float32 WAV file can declare: its
+# byte rate, 4 * channels * rate, is a 32-bit header field
+WAV_RATE_LIMIT = (2**32 - 1) // 4
 
 
 @dataclass(frozen=True)
@@ -157,17 +162,24 @@ def write_wav(path, rate, data):
     """Write mono (n,) or multichannel (channels, n) audio as float32 WAV.
 
     Raises ValueError, before the file is opened, if any sample is not
-    finite, float32 rounding included, or if the samples exceed
-    WAV_DATA_LIMIT bytes.
+    finite, float32 rounding included, if the samples exceed
+    WAV_DATA_LIMIT bytes, or if the header cannot hold the rate: a
+    channel count times the rate above WAV_RATE_LIMIT, or more than
+    16383 channels (the 16-bit block size is 4 * channels).
     """
     data = np.atleast_2d(np.asarray(data))
     if 4 * data.size > WAV_DATA_LIMIT:
         raise ValueError("too many samples for one WAV file")
+    channels = data.shape[0]
+    if not (0 < rate and channels * rate <= WAV_RATE_LIMIT
+            and 4 * channels <= 0xFFFF):
+        raise ValueError("the sample rate or channel count does not fit "
+                         "a WAV header")
     with np.errstate(over="ignore"):  # overflow is caught below
         samples = data.T.astype("<f4")  # (n, channels), interleaved
     if not np.all(np.isfinite(samples)):
         raise ValueError("refusing to write non-finite samples")
-    n, channels = samples.shape
+    n = samples.shape[0]
     # RIFF of an IEEE-float file (format tag 3): an 18-byte fmt chunk,
     # a fact chunk holding the frame count, then the data chunk
     with open(path, "wb") as fh:

@@ -5,12 +5,16 @@ closed-form interval checks, textbook formulas) without calling into
 the library's own search logic, so agreement is meaningful.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 from scipy import signal as sig
 
 from minproc.beamform import BeamformerSet, mwf_all
-from minproc.scene import SpectralStats
+from minproc.scene import SpectralStats, make_source, steering_matrix
 from minproc.solver import REL_TOL, SolverTerms
+from minproc.stft import Spectrogram, analyze, synthesize
 
 
 def combo_quad(alpha, at_one, at_zero, cross):
@@ -298,3 +302,50 @@ def xi_by_band(terms, alpha, gain):
     if den > 0.0:
         return float(num / den)
     return np.inf if num > 0.0 else 0.0
+
+
+def _snr_gain(ref_power, raw_power, snr_db):
+    """Amplitude gain putting raw_power snr_db below ref_power; 0 for an
+    absent (+inf dB) or a silent noise."""
+    if snr_db == np.inf or raw_power <= 0.0:
+        return 0.0
+    return math.sqrt(ref_power / (raw_power * 10.0 ** (snr_db / 10.0)))
+
+
+def scene_components(cfg, params):
+    """synthesize_scene's scene as its separate components, drawn in the
+    same order from the same seed.
+
+    Returns a namespace of ``clean`` and ``fe_noise``, the clean speech
+    and far-end noise spectra at every mic, ``ne_spec`` and ``ne_noise``,
+    the scaled near-end noise spectrum and waveform, and ``d``, the
+    talker's steering vector normalized to mic 0.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n = int(round(cfg.duration * cfg.sample_rate))
+    mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
+
+    def at_mics(pos, kind):
+        a = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
+        return a, a.T[:, None, :] * make_source(kind, n, params, rng).data
+
+    d, clean = at_mics(cfg.talker_pos, "speech")
+    p_clean = [np.mean(c ** 2) for c in synthesize(Spectrogram(clean),
+                                                   params, n)]
+    fe = np.zeros_like(clean)
+    for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
+        fe += at_mics(pos, cfg.fe_noise_kind)[1]
+    p_pts = np.mean(synthesize(Spectrogram(fe[:1]), params, n)[0] ** 2)
+    fe *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
+    selfnoise = rng.standard_normal((mics.shape[0], n))
+    for m, row in enumerate(selfnoise):
+        row *= _snr_gain(p_clean[m], np.mean(row ** 2),
+                         cfg.mic_selfnoise_snr_db)
+    fe += analyze(selfnoise, params).data
+
+    ne = make_source(cfg.ne_noise_kind, n, params, rng).data
+    ne_wave = synthesize(Spectrogram(ne), params, n)[0]
+    gamma = _snr_gain(p_clean[0], np.mean(ne_wave ** 2), cfg.ne_snr_db)
+    return SimpleNamespace(clean=Spectrogram(clean), fe_noise=Spectrogram(fe),
+                           ne_spec=Spectrogram(gamma * ne),
+                           ne_noise=gamma * ne_wave, d=d / d[:, :1])

@@ -113,6 +113,10 @@ REJECTED_KEYS = (
     ("speed_of_sound = 1e-305", "speed_of_sound"),
     # a scene whose float32 WAV would exceed the RIFF size limit
     ("duration = 1e12", "duration"),
+    # a rate whose mono byte rate 4 * sample_rate overflows the WAV
+    # header's 32-bit field
+    ("duration = 0.0002\nsample_rate = 1073741824\nframe_ms = 0.1\n"
+     "f_lo = 100000\nf_hi = 500000000", "sample_rate"),
 )
 
 # integer literals beyond float range, one in each kind of float key

@@ -10,13 +10,18 @@ from minproc.pipeline import render, run_joint, run_unprocessed
 from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import BandStatus, subband_snr
 from minproc.stft import FrameParams, Spectrogram, synthesize
+from oracles import scene_components
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
 
+def scene_config(fe_snr_db, ne_snr_db, seed=1, **kw):
+    return SceneConfig(duration=2.0, fe_snr_db=fe_snr_db,
+                       ne_snr_db=ne_snr_db, seed=seed, **kw)
+
+
 def make_scene(fe_snr_db, ne_snr_db, seed=1, **kw):
-    cfg = SceneConfig(duration=2.0, fe_snr_db=fe_snr_db, ne_snr_db=ne_snr_db,
-                      seed=seed, **kw)
+    cfg = scene_config(fe_snr_db, ne_snr_db, seed, **kw)
     signals, stats = synthesize_scene(cfg, PARAMS)
     return signals, stats, build_beamformers(stats), build_filterbank(PARAMS)
 
@@ -90,8 +95,9 @@ def test_broadband_snr_matches_waveform_oracle():
     # sensor noise) and the talker close by: overlap-add realizes the
     # spectral powers only approximately once per-bin filtering is in
     # play, and long propagation delays widen that gap
-    signals, stats, bset, fb = make_scene(np.inf, -10.0, seed=3,
-                                          talker_pos=(1.5, 2.3, 1.0))
+    cfg = scene_config(np.inf, -10.0, seed=3, talker_pos=(1.5, 2.3, 1.0))
+    signals, stats = synthesize_scene(cfg, PARAMS)
+    bset, fb = build_beamformers(stats), build_filterbank(PARAMS)
     res = run_joint(stats, bset, fb)
     render(signals, res, PARAMS)
     report = evaluate(stats, res, fb)
@@ -102,8 +108,9 @@ def test_broadband_snr_matches_waveform_oracle():
         gy = apply_beamformer(spec, res.w_mp).data * res.g_mp
         return synthesize(Spectrogram(gy), PARAMS, n)[0]
 
-    speech = heard(signals.spec_clean)
-    fe = heard(signals.spec_fe_noise)
+    parts = scene_components(cfg, PARAMS)
+    speech = heard(parts.clean)
+    fe = heard(parts.fe_noise)
     p_noise = np.sum(fe**2) + np.sum(signals.ne_noise**2)
     wave_db = 10.0 * np.log10(np.sum(speech**2) / p_noise)
     assert abs(wave_db - report.broadband_out_snr_db) < 0.5

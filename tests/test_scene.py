@@ -1,16 +1,18 @@
 """Scene synthesis: transfer functions, calibration, oracle statistics."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
-from minproc.scene import (SceneConfig, estimate_stats, lowpass_response,
+from minproc.scene import (SceneConfig, SceneSignals, lowpass_response,
                            make_source, steering_matrix, synthesize_scene,
                            transfer_function)
-from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
-from oracles import babble_envelope, design_response
+from minproc.stft import FrameParams, Spectrogram, long_term_psd, synthesize
+from oracles import babble_envelope, design_response, scene_components
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 MICS = SceneConfig().mic_positions
@@ -21,14 +23,23 @@ def short_cfg(**kw):
     return SceneConfig(**kw)
 
 
-def fe_noise(signals):
-    """The far-end noise at the mics, synthesized from its spectrum."""
-    return synthesize(signals.spec_fe_noise, PARAMS, signals.x.size)
+def clean_and_fe_noise(cfg):
+    """The clean speech and far-end noise waveforms at the mics, from
+    the oracle's component spectra of ``cfg``'s scene."""
+    parts = scene_components(cfg, PARAMS)
+    n = round(cfg.duration * cfg.sample_rate)
+    return (synthesize(parts.clean, PARAMS, n),
+            synthesize(parts.fe_noise, PARAMS, n))
 
 
-def clean_at_mics(signals):
-    """The clean speech at the mics, synthesized from its spectrum."""
-    return synthesize(signals.spec_clean, PARAMS, signals.x.size)
+# the scenes the oracle composition is checked on
+SCENES = {
+    "default": {},
+    "3-mic": {"mic_positions": MICS + ((1.50, 2.04, 1.00),)},
+    "one-mic": {"mic_positions": MICS[:1]},
+    "noise-free": {"fe_snr_db": math.inf, "mic_selfnoise_snr_db": math.inf,
+                   "ne_snr_db": math.inf},
+}
 
 
 def test_transfer_function_values():
@@ -51,10 +62,45 @@ def test_steering_matrix_shape():
     assert np.abs(d[0, 0]) > np.abs(d[0, 1])  # nearer mic is louder
 
 
-def test_mixture_identity_bitwise():
-    signals, _ = synthesize_scene(short_cfg(seed=5), PARAMS)
-    assert np.array_equal(signals.spec_x.data,
-                          signals.spec_clean.data + signals.spec_fe_noise.data)
+@pytest.mark.parametrize("kw", SCENES.values(), ids=SCENES)
+def test_scene_is_oracle_composition_bit_for_bit(kw):
+    """The mixture is clean speech plus far-end noise, and each statistic
+    is taken from its own component, bit for bit as the oracle composes
+    them."""
+    cfg = short_cfg(seed=4, **kw)
+    signals, stats = synthesize_scene(cfg, PARAMS)
+    parts = scene_components(cfg, PARAMS)
+    spec_x = parts.clean.data + parts.fe_noise.data
+    assert np.array_equal(signals.spec_x.data, spec_x)
+    assert np.array_equal(signals.x, synthesize(Spectrogram(spec_x[:1]),
+                                                PARAMS, 48000)[0])
+    assert np.array_equal(signals.ne_noise, parts.ne_noise)
+    assert np.array_equal(stats.sigma_s2,
+                          np.mean(np.abs(parts.clean.data[0]) ** 2, axis=0))
+    assert np.array_equal(stats.d, parts.d)
+    assert np.array_equal(stats.c_u, long_term_psd(parts.fe_noise))
+    assert np.array_equal(stats.sigma_n2,
+                          np.mean(np.abs(parts.ne_spec.data[0]) ** 2, axis=0))
+
+
+def test_scene_holds_only_what_a_run_reads():
+    """A returned scene holds the two waveforms, the mixture spectrum and
+    the statistics; the component spectra are gone."""
+    assert [f.name for f in dataclasses.fields(SceneSignals)] \
+        == ["x", "ne_noise", "spec_x"]
+    cfg = short_cfg(seed=4)
+    synthesize_scene(cfg, PARAMS)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        signals, stats = synthesize_scene(cfg, PARAMS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (signals.x, signals.ne_noise, signals.spec_x.data,
+              stats.sigma_s2, stats.d, stats.c_u, stats.sigma_n2)
+    # the slack covers the waveforms' few trailing padding samples and
+    # the objects around the arrays; one component spectrum is 1.5 MB
+    assert held <= sum(a.nbytes for a in arrays) + 64 * 1024
 
 
 @pytest.mark.parametrize("mics", [MICS[:1], MICS,
@@ -72,17 +118,18 @@ def test_mixture_waveform_is_reference_mic_synthesis(mics):
 
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 12.0])
 def test_fe_snr_calibration(snr_db):
-    signals, _ = synthesize_scene(short_cfg(seed=1, fe_snr_db=snr_db), PARAMS)
-    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
-    p_noise = np.mean(fe_noise(signals)[0] ** 2)
+    clean, fe = clean_and_fe_noise(short_cfg(seed=1, fe_snr_db=snr_db))
+    p_clean = np.mean(clean[0] ** 2)
+    p_noise = np.mean(fe[0] ** 2)
     measured = 10.0 * np.log10(p_clean / p_noise)
     assert abs(measured - snr_db) <= 0.1
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, -5.0, 20.0])
 def test_ne_snr_calibration(snr_db):
-    signals, _ = synthesize_scene(short_cfg(seed=2, ne_snr_db=snr_db), PARAMS)
-    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
+    cfg = short_cfg(seed=2, ne_snr_db=snr_db)
+    signals, _ = synthesize_scene(cfg, PARAMS)
+    p_clean = np.mean(clean_and_fe_noise(cfg)[0][0] ** 2)
     p_noise = np.mean(signals.ne_noise ** 2)
     measured = 10.0 * np.log10(p_clean / p_noise)
     assert abs(measured - snr_db) <= 1e-9
@@ -91,31 +138,32 @@ def test_ne_snr_calibration(snr_db):
 def test_infinite_snr_gives_clean_mixture():
     cfg = short_cfg(seed=3, fe_snr_db=math.inf, mic_selfnoise_snr_db=math.inf,
                     ne_snr_db=math.inf)
-    signals, _ = synthesize_scene(cfg, PARAMS)
-    assert np.array_equal(signals.spec_x.data, signals.spec_clean.data)
-    assert np.array_equal(signals.x, clean_at_mics(signals)[0])
-    assert np.all(fe_noise(signals) == 0.0)
+    signals, stats = synthesize_scene(cfg, PARAMS)
+    clean, fe = clean_and_fe_noise(cfg)
+    assert np.array_equal(signals.x, clean[0])
+    assert np.all(fe == 0.0)
+    assert np.all(stats.c_u == 0.0) and np.all(stats.sigma_n2 == 0.0)
     assert np.all(signals.ne_noise == 0.0)
 
 
 def test_mic_selfnoise_level():
     # with the point sources muted, the residual is the 60 dB self noise
-    cfg = short_cfg(seed=4, fe_snr_db=math.inf)
-    signals, _ = synthesize_scene(cfg, PARAMS)
-    p_clean = np.mean(clean_at_mics(signals)[0] ** 2)
-    p_noise = np.mean(fe_noise(signals)[0] ** 2)
+    clean, fe = clean_and_fe_noise(short_cfg(seed=4, fe_snr_db=math.inf))
+    p_clean = np.mean(clean[0] ** 2)
+    p_noise = np.mean(fe[0] ** 2)
     assert abs(10.0 * np.log10(p_clean / p_noise) - 60.0) <= 0.1
 
 
 def test_stats_reference_normalization():
-    signals, stats = synthesize_scene(short_cfg(seed=6), PARAMS)
+    cfg = short_cfg(seed=6)
+    _, stats = synthesize_scene(cfg, PARAMS)
     assert np.allclose(stats.d[:, 0], 1.0)
     assert np.all(stats.sigma_s2 >= 0.0)
     assert np.all(stats.sigma_n2 >= 0.0)
     assert np.allclose(stats.c_u, np.conj(stats.c_u).transpose(0, 2, 1))
     # speech covariance is rank one: sigma_s2 * d d^H reproduces the
     # long-term PSD of the clean spectrogram
-    psd_clean = long_term_psd(signals.spec_clean)
+    psd_clean = long_term_psd(scene_components(cfg, PARAMS).clean)
     model = stats.sigma_s2[:, None, None] * np.einsum(
         "km,kn->kmn", stats.d, np.conj(stats.d))
     assert np.allclose(psd_clean, model, atol=1e-10 * np.max(np.abs(psd_clean)))
@@ -293,14 +341,3 @@ def test_speech_source_is_harmonic():
     floor = psd[f >= 6000].mean()
     assert voiced / floor > 100.0
 
-
-def test_estimate_stats_shapes():
-    rng = np.random.default_rng(29)
-    clean = analyze(rng.standard_normal((2, 8000)), PARAMS)
-    fe = analyze(rng.standard_normal((2, 8000)), PARAMS)
-    ne = analyze(rng.standard_normal(8000), PARAMS)
-    d = np.ones((PARAMS.bins, 2), dtype=complex)
-    stats = estimate_stats(clean, fe, ne, d)
-    assert stats.bins == 257 and stats.channels == 2
-    assert np.allclose(stats.sigma_s2,
-                       np.mean(np.abs(clean.data[0]) ** 2, axis=0))

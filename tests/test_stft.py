@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from minproc.stft import (WAV_DATA_LIMIT, FrameParams, Spectrogram, analyze,
-                          long_term_psd, sqrt_hann, synthesize, write_wav)
+from minproc.stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, FrameParams,
+                          Spectrogram, analyze, long_term_psd, sqrt_hann,
+                          synthesize, write_wav)
 from oracles import overlap_add
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -230,3 +231,22 @@ def test_wav_rejects_too_many_samples(tmp_path):
     with pytest.raises(ValueError, match="too many samples"):
         write_wav(path, 16000, np.broadcast_to(0.0, (WAV_DATA_LIMIT // 4 + 1,)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rate, channels", [
+    (WAV_RATE_LIMIT + 1, 1), (WAV_RATE_LIMIT // 2 + 1, 2), (16000, 16384),
+    (0, 1)])
+def test_wav_rejects_rate_beyond_header(tmp_path, rate, channels):
+    # the byte rate 4 * channels * rate is a 32-bit header field and the
+    # block size 4 * channels a 16-bit one
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match="WAV header"):
+        write_wav(path, rate, np.zeros((channels, 4)))
+    assert not path.exists()
+
+
+def test_wav_header_holds_highest_mono_rate(tmp_path):
+    path = tmp_path / "fast.wav"
+    write_wav(path, WAV_RATE_LIMIT, np.zeros(4))
+    rate, y = wavfile.read(path)
+    assert rate == WAV_RATE_LIMIT and y.shape == (4,)

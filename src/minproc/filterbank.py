@@ -44,10 +44,6 @@ class Filterbank:
     def n_bands(self):
         return self.weight.shape[0]
 
-    def covered(self):
-        """Boolean mask of bins claimed by at least one band."""
-        return self.weight.sum(axis=0) > 0.0
-
 
 def build_filterbank(params, n_bands=30, f_lo=150.0, f_hi=8000.0,
                      importance=None):

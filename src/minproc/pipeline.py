@@ -93,18 +93,16 @@ def recombine(bset, fb, alphas, gains):
     """Blend per-band (alpha, g) into per-bin weights and gains.
 
     Each covered bin takes the per-bin-normalized average of its bands'
-    combined filters and gains, so bands agreeing on a value reproduce
-    it exactly.  Uncovered bins default to the reference filter at unit
-    gain.
+    combined filters alpha*w_ref + (1 - alpha)*w_nr and of their gains.
+    A covered bin's recomb weights sum to one, so that average is, in
+    closed form, w_ref + c*(w_nr - w_ref), with c the bin's average of
+    1 - alpha, and 1 plus the bin's average of g - 1.  An uncovered bin
+    has c = 0: the reference filter at unit gain.  Where every band of a
+    bin keeps alpha = 1 and g = 1, the bin gets exactly w_ref and 1.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    mix = alphas[:, None, None] * bset.w_ref[None] \
-        + (1.0 - alphas)[:, None, None] * bset.w_nr[None]
-    w_mp = np.einsum("jk,jkm->km", fb.recomb, mix)
-    g_mp = fb.recomb.T @ np.asarray(gains, dtype=float)
-    open_bins = ~fb.covered()
-    w_mp[open_bins] = bset.w_ref[open_bins]
-    g_mp[open_bins] = 1.0
+    c = fb.recomb.T @ (1.0 - np.asarray(alphas, dtype=float))
+    w_mp = bset.w_ref + c[:, None] * (bset.w_nr - bset.w_ref)
+    g_mp = 1.0 + fb.recomb.T @ (np.asarray(gains, dtype=float) - 1.0)
     return w_mp, g_mp
 
 
@@ -220,11 +218,29 @@ def run_unprocessed(stats, fb, a_star=0.7):
 
 def render(signals, result, params):
     """Produce the far-end output Y and near-end observation Z = gY + N,
-    both as long as the scene.  They are also stored on the result."""
+    both as long as the scene.  They are also stored on the result.
+
+    Each distinct spectrum is synthesized once:
+
+    * where w_mp selects mic 0 on every bin, Y is the scene's mic-0
+      mixture spectrum, which the scene already synthesized, so y is a
+      copy of signals.x;
+    * where g_mp is 1 on every bin, gY is Y, so z = y + N.
+
+    The unprocessed method meets both rules and renders without an STFT.
+    """
     n = signals.x.shape[-1]
-    y_spec = apply_beamformer(signals.spec_x, result.w_mp)
-    y = synthesize(y_spec, params, n)[0]
-    gy = synthesize(Spectrogram(y_spec.data * result.g_mp), params, n)[0]
+    w, g = result.w_mp, result.g_mp
+    if np.all(w[:, 0] == 1.0) and not np.any(w[:, 1:]):
+        y_spec = Spectrogram(signals.spec_x.data[:1])
+        y = signals.x.copy()
+    else:
+        y_spec = apply_beamformer(signals.spec_x, w)
+        y = synthesize(y_spec, params, n)[0]
+    if np.all(g == 1.0):
+        gy = y
+    else:
+        gy = synthesize(Spectrogram(y_spec.data * g), params, n)[0]
     z = gy + signals.ne_noise
     result.y, result.z = y, z
     return y, z

@@ -308,13 +308,13 @@ def synthesize_scene(cfg, params):
     p_pts = np.mean(synthesize(Spectrogram(fe_data[:1]), params, n)[0] ** 2)
     fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
 
-    # microphone self noise, referenced to the clean speech at each mic
-    selfnoise = rng.standard_normal((mics.shape[0], n))
-    for m, row in enumerate(selfnoise):
+    # microphone self noise, referenced to the clean speech at each mic;
+    # drawn one mic at a time, so no (mics, n) draw sits next to spec_x
+    for m in range(mics.shape[0]):
+        row = rng.standard_normal(n)
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
-    fe_data += analyze(selfnoise, params).data
-    del selfnoise
+        fe_data[m] += analyze(row, params).data[0]
     # C_U is taken before the far-end noise joins the mixture in place
     c_u = long_term_psd(Spectrogram(fe_data))
     spec_x.data += fe_data

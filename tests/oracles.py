@@ -304,6 +304,26 @@ def xi_by_band(terms, alpha, gain):
     return np.inf if num > 0.0 else 0.0
 
 
+def covered_bins(fb):
+    """Boolean mask of bins claimed by at least one band."""
+    return fb.weight.sum(axis=0) > 0.0
+
+
+def recombine_by_mix(bset, fb, alphas, gains):
+    """Recombination as 0.4.0 computed it: every band's combined filter
+    alpha*w_ref + (1 - alpha)*w_nr and its gain, averaged per bin under
+    fb.recomb; an uncovered bin keeps w_ref at unit gain."""
+    alphas = np.asarray(alphas, dtype=float)
+    mix = alphas[:, None, None] * bset.w_ref[None] \
+        + (1.0 - alphas)[:, None, None] * bset.w_nr[None]
+    w_mp = np.einsum("jk,jkm->km", fb.recomb, mix)
+    g_mp = fb.recomb.T @ np.asarray(gains, dtype=float)
+    open_bins = ~covered_bins(fb)
+    w_mp[open_bins] = bset.w_ref[open_bins]
+    g_mp[open_bins] = 1.0
+    return w_mp, g_mp
+
+
 def _snr_gain(ref_power, raw_power, snr_db):
     """Amplitude gain putting raw_power snr_db below ref_power; 0 for an
     absent (+inf dB) or a silent noise."""

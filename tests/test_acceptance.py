@@ -213,11 +213,10 @@ def test_criterion_04_favorable_scene_is_passthrough():
     y, _ = render(signals, res, params)
     ref = synthesize(apply_beamformer(signals.spec_x, bset.w_ref), params,
                      signals.x.shape[-1])[0]
-    err = np.linalg.norm(y - ref) / np.linalg.norm(ref)
-    assert err <= 1e-8
+    assert np.array_equal(y, ref)
     print(f"criterion 4 PASS: 30/30 bands at (1,1), total penalty "
-          f"{total:.1e}, rendered output matches reference within "
-          f"{err:.1e} (tol 1e-8)")
+          f"{total:.1e}, rendered output bit-equal to the reference "
+          f"beamformer's")
 
 
 def test_criterion_05_intelligibility_ordering():

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import (band_terms_by_members, blind_by_band,
-                     reference_filter_pair, xi_by_band)
+from oracles import (band_terms_by_members, blind_by_band, covered_bins,
+                     recombine_by_mix, reference_filter_pair, xi_by_band)
 
+from minproc import pipeline
 from minproc.beamform import BeamformerSet, build_beamformers
 from minproc.filterbank import allocate_targets, build_filterbank
 from minproc.metrics import asii, evaluate
@@ -39,10 +40,28 @@ def test_favorable_scene_is_passthrough():
     res = run_joint(stats, bset, fb, a_star=0.7)
     assert all(s.status is BandStatus.FEASIBLE for s in res.band_solutions)
     assert np.all(res.alphas == 1.0) and np.all(res.gains == 1.0)
-    # recombination weights sum to one per bin, so agreeing bands
-    # reproduce the shared filter up to float summation
-    assert np.allclose(res.w_mp, bset.w_ref, rtol=0.0, atol=1e-12)
-    assert np.allclose(res.g_mp, 1.0, rtol=0.0, atol=1e-12)
+    # bands that pass through add nothing to the reference filter and
+    # unit gain, so recombination reproduces both bit for bit
+    assert np.array_equal(res.w_mp, bset.w_ref)
+    assert np.array_equal(res.g_mp, np.ones(PARAMS.bins))
+
+
+@pytest.mark.parametrize("mics", [2, 3])
+def test_recombine_closed_form_matches_mix(mics):
+    # the closed form sums the same per-bin average as 0.4.0's mix of
+    # every band's combined filter, only in another order
+    positions = tuple((1.50, 2.00 + 0.02 * m, 1.00) for m in range(mics))
+    _, stats, bset, fb = make_scene(0.0, -30.0, mic_positions=positions)
+    assert bset.w_ref.shape == (PARAMS.bins, mics)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(0.0, 1.0, fb.n_bands)
+        gains = rng.uniform(1.0, 3.0, fb.n_bands)
+        w_mp, g_mp = recombine(bset, fb, alphas, gains)
+        w_ref, g_ref = recombine_by_mix(bset, fb, alphas, gains)
+        assert np.all(np.linalg.norm(w_mp - w_ref, axis=1)
+                      <= 1e-14 * np.linalg.norm(w_ref, axis=1))
+        assert np.all(np.abs(g_mp - g_ref) <= 1e-14 * g_ref)
 
 
 def test_recombine_agreeing_bands_reproduce_value():
@@ -55,7 +74,7 @@ def test_recombine_agreeing_bands_reproduce_value():
 
     w_mp, g_mp = recombine(bset, fb, np.full(fb.n_bands, 0.5),
                            np.full(fb.n_bands, 2.0))
-    covered = fb.covered()
+    covered = covered_bins(fb)
     expect = 0.5 * (w_ref + w_nr)
     assert np.allclose(w_mp[covered], expect[covered], atol=1e-12)
     assert np.allclose(g_mp[covered], 2.0)
@@ -76,7 +95,7 @@ def test_recombine_overlap_bins_blend_by_eta():
     w_mp, g_mp = recombine(bset, fb, alphas, gains)
 
     # spell the sum out per bin and compare
-    for k in np.flatnonzero(fb.covered())[::37]:
+    for k in np.flatnonzero(covered_bins(fb))[::37]:
         w_hand = np.zeros(2, dtype=complex)
         g_hand = 0.0
         for j in range(fb.n_bands):
@@ -90,12 +109,56 @@ def test_recombine_overlap_bins_blend_by_eta():
         assert abs(g_mp[k] - g_hand) < 1e-12
 
 
-def test_unprocessed_renders_mic_plus_near_noise():
+@pytest.fixture
+def stft_calls(monkeypatch):
+    """Counts of render's apply_beamformer and synthesize calls."""
+    calls = {"apply_beamformer": 0, "synthesize": 0}
+
+    def counted(name):
+        inner = getattr(pipeline, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(pipeline, name, call)
+
+    counted("apply_beamformer")
+    counted("synthesize")
+    return calls
+
+
+def test_unprocessed_renders_mic_plus_near_noise(stft_calls):
+    # the mic-0 selector at unit gain: Y is the scene's mixture spectrum,
+    # whose waveform the scene already holds
     signals, stats, _, fb = make_scene(0.0, -10.0)
     res = run_unprocessed(stats, fb)
+    e1 = np.zeros((PARAMS.bins, 2), dtype=complex)
+    e1[:, 0] = 1.0
+    assert np.array_equal(res.w_mp, e1)
+    assert np.array_equal(res.g_mp, np.ones(PARAMS.bins))
     y, z = render(signals, res, PARAMS)
-    assert np.allclose(y, signals.x, atol=1e-8)
-    assert np.allclose(z, signals.x + signals.ne_noise, atol=1e-8)
+    assert stft_calls == {"apply_beamformer": 0, "synthesize": 0}
+    assert np.array_equal(y, signals.x) and y is not signals.x
+    assert np.array_equal(z, signals.x + signals.ne_noise)
+
+
+def test_unit_gain_render_synthesizes_once(stft_calls):
+    # acceptance criterion 4's favorable scene: every band passes
+    # through, so gY is Y
+    signals, stats, bset, fb = make_scene(30.0, 30.0, seed=0)
+    res = run_joint(stats, bset, fb)
+    assert np.all(res.g_mp == 1.0)
+    y, z = render(signals, res, PARAMS)
+    assert stft_calls == {"apply_beamformer": 1, "synthesize": 1}
+    assert np.array_equal(z, y + signals.ne_noise)
+
+
+def test_processed_render_synthesizes_y_and_gy(stft_calls):
+    signals, stats, bset, fb = make_scene(0.0, -30.0)
+    res = run_joint(stats, bset, fb)
+    assert np.any(res.g_mp != 1.0)
+    render(signals, res, PARAMS)
+    assert stft_calls == {"apply_beamformer": 1, "synthesize": 2}
 
 
 def test_zero_gain_renders_noise_only():

@@ -215,30 +215,14 @@ def _constraint_ratios(result, delta_u_db):
     return c1, c2
 
 
-def _write_band_csv(path, result, report, fb, delta_u_db):
-    c1, c2 = _constraint_ratios(result, delta_u_db)
-    columns = zip(fb.centers_hz.tolist(), result.band_solutions,
-                  report.xi.tolist(), result.table.target_snr.tolist(),
-                  c1.tolist(), c2.tolist())
+def _write_csv(path, columns):
+    """Write ``columns``, a dict of equal-length sequences, as a headed
+    CSV table.  csv writes each value with str, which for a float is its
+    shortest round-tripping repr, so every value reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(BAND_COLUMNS)
-        for j, (center, sol, xi, target, r1, r2) in enumerate(columns):
-            writer.writerow([j, repr(center), repr(sol.alpha),
-                             repr(sol.gain), sol.status.value,
-                             repr(sol.penalty), repr(xi), repr(target),
-                             repr(r1), repr(r2)])
-
-
-def _write_bin_csv(path, result, fb):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "freq_hz", "w_norm", "gain"])
-        norms = np.linalg.norm(result.w_mp, axis=1)
-        for k in range(result.w_mp.shape[0]):
-            writer.writerow([k, repr(float(fb.bin_freqs[k])),
-                             repr(float(norms[k])),
-                             repr(float(result.g_mp[k]))])
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def _run_methods(cfg, params, fb, scene, out_dir):
@@ -265,21 +249,29 @@ def _run_methods(cfg, params, fb, scene, out_dir):
 
         write_wav(out_dir / f"y_{name}.wav", rate, y)
         write_wav(out_dir / f"z_{name}.wav", rate, z)
-        _write_band_csv(out_dir / f"bands_{name}.csv", res, report, fb,
-                        cfg.delta_u_db)
-        _write_bin_csv(out_dir / f"bins_{name}.csv", res, fb)
+        c1, c2 = _constraint_ratios(res, cfg.delta_u_db)
+        # a BandStatus writes as its value
+        bands = dict(zip(BAND_COLUMNS, [
+            range(fb.n_bands), fb.centers_hz.tolist(), res.alphas.tolist(),
+            res.gains.tolist(), res.statuses.tolist(),
+            [s.penalty for s in res.band_solutions], report.xi.tolist(),
+            res.table.target_snr.tolist(), c1.tolist(), c2.tolist()]))
+        _write_csv(out_dir / f"bands_{name}.csv", bands)
+        _write_csv(out_dir / f"bins_{name}.csv", {
+            "bin": range(res.w_mp.shape[0]),
+            "freq_hz": fb.bin_freqs.tolist(),
+            "w_norm": np.linalg.norm(res.w_mp, axis=1).tolist(),
+            "gain": res.g_mp.tolist()})
 
-        statuses = [s.status for s in res.band_solutions]
         rows.append({
             "method": name,
-            "asii": repr(float(report.asii)),
-            "broadband_out_snr_db": repr(float(report.broadband_out_snr_db)),
-            "n_feasible": statuses.count(BandStatus.FEASIBLE),
-            "n_c1_infeasible": statuses.count(BandStatus.C1_INFEASIBLE),
-            "n_c2_infeasible": statuses.count(BandStatus.C2_INFEASIBLE),
-            "n_both_infeasible": statuses.count(BandStatus.BOTH_INFEASIBLE),
-            "penalty_total": repr(float(sum(s.penalty
-                                            for s in res.band_solutions))),
+            "asii": float(report.asii),
+            "broadband_out_snr_db": float(report.broadband_out_snr_db),
+            # n_feasible, n_c1_infeasible, n_c2_infeasible, n_both_infeasible
+            **{f"n_{s.name.lower()}": bands["status"].count(s)
+               for s in BandStatus},
+            # Python floats added left to right, as the column lists them
+            "penalty_total": sum(bands["penalty"]),
         })
     return rows
 
@@ -364,10 +356,8 @@ def cmd_run(args):
                                     **row})
 
         out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "metrics.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(metric_rows[0]))
-            writer.writeheader()
-            writer.writerows(metric_rows)
+        _write_csv(out_root / "metrics.csv",
+                   {k: [r[k] for r in metric_rows] for k in metric_rows[0]})
 
         manifest = {
             "version": __version__,

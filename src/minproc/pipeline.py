@@ -68,15 +68,15 @@ class EnhancementResult:
     """A method's per-band decisions and the per-bin filter they make.
 
     table holds every band's terms as one SolverTerms of (n_bands,)
-    arrays; alphas and gains are the decisions as arrays, and
-    band_solutions the same decisions one BandSolution per band.
+    arrays; alphas, gains and statuses (an object array of BandStatus)
+    hold the decisions, one entry per band.
     """
 
     method: Method
-    band_solutions: list
     table: SolverTerms
     alphas: np.ndarray
     gains: np.ndarray
+    statuses: np.ndarray
     w_mp: np.ndarray
     g_mp: np.ndarray
     y: np.ndarray = field(default=None, repr=False)
@@ -85,8 +85,14 @@ class EnhancementResult:
 
     @property
     def terms(self):
-        """One float SolverTerms per band."""
+        """One float SolverTerms per band, built on each access."""
         return band_rows(self.table)
+
+    @property
+    def band_solutions(self):
+        """One BandSolution per band, built on each access."""
+        return [BandSolution(*d) for d in zip(
+            self.alphas.tolist(), self.gains.tolist(), self.statuses)]
 
 
 def recombine(bset, fb, alphas, gains):
@@ -113,10 +119,8 @@ def _run(method, stats, bset, fb, a_star, decide):
     _, target_snrs = allocate_targets(a_star, fb)
     table = table_terms(band_term_table(stats, bset, fb), target_snrs)
     alphas, gains, statuses = decide(table)
-    solutions = [BandSolution(a, g, s) for a, g, s
-                 in zip(alphas.tolist(), gains.tolist(), statuses)]
     w_mp, g_mp = recombine(bset, fb, alphas, gains)
-    return EnhancementResult(method, solutions, table, alphas, gains,
+    return EnhancementResult(method, table, alphas, gains, statuses,
                              w_mp, g_mp)
 
 
@@ -129,7 +133,7 @@ def run_joint(stats, bset, fb, a_star=0.7, delta_u_db=DELTA_U_DB,
                      for t in band_rows(table)]
         return (np.array([s.alpha for s in solutions]),
                 np.array([s.gain for s in solutions]),
-                [s.status for s in solutions])
+                np.array([s.status for s in solutions], dtype=object))
 
     return _run(Method.JOINT, stats, bset, fb, a_star, decide)
 
@@ -188,8 +192,7 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
 
 def _met_status(met):
     """Feasible where a band's target is met, C1Infeasible elsewhere."""
-    return [BandStatus.FEASIBLE if m else BandStatus.C1_INFEASIBLE
-            for m in met.tolist()]
+    return np.where(met, BandStatus.FEASIBLE, BandStatus.C1_INFEASIBLE)
 
 
 def _reference_mic(stats):

@@ -153,9 +153,9 @@ def long_term_psd(spec):
     positive semi-definite per bin by construction.
     """
     data = spec.data
-    # mean over t of the outer product across channels
-    psd = np.einsum("mtk,ntk->kmn", data, np.conj(data)) / data.shape[1]
-    return 0.5 * (psd + np.conj(psd).transpose(0, 2, 1))
+    # mean over t of the outer product across channels; exactly
+    # Hermitian, as entry (n, m) sums the conjugates of (m, n)'s products
+    return np.einsum("mtk,ntk->kmn", data, np.conj(data)) / data.shape[1]
 
 
 def write_wav(path, rate, data):

@@ -627,29 +627,70 @@ def test_band_csv_without_near_noise(tmp_path):
 @pytest.mark.parametrize("text", [BASE, NOISE_FREE],
                          ids=["noisy", "noise_free"])
 def test_band_csv_xi_is_evaluate_xi(tmp_path, monkeypatch, capsys, text):
-    # the band table writes the xi that evaluate scores, bit for bit,
-    # and explain reads an infinite one
-    reports = []
+    # every cell of the band and bin tables reads back with float() as
+    # the result's value, infinities included: the xi column is the xi
+    # that evaluate scores, bit for bit, and explain reads an infinite
+    # one.  metrics.csv counts the statuses its band tables list.
+    runs = []
 
-    def recording(*args):
-        reports.append(evaluate(*args))
-        return reports[-1]
+    def recording(stats, res, fb):
+        runs.append((res, fb, evaluate(stats, res, fb)))
+        return runs[-1][2]
 
     monkeypatch.setattr(minproc.cli, "evaluate", recording)
     out = tmp_path / "out"
     assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-    assert len(reports) == 3
-    for name, report in zip(("joint", "blind", "unprocessed"), reports):
-        path = out / f"bands_{name}.csv"
+    assert len(runs) == 3
+
+    def read(path):
         rows = list(csv.DictReader(path.read_text().splitlines()))
-        xi = np.array([float(r["xi"]) for r in rows])
-        assert np.array_equal(xi, report.xi), name
+        return {k: [r[k] for r in rows] for k in rows[0]}
+
+    def same(cells, values):
+        return [float(c) for c in cells] \
+            == np.asarray(values, dtype=float).tolist()
+
+    metrics = read(out / "metrics.csv")
+    assert metrics["method"] == list(METHOD_NAMES)
+    for j, (name, (res, fb, report)) in enumerate(zip(METHOD_NAMES, runs)):
+        path = out / f"bands_{name}.csv"
+        bands = read(path)
+        assert list(bands) == BAND_COLUMNS
+        c1, c2 = minproc.cli._constraint_ratios(res, 12.0)
+        # the penalty in Python floats, as BandSolution.penalty takes it
+        penalty = [(1.0 - a) ** 2 + (1.0 - g) ** 2
+                   for a, g in zip(res.alphas.tolist(), res.gains.tolist())]
+        for column, values in [("band", range(fb.n_bands)),
+                               ("center_hz", fb.centers_hz),
+                               ("alpha", res.alphas), ("gain", res.gains),
+                               ("penalty", penalty), ("xi", report.xi),
+                               ("target_xi", res.table.target_snr),
+                               ("c1_ratio", c1), ("c2_ratio", c2)]:
+            assert same(bands[column], values), (name, column)
+        assert bands["status"] == [s.value for s in res.statuses]
         assert main(["explain", str(path)]) == 0
+
+        bins = read(out / f"bins_{name}.csv")
+        assert list(bins) == ["bin", "freq_hz", "w_norm", "gain"]
+        for column, values in [("bin", range(len(fb.bin_freqs))),
+                               ("freq_hz", fb.bin_freqs),
+                               ("w_norm", np.linalg.norm(res.w_mp, axis=1)),
+                               ("gain", res.g_mp)]:
+            assert same(bins[column], values), (name, column)
+
+        for key, status in [("n_feasible", "Feasible"),
+                            ("n_c1_infeasible", "C1Infeasible"),
+                            ("n_c2_infeasible", "C2Infeasible"),
+                            ("n_both_infeasible", "BothInfeasible")]:
+            assert int(metrics[key][j]) == bands["status"].count(status)
+        assert float(metrics["penalty_total"][j]) == sum(penalty)
+        assert float(metrics["asii"][j]) == report.asii
+        assert float(metrics["broadband_out_snr_db"][j]) \
+            == report.broadband_out_snr_db
     if text == NOISE_FREE:
-        rows = list(csv.DictReader(
-            (out / "metrics.csv").read_text().splitlines()))
-        assert all(r["asii"] == "1.0" and r["n_feasible"] == "30"
-                   for r in rows)
+        assert metrics["asii"] == ["1.0"] * 3
+        assert metrics["n_feasible"] == ["30"] * 3
+        assert bands["xi"] == ["inf"] * 30
 
 
 def test_explain_reports_bands(tmp_path, capsys):

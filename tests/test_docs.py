@@ -4,6 +4,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+from minproc.pipeline import EnhancementResult
 from minproc.scene import SceneSignals
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,6 +25,9 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
     signals = namespace["signals"]
     assert isinstance(signals, SceneSignals)
-    # the prose names every field the signals have
-    for f in dataclasses.fields(SceneSignals):
-        assert f"`{f.name}`" in section
+    # the prose names every field the signals and a result have
+    result = namespace["result"]
+    assert isinstance(result, EnhancementResult)
+    for cls in (SceneSignals, EnhancementResult):
+        for f in dataclasses.fields(cls):
+            assert f"`{f.name}`" in section, (cls.__name__, f.name)

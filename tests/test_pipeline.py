@@ -38,7 +38,7 @@ def test_favorable_scene_is_passthrough():
     # gain, and recombination reproduces it bin-exactly
     _, stats, bset, fb = make_scene(30.0, 30.0)
     res = run_joint(stats, bset, fb, a_star=0.7)
-    assert all(s.status is BandStatus.FEASIBLE for s in res.band_solutions)
+    assert np.all(res.statuses == BandStatus.FEASIBLE)
     assert np.all(res.alphas == 1.0) and np.all(res.gains == 1.0)
     # bands that pass through add nothing to the reference filter and
     # unit gain, so recombination reproduces both bit for bit
@@ -201,7 +201,7 @@ def test_blind_without_far_noise_keeps_reference():
     assert np.all(stats.c_u == 0.0)
     res = run_blind_concat(stats, bset, fb)
     assert np.all(res.alphas == 1.0)
-    assert all(s.status is BandStatus.FEASIBLE for s in res.band_solutions)
+    assert np.all(res.statuses == BandStatus.FEASIBLE)
 
 
 def test_noise_free_scene_scores_full_intelligibility():
@@ -215,8 +215,7 @@ def test_noise_free_scene_scores_full_intelligibility():
         report = evaluate(stats, res, fb)
         assert report.asii == 1.0, res.method
         assert np.all(report.xi == np.inf), res.method
-        assert all(s.status is BandStatus.FEASIBLE
-                   for s in res.band_solutions), res.method
+        assert np.all(res.statuses == BandStatus.FEASIBLE), res.method
 
 
 def test_blind_without_near_noise_keeps_unit_gain():
@@ -232,7 +231,7 @@ def test_joint_without_near_noise_leaves_c2_inactive():
     _, stats, bset, fb = make_scene(0.0, np.inf)
     assert np.all(stats.sigma_n2 == 0.0)
     res = run_joint(stats, bset, fb)
-    statuses = {s.status for s in res.band_solutions}
+    statuses = set(res.statuses)
     assert statuses <= {BandStatus.FEASIBLE, BandStatus.C1_INFEASIBLE}
     assert BandStatus.FEASIBLE in statuses
     assert np.all(res.gains == 1.0)
@@ -263,8 +262,7 @@ def test_blind_mistakes_noise_for_speech():
     _, stats, bset, fb = make_scene(0.0, -20.0)
     joint = run_joint(stats, bset, fb)
     blind = run_blind_concat(stats, bset, fb)
-    mask = np.array([s.status is BandStatus.FEASIBLE
-                     for s in joint.band_solutions]) & (joint.gains > 1.01)
+    mask = (joint.statuses == BandStatus.FEASIBLE) & (joint.gains > 1.01)
     assert mask.sum() >= 5
     assert np.all(blind.gains[mask] <= joint.gains[mask] * (1.0 + 1e-6))
     assert blind.gains[mask].mean() < joint.gains[mask].mean()
@@ -276,11 +274,10 @@ def test_joint_never_below_unprocessed_in_feasible_bands():
     unproc = run_unprocessed(stats, fb)
     xi_joint = evaluate(stats, joint, fb).xi
     xi_unproc = evaluate(stats, unproc, fb).xi
-    for j, sol in enumerate(joint.band_solutions):
-        if sol.status is not BandStatus.FEASIBLE:
-            continue
-        floor = min(joint.terms[j].target_snr, xi_unproc[j])
-        assert xi_joint[j] >= floor - 1e-9
+    feasible = joint.statuses == BandStatus.FEASIBLE
+    assert feasible.any()
+    floor = np.minimum(joint.table.target_snr, xi_unproc)
+    assert np.all(xi_joint[feasible] >= floor[feasible] - 1e-9)
 
 
 def test_method_labels():
@@ -351,7 +348,7 @@ def test_band_core_matches_per_band_integration(name, a_star):
                      [(s.alpha, s.gain, s.status) for s in
                       (solve_band(t, delta_u_db) for t in joint_terms)]))
     for res, terms, old in runs:
-        assert [s.status for s in res.band_solutions] == [o[2] for o in old]
+        assert res.statuses.tolist() == [o[2] for o in old]
         assert_close(res.alphas, [o[0] for o in old])
         assert_close(res.gains, [o[1] for o in old])
         report = evaluate(stats, res, fb)
@@ -381,9 +378,14 @@ def test_array_xi_is_per_band_subband_snr(name):
     for res in (run_joint(stats, bset, fb), run_blind_concat(stats, bset, fb),
                 run_unprocessed(stats, fb)):
         xi = evaluate(stats, res, fb).xi
+        # the per-band views read the arrays, built afresh each time
+        solutions = res.band_solutions
+        assert solutions is not res.band_solutions
         per_band = [subband_snr(t, s.alpha, s.gain)
-                    for t, s in zip(res.terms, res.band_solutions)]
+                    for t, s in zip(res.terms, solutions)]
         assert np.array_equal(xi, per_band), res.method
-        assert np.array_equal(res.alphas,
-                              [s.alpha for s in res.band_solutions])
-        assert np.array_equal(res.gains, [s.gain for s in res.band_solutions])
+        assert np.array_equal(res.alphas, [s.alpha for s in solutions])
+        assert np.array_equal(res.gains, [s.gain for s in solutions])
+        assert res.statuses.tolist() == [s.status for s in solutions]
+        assert [t.target_snr for t in res.terms] \
+            == res.table.target_snr.tolist()

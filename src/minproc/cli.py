@@ -425,6 +425,10 @@ def cmd_explain(args):
     joint = Path(args.csv).name == "bands_joint.csv"
     try:
         for row in rows:
+            # DictReader keys a row's extra fields under None and fills
+            # its missing ones with None
+            if None in row or None in row.values():
+                raise ValueError("field count differs from the header")
             print(_describe(row, joint))
     except (KeyError, ValueError) as exc:
         print(f"error: malformed CSV row: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ copy of the weights, normalized per bin across bands, is kept for
 recombining per-band decisions back to per-bin values.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,13 @@ def _resolve_importance(importance, n_bands, centers_hz):
 
 def load_band_importance(path):
     """Load a two-column (center_hz, weight) text table."""
-    table = np.loadtxt(path, ndmin=2)
+    with warnings.catch_warnings():
+        # loadtxt only warns on a file without data
+        warnings.simplefilter("error", UserWarning)
+        try:
+            table = np.loadtxt(path, ndmin=2)
+        except UserWarning:
+            raise ValueError("importance table holds no data") from None
     if table.shape[1] != 2:
         raise ValueError("importance table must have two columns")
     return table

@@ -36,12 +36,12 @@ from .solver import (
     _last_true,
     _pick_last,
     _quad,
+    _speech_per_bin,
     band_rows,
     band_term_table,
     band_terms,  # noqa: F401 -- perfbench's tracer times this lookup site
     solve_band,
     subband_snr,
-    table_terms,
 )
 from .stft import Spectrogram, synthesize
 
@@ -98,16 +98,19 @@ class EnhancementResult:
 def recombine(bset, fb, alphas, gains):
     """Blend per-band (alpha, g) into per-bin weights and gains.
 
-    Each covered bin takes the per-bin-normalized average of its bands'
-    combined filters alpha*w_ref + (1 - alpha)*w_nr and of their gains.
-    A covered bin's recomb weights sum to one, so that average is, in
-    closed form, w_ref + c*(w_nr - w_ref), with c the bin's average of
-    1 - alpha, and 1 plus the bin's average of g - 1.  An uncovered bin
-    has c = 0: the reference filter at unit gain.  Where every band of a
-    bin keeps alpha = 1 and g = 1, the bin gets exactly w_ref and 1.
+    Each covered bin averages its bands' filters alpha*w_ref + (1 -
+    alpha)*w_nr and their gains under recomb, whose weights sum to one.
+    With a and c the averages of alpha and 1 - alpha, that filter is
+    w_nr + a*(w_ref - w_nr) where a < c, else w_ref + c*(w_nr - w_ref), so
+    bands all at alpha = 0 give exactly w_nr and all at 1 exactly w_ref.
+    The gain is 1 plus the average of g - 1.  An uncovered bin has a = c
+    = 0: w_ref at unit gain.
     """
-    c = fb.recomb.T @ (1.0 - np.asarray(alphas, dtype=float))
-    w_mp = bset.w_ref + c[:, None] * (bset.w_nr - bset.w_ref)
+    alphas = np.asarray(alphas, dtype=float)
+    a, c = fb.recomb.T @ alphas, fb.recomb.T @ (1.0 - alphas)
+    step = bset.w_nr - bset.w_ref
+    w_mp = np.where((a < c)[:, None], bset.w_nr - a[:, None] * step,
+                    bset.w_ref + c[:, None] * step)
     g_mp = 1.0 + fb.recomb.T @ (np.asarray(gains, dtype=float) - 1.0)
     return w_mp, g_mp
 
@@ -117,7 +120,7 @@ def _run(method, stats, bset, fb, a_star, decide):
     let ``decide(table)`` return the per-band alphas, gains and
     statuses, recombine."""
     _, target_snrs = allocate_targets(a_star, fb)
-    table = table_terms(band_term_table(stats, bset, fb), target_snrs)
+    table = band_term_table(stats, bset, fb, target_snrs)
     alphas, gains, statuses = decide(table)
     w_mp, g_mp = recombine(bset, fb, alphas, gains)
     return EnhancementResult(method, table, alphas, gains, statuses,
@@ -166,15 +169,9 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
     applies blind_gain to the total power the first stage delivers.
     """
 
-    # S - Y is the speech passed by the error filter e1 - w (d[:, 0] = 1),
-    # so the distortion power |S - Y|^2 is that filter pair's speech power
-    e1 = _reference_mic(stats)
-    error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
-
     def decide(t):
         clean = fb.weight @ stats.sigma_s2
-        distortion = band_term_table(stats, error, fb)
-        eps = _on_grid(*distortion.T[:3])
+        eps = _on_grid(*_distortion_table(stats, bset, fb).T)
         eps += _on_grid(t.du_ref, t.du_nr, t.du_cross)
         ratio = np.divide(clean[:, None], eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
@@ -188,6 +185,14 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
                 _met_status(met))
 
     return _run(Method.BLIND_CONCAT, stats, bset, fb, a_star, decide)
+
+
+def _distortion_table(stats, bset, fb):
+    """Every band's distortion |S - Y|^2, the speech passed by e1 - w (as
+    d[:, 0] = 1): the (n_bands, 3) speech columns of that error pair."""
+    e1 = _reference_mic(stats)
+    per_bin = _speech_per_bin(stats, e1 - bset.w_ref, e1 - bset.w_nr)
+    return fb.weight @ np.stack(per_bin, axis=1)
 
 
 def _met_status(met):

@@ -55,7 +55,6 @@ __all__ = [
     "SolverTerms",
     "BandSolution",
     "band_term_table",
-    "table_terms",
     "band_rows",
     "band_terms",
     "snr_margin",
@@ -118,8 +117,8 @@ class SolverTerms:
     the interference term 2*Re{w_nr^H C w_ref}.  sigma_n2 is the
     near-end noise power in the band and target_snr the SNR-domain
     intelligibility target.  Fields are floats for one band, or
-    (n_bands,) arrays for every band at once (table_terms); the methods
-    and subband_snr work elementwise on either.
+    (n_bands,) arrays for every band at once (band_term_table); the
+    methods and subband_snr work elementwise on either.
     """
 
     ds_ref: float
@@ -151,36 +150,31 @@ class BandSolution:
         return (1.0 - self.alpha) ** 2 + (1.0 - self.gain) ** 2
 
 
-def band_term_table(stats, bset, fb):
-    """Every band's filter powers in one (n_bands, 7) table.
+def _speech_per_bin(stats, w_ref, w_nr):
+    """Per-bin ds_ref, ds_nr and ds_cross of the filter pair (w_ref, w_nr)."""
+    h_ref = np.einsum("km,km->k", np.conj(w_ref), stats.d)
+    h_nr = np.einsum("km,km->k", np.conj(w_nr), stats.d)
+    s2 = stats.sigma_s2
+    return [s2 * np.abs(h_ref) ** 2, s2 * np.abs(h_nr) ** 2,
+            s2 * 2.0 * (h_nr * np.conj(h_ref)).real]
 
-    Columns follow SolverTerms: ds_ref, ds_nr, ds_cross, du_ref, du_nr,
-    du_cross, sigma_n2.  The seven per-bin powers of the filter pair are
-    formed once over all bins and integrated under the band weights in
-    one product.
-    """
-    d, cu, wr, wn = stats.d, stats.c_u, bset.w_ref, bset.w_nr
+
+def band_term_table(stats, bset, fb, target_snrs):
+    """Every band's SolverTerms at once, in (n_bands,) columns.  The seven
+    per-bin powers of the filter pair are formed once over all bins and
+    integrated under the band weights in one product."""
+    cu, wr, wn = stats.c_u, bset.w_ref, bset.w_nr
     cu_wr = np.einsum("kmn,kn->km", cu, wr)
     cu_wn = np.einsum("kmn,kn->km", cu, wn)
-    h_ref = np.einsum("km,km->k", np.conj(wr), d)
-    h_nr = np.einsum("km,km->k", np.conj(wn), d)
-    s2 = stats.sigma_s2
     per_bin = np.stack([
-        s2 * np.abs(h_ref) ** 2,
-        s2 * np.abs(h_nr) ** 2,
-        s2 * 2.0 * (h_nr * np.conj(h_ref)).real,
+        *_speech_per_bin(stats, wr, wn),
         np.einsum("km,km->k", np.conj(wr), cu_wr).real,
         np.einsum("km,km->k", np.conj(wn), cu_wn).real,
         2.0 * np.einsum("km,km->k", np.conj(wn), cu_wr).real,
         stats.sigma_n2,
     ], axis=1)
-    return fb.weight @ per_bin
-
-
-def table_terms(table, target_snrs):
-    """SolverTerms whose fields are the (n_bands,) columns of a
-    band_term_table, with the per-band targets: every band at once."""
-    return SolverTerms(*table.T, np.asarray(target_snrs, dtype=float))
+    return SolverTerms(*(fb.weight @ per_bin).T,
+                       np.asarray(target_snrs, dtype=float))
 
 
 def band_rows(terms):
@@ -192,8 +186,8 @@ def band_rows(terms):
 
 def band_terms(stats, bset, fb, band_idx, target_snr):
     """Band band_idx's SolverTerms: row band_idx of band_term_table."""
-    row = band_term_table(stats, bset, fb)[band_idx].tolist()
-    return SolverTerms(*row, float(target_snr))
+    targets = np.full(fb.n_bands, float(target_snr))
+    return band_rows(band_term_table(stats, bset, fb, targets))[band_idx]
 
 
 def _margin_at_one(terms):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -724,6 +725,25 @@ def test_explain_notes_only_steps_the_method_took(tmp_path, capsys):
     assert "best-SNR fallback with bounded boost" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("action", ["always", "error"])
+@pytest.mark.parametrize("text", ["", "# center_hz weight\n"])
+def test_empty_importance_file_is_a_config_error(tmp_path, capsys, action,
+                                                 text):
+    # a table without data exits 2 with one error line, and no warning
+    # escapes, even where warnings are errors
+    table = tmp_path / "importance.txt"
+    table.write_text(text)
+    cfg = write_cfg(tmp_path, f"duration = 1.0\nimportance_file = {table}\n")
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert caught == []
+    assert not out.exists()
+    assert capsys.readouterr().err \
+        == "error: importance table holds no data\n"
+
+
 def test_explain_rejects_wrong_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -734,4 +754,13 @@ def test_explain_rejects_wrong_csv(tmp_path, capsys):
     latin1 = tmp_path / "bands_joint.csv"
     latin1.write_bytes(",".join(BAND_COLUMNS).encode() + b"\n0,\xff\n")
     assert main(["explain", str(latin1)]) == 2
+    # a row one field short and a row one field long
+    header, first, *rest = (out / "bands_unprocessed.csv").read_text() \
+        .splitlines()
+    for row in (first.rsplit(",", 1)[0], first + ",0"):
+        capsys.readouterr()
+        bad = tmp_path / "bands_bad.csv"
+        bad.write_text("\n".join([header, row, *rest]) + "\n")
+        assert main(["explain", str(bad)]) == 2
+        assert "error: malformed CSV row" in capsys.readouterr().err
     capsys.readouterr()

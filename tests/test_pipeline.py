@@ -1,5 +1,7 @@
 """End-to-end methods: recombination, rendering, blind baseline."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from oracles import (band_terms_by_members, blind_by_band, covered_bins,
@@ -19,8 +21,9 @@ from minproc.pipeline import (
     run_unprocessed,
 )
 from minproc.scene import SceneConfig, synthesize_scene
-from minproc.solver import (REL_TOL, BandStatus, band_term_table,
-                            band_terms, solve_band, subband_snr)
+from minproc.solver import (REL_TOL, BandStatus, SolverTerms,
+                            band_term_table, band_terms, solve_band,
+                            subband_snr)
 from minproc.stft import FrameParams, long_term_psd
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -49,19 +52,45 @@ def test_favorable_scene_is_passthrough():
 @pytest.mark.parametrize("mics", [2, 3])
 def test_recombine_closed_form_matches_mix(mics):
     # the closed form sums the same per-bin average as 0.4.0's mix of
-    # every band's combined filter, only in another order
+    # every band's combined filter, only in another order; half the
+    # draws put some bands at alpha = 0 or 1, so bins mix both ends
     positions = tuple((1.50, 2.00 + 0.02 * m, 1.00) for m in range(mics))
     _, stats, bset, fb = make_scene(0.0, -30.0, mic_positions=positions)
     assert bset.w_ref.shape == (PARAMS.bins, mics)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         alphas = rng.uniform(0.0, 1.0, fb.n_bands)
+        if seed % 2:
+            ends = rng.choice([0.0, 1.0], fb.n_bands)
+            alphas = np.where(rng.uniform(size=fb.n_bands) < 0.5, ends,
+                              alphas)
         gains = rng.uniform(1.0, 3.0, fb.n_bands)
         w_mp, g_mp = recombine(bset, fb, alphas, gains)
         w_ref, g_ref = recombine_by_mix(bset, fb, alphas, gains)
         assert np.all(np.linalg.norm(w_mp - w_ref, axis=1)
                       <= 1e-14 * np.linalg.norm(w_ref, axis=1))
         assert np.all(np.abs(g_mp - g_ref) <= 1e-14 * g_ref)
+
+
+def test_recombine_is_exact_at_both_ends():
+    # every band at alpha = 0 gives exactly w_nr, every band at alpha = 1
+    # exactly w_ref, and unit gains exactly 1, on every covered bin; w_nr
+    # spans 30 decades, so parts of it lie below the rounding of w_ref
+    rng = np.random.default_rng(2)
+    fb = build_filterbank(PARAMS)
+    shape = (PARAMS.bins, 2)
+    scale = 10.0 ** rng.uniform(-30.0, 0.0, shape)
+    bset = BeamformerSet(
+        w_ref=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        w_nr=scale * (rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape)))
+    covered = covered_bins(fb)
+    ones = np.ones(fb.n_bands)
+    for alpha, expect in ((0.0, bset.w_nr), (1.0, bset.w_ref)):
+        w_mp, g_mp = recombine(bset, fb, np.full(fb.n_bands, alpha), ones)
+        assert np.array_equal(w_mp[covered], expect[covered]), alpha
+        assert np.array_equal(w_mp[~covered], bset.w_ref[~covered])
+        assert np.array_equal(g_mp, np.ones(PARAMS.bins))
 
 
 def test_recombine_agreeing_bands_reproduce_value():
@@ -360,14 +389,34 @@ def test_band_core_matches_per_band_integration(name, a_star):
 @pytest.mark.parametrize("name", sorted(CORE_SCENES))
 def test_band_terms_is_a_row_of_the_table(name):
     stats, bset, fb = core_scene(name)
-    table = band_term_table(stats, bset, fb)
-    assert table.shape == (fb.n_bands, 7)
+    targets = np.linspace(0.5, 3.0, fb.n_bands)
+    table = band_term_table(stats, bset, fb, targets)
+    assert isinstance(table, SolverTerms)
+    columns = [getattr(table, f.name) for f in fields(SolverTerms)]
+    assert all(c.shape == (fb.n_bands,) for c in columns)
+    assert np.array_equal(table.target_snr, targets)
     for j in range(fb.n_bands):
-        terms = band_terms(stats, bset, fb, j, 2.5)
-        row = [terms.ds_ref, terms.ds_nr, terms.ds_cross, terms.du_ref,
-               terms.du_nr, terms.du_cross, terms.sigma_n2]
-        assert np.array_equal(row, table[j])
-        assert terms.target_snr == 2.5
+        terms = band_terms(stats, bset, fb, j, targets[j])
+        row = [getattr(terms, f.name) for f in fields(SolverTerms)]
+        assert all(type(v) is float for v in row)
+        assert np.array_equal(row, [c[j] for c in columns])
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SCENES))
+def test_blind_distortion_is_the_error_pair_speech(name, monkeypatch):
+    # the blind stage integrates the three speech columns of the error
+    # pair (e1 - w_ref, e1 - w_nr) and no second filter pair
+    stats, bset, fb = core_scene(name)
+    e1 = reference_filter_pair(stats).w_ref
+    error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
+    distortion = pipeline._distortion_table(stats, bset, fb)
+    assert distortion.shape == (fb.n_bands, 3)
+    old = [band_terms_by_members(stats, error, fb, j, 1.0)
+           for j in range(fb.n_bands)]
+    for col, term in zip(distortion.T, ("ds_ref", "ds_nr", "ds_cross")):
+        assert_close(col, [getattr(t, term) for t in old])
+    monkeypatch.setattr(pipeline, "BeamformerSet", None)
+    run_blind_concat(stats, bset, fb)
 
 
 @pytest.mark.parametrize("name", sorted(CORE_SCENES))

@@ -26,7 +26,8 @@ from .metrics import evaluate
 from .pipeline import (Method, render, run_blind_concat, run_joint,
                        run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import BandStatus, constraint_bounds, snr_margin
+from .solver import (BandStatus, boost_fraction, constraint_bounds,
+                     snr_margin)
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -76,10 +77,7 @@ class RunConfig:
         if not (math.isinf(self.delta_u_db)
                 or abs(self.delta_u_db) <= DB_LIMIT):
             raise ValueError(f"delta_u_db must lie within +-{DB_LIMIT:g} dB")
-        # fallback_c1's boost fraction 10^(-delta_n_db/10) must lie in
-        # (0, 1); max() keeps the power from overflowing
-        if not 0.0 < 10.0 ** (-max(self.delta_n_db, 0.0) / 10.0) < 1.0:
-            raise ValueError("delta_n_db must be positive")
+        boost_fraction(self.delta_n_db)  # ValueError unless positive
         if type(self.scene.seed) is not int or self.scene.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.scene.validate()

@@ -34,8 +34,8 @@ from .solver import (
     BandStatus,
     SolverTerms,
     _last_true,
+    _on_grid,
     _pick_last,
-    _quad,
     _speech_per_bin,
     band_rows,
     band_term_table,
@@ -152,11 +152,6 @@ def blind_gain(delta_y, sigma_n2, target_snr):
     lift = np.divide(sigma_n2 * target_snr, delta_y,
                      out=np.ones_like(delta_y), where=delta_y > 0.0)
     return np.sqrt(np.fmax(1.0, lift))
-
-
-def _on_grid(at_one, at_zero, cross):
-    """Every band's quadratic over ALPHAS, one row per band."""
-    return _quad(ALPHAS, at_one[:, None], at_zero[:, None], cross[:, None])
 
 
 def run_blind_concat(stats, bset, fb, a_star=0.7):

@@ -28,7 +28,10 @@ penalty 0 is the minimum and ties go to the larger alpha, so for finite
 terms the search would return the same (1, 1).  The quadratic basis
 alpha^2, (1-alpha)^2, alpha*(1-alpha) on ALPHAS is formed once at
 import, with the operations applied to any other alpha, so every power
-on the grid is the same to the bit as one evaluated at a single alpha.
+on the grid is the same to the bit as one evaluated at a single alpha;
+so are the noise power and margin the search forms together, as two
+stacked rows of one pass (_on_grid), and the speech power it forms only
+when no alpha is admissible.
 
 When no (alpha, g) is admissible the solver degrades deliberately:
 
@@ -60,6 +63,7 @@ __all__ = [
     "snr_margin",
     "subband_snr",
     "constraint_bounds",
+    "boost_fraction",
     "boundary_solution",
     "grid_solve",
     "fallback_c1",
@@ -81,9 +85,10 @@ def _basis(a):
 
 # the alpha grid of every search; it holds 0.0 and 1.0 exactly
 ALPHAS = np.linspace(0.0, 1.0, 2001)
-# its basis, formed once
+# its basis, formed once, and unit gain over it
 _BASIS = _basis(ALPHAS)
-for _read_only in (ALPHAS, *_BASIS):
+_ONES = np.ones_like(ALPHAS)
+for _read_only in (ALPHAS, *_BASIS, _ONES):
     _read_only.flags.writeable = False
 
 
@@ -106,6 +111,11 @@ def _quad(alpha, at_one, at_zero, cross):
     out += b2 * at_zero
     out += ab * cross
     return out
+
+
+def _on_grid(at_one, at_zero, cross):
+    """Every row's quadratic over ALPHAS: (n,) coefficients, (n, 2001)."""
+    return _quad(ALPHAS, at_one[:, None], at_zero[:, None], cross[:, None])
 
 
 @dataclass(frozen=True)
@@ -190,18 +200,17 @@ def band_terms(stats, bset, fb, band_idx, target_snr):
     return band_rows(band_term_table(stats, bset, fb, targets))[band_idx]
 
 
-def _margin_at_one(terms):
-    """p(1), the at_one coefficient of the margin quadratic."""
-    return terms.ds_ref - terms.du_ref * terms.target_snr
+def _margin_coefs(terms):
+    """at_one, at_zero and cross of the margin quadratic p(alpha)."""
+    t = terms.target_snr
+    return (terms.ds_ref - terms.du_ref * t, terms.ds_nr - terms.du_nr * t,
+            terms.ds_cross - terms.du_cross * t)
 
 
 def snr_margin(terms, alpha):
     """p(alpha) = speech - noise * target_snr: positive where the SNR
     target is reachable by gain alone."""
-    t = terms.target_snr
-    return _quad(alpha, _margin_at_one(terms),
-                 terms.ds_nr - terms.du_nr * t,
-                 terms.ds_cross - terms.du_cross * t)
+    return _quad(alpha, *_margin_coefs(terms))
 
 
 def _snr(g2, speech, noise, sigma_n2):
@@ -225,16 +234,15 @@ def subband_snr(terms, alpha, g):
 
 def _last_true(mask):
     """Index of the last True entry of a boolean array."""
-    return mask.size - 1 - int(np.argmax(mask[::-1]))
+    return mask.size - 1 - int(mask[::-1].argmax())
 
 
 def _pick_last(values):
     """Index of the smallest value, NaN entries left out, ties (to 1e-12
     relative) going to the largest index, i.e. toward larger alpha on an
     increasing grid.  Pass the negated values to pick the largest."""
-    v = np.asarray(values, dtype=float)
-    best = np.fmin.reduce(v)
-    return _last_true(v <= best + 1e-12 * max(abs(best), 1e-300))
+    best = np.fmin.reduce(values)
+    return _last_true(values <= best + 1e-12 * max(abs(best), 1e-300))
 
 
 def _solution(alpha, g, status):
@@ -250,6 +258,15 @@ def constraint_bounds(terms, delta_u_db=DELTA_U_DB):
     if terms.sigma_n2 == 0.0:
         return rhs, np.inf
     return rhs, terms.sigma_n2 * 10.0 ** (delta_u_db / 10.0)
+
+
+def boost_fraction(delta_n_db):
+    """fallback_c1's theta = 10^(-delta_n_db / 10); ValueError unless
+    delta_n_db > 0."""
+    theta = 10.0 ** (-max(delta_n_db, 0.0) / 10.0)  # max(): no overflow
+    if not 0.0 < theta < 1.0:
+        raise ValueError("delta_n_db must be positive")
+    return theta
 
 
 def _unit_gain_ok(margin, du, rhs, cap):
@@ -285,58 +302,69 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     The do-nothing point is answered first: where alpha = 1 at unit gain
     is admissible its penalty 0 is the minimum and ties go to the larger
     alpha, so the search would return it too.  Dispatches to the
-    matching fallback when no point is admissible.
+    matching fallback when no point is admissible.  Every band checks
+    delta_n_db (boost_fraction), whichever route it takes.
     """
+    theta = boost_fraction(delta_n_db)
     rhs, cap = constraint_bounds(terms, delta_u_db)
-    if _unit_gain_ok(_margin_at_one(terms), terms.du_ref, rhs, cap):
+    margin = _margin_coefs(terms)
+    if _unit_gain_ok(margin[0], terms.du_ref, rhs, cap):
         return _solution(1.0, 1.0, BandStatus.FEASIBLE)
 
-    du = terms.noise_power(ALPHAS)
-    p = snr_margin(terms, ALPHAS)
+    du, p = _on_grid(*np.array(
+        [(terms.du_ref, terms.du_nr, terms.du_cross), margin]).T)
+    cap_hi = cap * (1.0 + REL_TOL)
 
     # smallest gain meeting C1 at each alpha: 1 where the margin already
     # covers the target, sqrt(rhs/p) where it is positive but short
+    # (pos > at_unit)
     at_unit = p >= rhs * (1.0 - REL_TOL)
-    amp = (~at_unit) & (p > 0.0)
-    g = np.ones_like(ALPHAS)
-    np.divide(rhs, p, out=g, where=amp)
-    np.sqrt(g, out=g, where=amp)
-    feasible = (at_unit | amp) & (g * g * du <= cap * (1.0 + REL_TOL))
+    pos = p > 0.0
+    g = _ONES.copy()
+    np.divide(rhs, p, out=g, where=pos > at_unit)
+    np.sqrt(g, out=g)
+    load = g * g
+    load *= du
+    feasible = (load <= cap_hi) & (at_unit | pos)
 
-    if feasible.any():
+    if feasible[feasible.argmax()]:
         # (1-alpha)^2 + (1-g)^2, NaN leaving inadmissible points out
-        penalty = np.where(feasible, _BASIS[1] + (1.0 - g) ** 2, np.nan)
+        penalty = np.square(1.0 - g, out=load)
+        penalty += _BASIS[1]
+        np.copyto(penalty, np.nan, where=~feasible)
         best = _pick_last(penalty)
         return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
-    c2_gone = du.min() > cap * (1.0 + REL_TOL)
-    if rhs > 0.0 and not (p > 0.0).any():
+    ds = terms.speech_power(ALPHAS)
+    c2_gone = du.min() > cap_hi
+    if rhs > 0.0 and not pos[pos.argmax()]:
         c1_gone = True  # no gain lifts a margin that is nowhere positive
     else:
         # the largest C1 left-hand side the cap admits, p*cap/du: a
         # positive margin without far-end noise reaches any target, a
         # zero margin nothing, even under an infinite cap
-        reach = np.where(p > 0.0, np.inf, 0.0)
-        pos = du > 0.0
-        np.multiply(p, cap / np.where(pos, du, 1.0), out=reach,
-                    where=pos & (p != 0.0))
-        c1_gone = reach.max() < rhs * (1.0 - REL_TOL) if rhs > 0.0 \
-            else reach.max() < 0.0
+        reach = np.where(pos, np.inf, 0.0)
+        live = du > 0.0
+        np.multiply(p, np.divide(cap, du, out=_ONES.copy(), where=live),
+                    out=reach, where=live & (p != 0.0))
+        c1_gone = reach.max() < (rhs * (1.0 - REL_TOL) if rhs > 0.0
+                                 else 0.0)
 
     if c1_gone and not c2_gone:
-        return fallback_c1(terms, du, cap, delta_n_db)
+        return fallback_c1(terms, ds, du, cap, theta)
     if c2_gone and not c1_gone:
-        return fallback_c2(terms, du)
-    return fallback_both(terms, du, cap)
+        return fallback_c2(terms, ds, du)
+    return fallback_both(terms, ds, du, cap)
 
 
-def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
+def fallback_c1(terms, ds, du, cap, theta):
     """Target unreachable: best far-end SNR, then a bounded near-end boost.
 
-    du is noise_power over ALPHAS and cap the C2 cap of
-    constraint_bounds.  alpha maximizes speech/noise over the grid.  The
-    raw gain makes the near-end noise cost exactly delta_n_db of that SNR,
+    ds and du are speech_power and noise_power over ALPHAS, cap the C2
+    cap of constraint_bounds and theta the boost_fraction.  alpha
+    maximizes speech/noise over the grid.  The raw gain makes the
+    near-end noise cost exactly delta_n_db of that SNR,
 
         g^2 = theta * sigma_n2 / ((1 - theta) * noise_power(alpha)),
         theta = 10^(-delta_n_db / 10),
@@ -346,13 +374,9 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
     itself sits below one it wins and the status reports both
     constraints lost.
     """
-    theta = 10.0 ** (-delta_n_db / 10.0)
-    if not 0.0 < theta < 1.0:
-        raise ValueError("delta_n_db must be positive")
-    ds = terms.speech_power(ALPHAS)
     ratio = np.divide(ds, du, out=np.where(ds > 0.0, np.inf, 0.0),
                       where=du > 0.0)
-    best = _pick_last(-ratio)
+    best = _pick_last(np.negative(ratio, out=ratio))
     alpha = ALPHAS[best]
     du_best = du[best]
 
@@ -368,26 +392,28 @@ def fallback_c1(terms, du, cap, delta_n_db=DELTA_N_DB):
                      BandStatus.C1_INFEASIBLE)
 
 
-def _steer(terms, du, g, status):
-    """Keep the gain g(alpha) over ALPHAS and pick the alpha whose SNR
-    lands closest to the target; du is noise_power over ALPHAS."""
-    xi = _snr(g * g, terms.speech_power(ALPHAS), du, terms.sigma_n2)
-    best = _pick_last(np.abs(xi - terms.target_snr))
+def _steer(terms, xi, g, status):
+    """Pick the alpha whose SNR xi (over ALPHAS, at the kept gain g)
+    lands closest to the target."""
+    xi -= terms.target_snr
+    best = _pick_last(np.abs(xi, out=xi))
     return _solution(ALPHAS[best], g[best], status)
 
 
-def fallback_c2(terms, du):
+def fallback_c2(terms, ds, du):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
     SNR as close to the target as the combination allows."""
-    return _steer(terms, du, np.ones_like(ALPHAS), BandStatus.C2_INFEASIBLE)
+    return _steer(terms, _snr(1.0, ds, du, terms.sigma_n2), _ONES,
+                  BandStatus.C2_INFEASIBLE)
 
 
-def fallback_both(terms, du, cap):
+def fallback_both(terms, ds, du, cap):
     """Both constraints lost: run the gain at the C2 cap and steer the
     SNR toward the target; the cap wins over g >= 1.  Where no far-end
     noise passes (du = 0) there is nothing to cap and the gain is 1."""
-    g = np.sqrt(np.divide(cap, du, out=np.ones_like(du), where=du > 0.0))
-    return _steer(terms, du, g, BandStatus.BOTH_INFEASIBLE)
+    g = np.sqrt(np.divide(cap, du, out=_ONES.copy(), where=du > 0.0))
+    return _steer(terms, _snr(g * g, ds, du, terms.sigma_n2), g,
+                  BandStatus.BOTH_INFEASIBLE)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from minproc import solver
 from minproc.beamform import build_beamformers
 from minproc.filterbank import build_filterbank
 from minproc.scene import SpectralStats
@@ -19,6 +22,7 @@ from minproc.solver import (
     BandStatus,
     SolverTerms,
     band_terms,
+    boost_fraction,
     boundary_solution,
     constraint_bounds,
     snr_margin,
@@ -248,18 +252,129 @@ def test_zero_margin_under_infinite_cap_is_c1_infeasible():
 # (such as replacing the grid optimum by exact roots); a speed-up must
 # leave it as it is.
 SOLUTIONS_SHA256 = "4d823a32c695be1fd54ecc0d0de270a71583787b553797fb6618e6402fb7455f"
+# the same for test_edge_solutions_unchanged_bit_for_bit
+EDGE_SOLUTIONS_SHA256 = \
+    "744a0132ed466e2aed2a1032a14016bf6da848f436db9961c3189fe84add5f5b"
+
+
+def _pinned_terms():
+    rng = np.random.default_rng(2024)
+    return [oracles.random_terms(rng) for _ in range(1500)]
+
+
+def _solutions_digest(terms, delta_u_dbs):
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for delta_u_db in delta_u_dbs:
+            for t in terms:
+                sol = solve_band(t, delta_u_db)
+                digest.update(f"{sol.alpha.hex()} {sol.gain.hex()} "
+                              f"{sol.status.value}\n".encode())
+    return digest.hexdigest()
 
 
 def test_solutions_unchanged_bit_for_bit():
-    rng = np.random.default_rng(2024)
-    terms = [oracles.random_terms(rng) for _ in range(1500)]
-    digest = hashlib.sha256()
+    assert _solutions_digest(_pinned_terms(), (12.0, 0.0, -6.0, np.inf)) \
+        == SOLUTIONS_SHA256
+
+
+def _edge_terms():
+    """The corners of test_solver_invariants' domain, which random_terms
+    never draws: zero and extreme powers, filters fully correlated,
+    anti-correlated or uncorrelated, no near-end noise, a zero target."""
+    powers, rhos, off_on = (0.0, 1e-6, 1.0, 1e6), (-1.0, 0.0, 1.0), (0.0, 1.0)
+    for s_ref, s_nr, u_ref, u_nr in itertools.product(powers, repeat=4):
+        for rho_s, rho_u, sigma_n2, target in itertools.product(
+                rhos, rhos, off_on, off_on):
+            yield SolverTerms(s_ref, s_nr, 2.0 * rho_s * np.sqrt(s_ref * s_nr),
+                              u_ref, u_nr, 2.0 * rho_u * np.sqrt(u_ref * u_nr),
+                              sigma_n2, target)
+
+
+def test_edge_solutions_unchanged_bit_for_bit():
+    # 36 864 solves: the edge at-unit and C1-empty tests read p == 0,
+    # du == 0, rhs == 0 and an infinite or vanishing cap, all of it here
+    delta_u_dbs = (12.0, 0.0, -300.0, np.inf)
+    assert _solutions_digest(list(_edge_terms()), delta_u_dbs) \
+        == EDGE_SOLUTIONS_SHA256
+
+
+def _counting(routes, name, fn):
+    def counted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        routes[name] += 1
+        if name == "fallback_c1":
+            routes[f"fallback_c1 {out.status}"] += 1
+        return out
+    return counted
+
+
+def test_pinned_draw_reaches_every_route(monkeypatch):
+    # the digest above only guards the routes its draw takes
+    routes = Counter()
+    for name in ("_on_grid", "fallback_c1", "fallback_c2", "fallback_both"):
+        monkeypatch.setattr(solver, name,
+                            _counting(routes, name, getattr(solver, name)))
+    terms = _pinned_terms()
     for delta_u_db in (12.0, 0.0, -6.0, np.inf):
         for t in terms:
-            sol = solve_band(t, delta_u_db)
-            digest.update(f"{sol.alpha.hex()} {sol.gain.hex()} "
-                          f"{sol.status.value}\n".encode())
-    assert digest.hexdigest() == SOLUTIONS_SHA256
+            solve_band(t, delta_u_db)
+    fallbacks = sum(routes[f"fallback_{k}"] for k in ("c1", "c2", "both"))
+    assert 4 * len(terms) - routes["_on_grid"] > 0  # passthrough exit
+    assert routes["_on_grid"] - fallbacks > 0  # grid Feasible
+    for route in ("fallback_c1 C1Infeasible", "fallback_c1 BothInfeasible",
+                  "fallback_c2", "fallback_both"):
+        assert routes[route] > 0, route
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def test_grid_powers_equal_single_alpha_values_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(7)
+    terms = [oracles.random_terms(rng) for _ in range(200)]
+    # every band's columns at once: each entry is one band at one alpha
+    table = SolverTerms(*(np.array([getattr(t, f.name) for t in terms])
+                          for f in dataclasses.fields(SolverTerms)))
+    grids = {"noise": [t.noise_power(ALPHAS) for t in terms],
+             "speech": [t.speech_power(ALPHAS) for t in terms],
+             "margin": [snr_margin(t, ALPHAS) for t in terms]}
+    # the stacked (noise, margin) rows of each band that reaches the search
+    stacked, on_grid = {}, solver._on_grid
+    for j, t in enumerate(terms):
+        monkeypatch.setattr(solver, "_on_grid",
+                            lambda *c, j=j: stacked.setdefault(j, on_grid(*c)))
+        solve_band(t)
+    assert len(stacked) > 100
+    for j, rows in stacked.items():
+        assert _same_bits(rows, [grids["noise"][j], grids["margin"][j]])
+
+    for k in range(0, ALPHAS.size, 7):
+        alpha = float(ALPHAS[k])
+        for name, single in (("noise", table.noise_power(alpha)),
+                             ("speech", table.speech_power(alpha)),
+                             ("margin", snr_margin(table, alpha))):
+            assert _same_bits(single, [grid[k] for grid in grids[name]]), \
+                (name, alpha)
+
+
+def test_nonpositive_delta_n_db_is_rejected_on_every_band():
+    # validated once per solve, not only on the bands that reach
+    # fallback_c1; -1e4 would overflow 10^(-delta_n_db / 10)
+    passthrough = SolverTerms(1.0, 0.9, 1.8, 0.05, 0.01, 0.04, 0.5, 1.0)
+    c1_lost = SolverTerms(0.1, 0.1, 0.2, 1.0, 1.0, 2.0, 1.0, 1.0)
+    sol = solve_band(passthrough)
+    assert (sol.alpha, sol.gain, sol.status) == (1.0, 1.0, BandStatus.FEASIBLE)
+    assert solve_band(c1_lost).status is BandStatus.C1_INFEASIBLE
+    for delta_n_db in (-5.0, 0.0, -1e4, np.inf, np.nan):
+        for terms in (passthrough, c1_lost):
+            with pytest.raises(ValueError, match="delta_n_db"):
+                solve_band(terms, delta_n_db=delta_n_db)
+    assert boost_fraction(10.0) == 0.1
 
 
 def _psd_pair(draw, magnitude):

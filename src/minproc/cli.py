@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -383,11 +384,8 @@ def _describe(row, joint):
     alpha, gain = float(row["alpha"]), float(row["gain"])
     penalty = float(row["penalty"])
     c1, c2 = float(row["c1_ratio"]), float(row["c2_ratio"])
-    tags = []
-    if abs(c1 - 1.0) <= 1e-6:
-        tags.append("C1 tight")
-    if abs(c2 - 1.0) <= 1e-6:
-        tags.append("C2 tight")
+    tags = [f"C{i} tight" for i, c in ((1, c1), (2, c2))
+            if abs(c - 1.0) <= 1e-6]
     if not joint:
         # blind and unprocessed bands report only whether the target
         # was met
@@ -431,9 +429,7 @@ def cmd_explain(args):
     except (KeyError, ValueError) as exc:
         print(f"error: malformed CSV row: {exc}", file=sys.stderr)
         return 2
-    counts = {}
-    for row in rows:
-        counts[row["status"]] = counts.get(row["status"], 0) + 1
+    counts = Counter(row["status"] for row in rows)
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     print(f"{len(rows)} bands ({summary})")
     return 0

@@ -85,10 +85,9 @@ class SceneConfig:
         if self.sample_rate > WAV_RATE_LIMIT:
             raise ValueError("sample_rate is too high: a mono float32 WAV "
                              f"header holds at most {WAV_RATE_LIMIT} Hz")
-        if self.fe_noise_kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown noise kind: {self.fe_noise_kind}")
-        if self.ne_noise_kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown noise kind: {self.ne_noise_kind}")
+        for kind in (self.fe_noise_kind, self.ne_noise_kind):
+            if kind not in SOURCE_KINDS:
+                raise ValueError(f"unknown noise kind: {kind}")
         # +inf means the noise is absent; -inf would be noise alone
         for name in ("fe_snr_db", "ne_snr_db", "mic_selfnoise_snr_db"):
             v = float(getattr(self, name))
@@ -198,6 +197,12 @@ def steering_matrix(src_pos, mic_positions, freqs, speed_of_sound=343.0):
     return np.stack(cols, axis=1)
 
 
+def _at_mics(steer, source):
+    """A (1, frames, bins) source through its (bins, mics) steering
+    matrix: its spectrum at every mic, (mics, frames, bins) in C order."""
+    return Spectrogram(np.ascontiguousarray(steer.T)[:, None, :] * source.data)
+
+
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
 _CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
               "car_like": 200.0}
@@ -284,16 +289,13 @@ def synthesize_scene(cfg, params):
         raise ValueError("frame parameters and scene sample rate disagree")
     rng = np.random.default_rng(cfg.seed)
     n = int(round(cfg.duration * cfg.sample_rate))
-    if n < params.frame_len:
-        raise ValueError("insufficient samples")
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
 
     # the mixture starts as the talker through its steering vector; the
     # speech power is taken at the reference mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
-    spec_x = Spectrogram(d_abs.T[:, None, :]
-                         * make_source("speech", n, params, rng).data)
+    spec_x = _at_mics(d_abs, make_source("speech", n, params, rng))
     sigma_s2 = np.mean(np.abs(spec_x.data[0]) ** 2, axis=0)
     # clean speech power at each mic, the level reference
     p_clean = [np.mean(c ** 2) for c in synthesize(spec_x, params, n)]
@@ -303,8 +305,8 @@ def synthesize_scene(cfg, params):
     fe_data = np.zeros_like(spec_x.data)
     for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        fe_data += a_i.T[:, None, :] * make_source(cfg.fe_noise_kind, n,
-                                                   params, rng).data
+        fe_data += _at_mics(a_i, make_source(cfg.fe_noise_kind, n, params,
+                                             rng)).data
     p_pts = np.mean(synthesize(Spectrogram(fe_data[:1]), params, n)[0] ** 2)
     fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
 

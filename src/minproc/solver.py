@@ -44,6 +44,7 @@ When no (alpha, g) is admissible the solver degrades deliberately:
   sits below one; the cap wins) and choose alpha as above.
 """
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -240,8 +241,12 @@ def _last_true(mask):
 def _pick_last(values):
     """Index of the smallest value, NaN entries left out, ties (to 1e-12
     relative) going to the largest index, i.e. toward larger alpha on an
-    increasing grid.  Pass the negated values to pick the largest."""
+    increasing grid.  Pass the negated values to pick the largest.  An
+    infinite best has no relative tolerance: the last entry equal to it
+    wins."""
     best = np.fmin.reduce(values)
+    if not math.isfinite(best):
+        return _last_true(values == best)
     return _last_true(values <= best + 1e-12 * max(abs(best), 1e-300))
 
 

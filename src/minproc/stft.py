@@ -72,7 +72,8 @@ class FrameParams:
 
 @dataclass
 class Spectrogram:
-    """One-sided STFT data with shape (channels, frames, bins)."""
+    """One-sided STFT data with shape (channels, frames, bins), in C
+    order: a pass over one channel reads contiguous memory."""
 
     data: np.ndarray
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy import signal as sig
 
+from minproc.beamform import apply_beamformer
 from minproc.scene import (SceneConfig, SceneSignals, lowpass_response,
                            make_source, steering_matrix, synthesize_scene,
                            transfer_function)
-from minproc.stft import FrameParams, Spectrogram, long_term_psd, synthesize
+from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
+                          synthesize)
 from oracles import babble_envelope, design_response, scene_components
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -114,6 +116,27 @@ def test_mixture_waveform_is_reference_mic_synthesis(mics):
     assert signals.x.shape == (48000,)
     assert np.array_equal(signals.x, full[0])
     assert np.array_equal(np.signbit(signals.x), np.signbit(full[0]))
+
+
+@pytest.mark.parametrize("mics", [MICS[:1], MICS,
+                                  MICS + ((1.50, 2.04, 1.00),)])
+def test_every_spectrum_is_c_contiguous(mics):
+    """Spectra are stored in C order (channels, frames, bins), so a pass
+    over one channel reads contiguous memory.  (The oracle composition
+    multiplies in the interleaved order, so the bit-for-bit test above
+    checks independently that the layout moves no bit.)"""
+    m = len(mics)
+    rng = np.random.default_rng(6)
+    sources = [make_source(kind, 16000, PARAMS, rng)
+               for kind in ("speech", "babble_like", "car_like", "white")]
+    signals, _ = synthesize_scene(short_cfg(duration=1.0, seed=6,
+                                            mic_positions=mics), PARAMS)
+    spectra = [*sources, analyze(rng.standard_normal((m, 16000)), PARAMS),
+               signals.spec_x,
+               apply_beamformer(signals.spec_x, np.ones((PARAMS.bins, m)))]
+    for spec in spectra:
+        assert spec.data.flags.c_contiguous
+    assert signals.spec_x.data.shape[0] == m
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 12.0])

@@ -246,6 +246,18 @@ def test_zero_margin_under_infinite_cap_is_c1_infeasible():
             == (1.0, 1.0, BandStatus.C1_INFEASIBLE)
 
 
+def test_infinite_best_ratio_picks_its_last_alpha_quietly():
+    # du = (1 - 2 alpha)^2 * 1e-6 vanishes only at alpha = 0.5, where
+    # speech still arrives: the best far-end ratio is inf there alone,
+    # and a relative tolerance around inf would be NaN
+    terms = SolverTerms(0.0, 1e-300, -0.0, 1e-6, 1e-6, -2e-6, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_band(terms)
+    assert (sol.alpha, sol.gain, sol.status) \
+        == (0.5, 1.0, BandStatus.C1_INFEASIBLE)
+
+
 # sha256 of every (alpha, gain, status) of
 # test_solutions_unchanged_bit_for_bit.  It changes only with a
 # deliberate change of the solver's numerics, recorded in CHANGES.md

@@ -5,9 +5,16 @@ side at 50% overlap, so the overlapped window product sums to one and the
 round trip is exact up to float rounding.  Signals are zero-padded by one
 hop on either side before framing, which keeps every input sample under
 full window coverage (no edge taper on the reconstruction).
+
+The per-frame passes run in contiguous blocks of frames, one per usable
+CPU, at the same time.  Each frame is computed by the same operations in
+the same order whatever the block count, so the results do not depend on
+it.
 """
 
+import contextvars
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -91,6 +98,50 @@ class Spectrogram:
         return self.data.shape[1]
 
 
+# (pid, size, executor): the worker threads of the process that started
+# them; a forked child starts its own, and a dropped executor ends its
+# threads
+_pool = None
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _by_frames(n_frames, fn):
+    """Run fn(a, b) on contiguous blocks [a, b) of range(n_frames), one
+    block per usable CPU, at the same time.
+
+    The caller runs the first block and worker threads the rest, each in
+    a copy of the caller's context, so np.errstate holds in every block.
+    An error in any block is raised here once every block is done.  fn
+    calls numpy only, and writes with out= or in place into arrays the
+    caller made, only into its own frames of them: a worker that
+    allocated its own share would keep it in a malloc arena of its own.
+    """
+    blocks = min(_usable_cpus(), n_frames)
+    if blocks <= 1:
+        fn(0, n_frames)
+        return
+    global _pool
+    if _pool is None or _pool[0] != os.getpid() or _pool[1] < blocks - 1:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = os.getpid(), blocks - 1, ThreadPoolExecutor(blocks - 1)
+    edges = [k * n_frames // blocks for k in range(blocks + 1)]
+    futures = [_pool[2].submit(contextvars.copy_context().run, fn, a, b)
+               for a, b in zip(edges[1:-1], edges[2:])]
+    try:
+        fn(0, edges[1])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every block
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def sqrt_hann(frame_len):
     """Square root of the periodic Hann window: w[n] = sin(pi*n/N).
 
@@ -119,9 +170,18 @@ def analyze(signal, params):
     padded[:, params.hop:params.hop + n] = x
 
     window = sqrt_hann(params.frame_len)
-    frames = np.lib.stride_tricks.sliding_window_view(
-        padded, params.frame_len, axis=1)[:, ::params.hop, :] * window
-    return Spectrogram(np.fft.rfft(frames, n=params.frame_len, axis=2))
+    view = np.lib.stride_tricks.sliding_window_view(
+        padded, params.frame_len, axis=1)[:, ::params.hop, :]
+    frames = np.empty(view.shape)
+    data = np.empty((x.shape[0], n_frames, params.bins), dtype=complex)
+
+    def block(a, b):
+        np.multiply(view[:, a:b], window, out=frames[:, a:b])
+        np.fft.rfft(frames[:, a:b], n=params.frame_len, axis=2,
+                    out=data[:, a:b])
+
+    _by_frames(n_frames, block)
+    return Spectrogram(data)
 
 
 def synthesize(spec, params, num_samples):
@@ -134,16 +194,29 @@ def synthesize(spec, params, num_samples):
     if bins != params.bins:
         raise ValueError("bin count does not match frame parameters")
 
-    frames = np.fft.irfft(data, n=params.frame_len, axis=2)
-    frames *= sqrt_hann(params.frame_len)
+    window = sqrt_hann(params.frame_len)
+    frames = np.empty((channels, n_frames, params.frame_len))
 
     # the signal starts one hop in, so its hop-block i is the second half
     # of frame i plus the first half of frame i + 1; adding both into
     # zeros gives a sum per sample equal to frame-by-frame overlap-add
     hop = params.hop
     y = np.zeros((channels, max(-(-num_samples // hop), n_frames), hop))
-    y[:, :n_frames] += frames[..., hop:]
-    y[:, :n_frames - 1] += frames[:, 1:, :hop]
+
+    def block(a, b):
+        part = frames[:, a:b]
+        np.fft.irfft(data[:, a:b], n=params.frame_len, axis=2, out=part)
+        part *= window
+        y[:, a:b] += part[..., hop:]
+        y[:, a:b - 1] += part[:, 1:, :hop]
+        if b < n_frames:
+            # the next block makes frame b too; its first half is made
+            # again here from the same spectrum row
+            head = np.fft.irfft(data[:, b], n=params.frame_len)[:, :hop]
+            head *= window[:hop]
+            y[:, b - 1] += head
+
+    _by_frames(n_frames, block)
     return y.reshape(channels, -1)[:, :num_samples]
 
 

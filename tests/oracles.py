@@ -208,6 +208,27 @@ def babble_envelope(n_frames, frame_rate, rng):
     return np.sqrt(power / 8)
 
 
+def analyze_by_frame(signal, params):
+    """STFT of a (channels, n) signal one frame at a time: zero-padded by
+    one hop in front and to the end of the last frame, and each frame
+    windowed by sin(pi*n/N) and transformed by its own rfft call.
+
+    Returns the (channels, frames, bins) spectrum.
+    """
+    x = np.atleast_2d(signal)
+    hop, frame_len = params.hop, params.frame_len
+    n_frames = -(-x.shape[1] // hop) + 1
+    padded = np.zeros((x.shape[0], (n_frames + 1) * hop))
+    padded[:, hop:hop + x.shape[1]] = x
+    window = np.sin(np.pi * np.arange(frame_len) / frame_len)
+    out = np.empty((x.shape[0], n_frames, frame_len // 2 + 1), dtype=complex)
+    for c in range(x.shape[0]):
+        for t in range(n_frames):
+            out[c, t] = np.fft.rfft(padded[c, t * hop:t * hop + frame_len]
+                                    * window)
+    return out
+
+
 def overlap_add(frames, hop):
     """Frame-by-frame overlap-add of (channels, frames, 2*hop) frames.
 

@@ -1,17 +1,21 @@
 """Scene synthesis: transfer functions, calibration, oracle statistics."""
 
 import dataclasses
+import hashlib
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
+from minproc import stft
 from minproc.beamform import apply_beamformer
-from minproc.scene import (SceneConfig, SceneSignals, lowpass_response,
-                           make_source, steering_matrix, synthesize_scene,
-                           transfer_function)
+from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
+                           lowpass_response, make_source, steering_matrix,
+                           synthesize_scene, transfer_function)
 from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
                           synthesize)
 from oracles import babble_envelope, design_response, scene_components
@@ -103,6 +107,60 @@ def test_scene_holds_only_what_a_run_reads():
     # the slack covers the waveforms' few trailing padding samples and
     # the objects around the arrays; one component spectrum is 1.5 MB
     assert held <= sum(a.nbytes for a in arrays) + 64 * 1024
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
+    # 4000 samples make 17 frames: blocks of 17, 8 + 9, 5 + 6 + 6, ...
+    spectra = []
+    for blocks in (1, 2, 3, 7):
+        monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
+        spectra.append(make_source(kind, 4000, PARAMS,
+                                   np.random.default_rng(9)).data)
+    for data in spectra[1:]:
+        assert data.tobytes() == spectra[0].tobytes()
+
+
+def scene_digest(cfg):
+    signals, stats = synthesize_scene(cfg, PARAMS)
+    h = hashlib.sha256()
+    for a in (signals.x, signals.ne_noise, signals.spec_x.data,
+              *dataclasses.astuple(stats)):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def send_scene_digest(conn, cfg):
+    try:
+        conn.send((scene_digest(cfg), stft._pool[0] == os.getpid()))
+    finally:
+        conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_starts_its_own_workers(monkeypatch):
+    """A child forked after the worker threads started has none of them:
+    it starts its own, and its scene equals the parent's."""
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
+    cfg = short_cfg(seed=6, duration=1.0)
+    parent = scene_digest(cfg)
+    assert stft._pool is not None and stft._pool[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=send_scene_digest, args=(send, cfg))
+    child.start()
+    send.close()
+    try:
+        # a child waiting on the parent's threads would hang here
+        assert recv.poll(60), "the forked child sent no scene in 60 s"
+        assert recv.recv() == (parent, True)
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("mics", [MICS[:1], MICS,

@@ -1,15 +1,37 @@
 """STFT round-trip, Parseval, and long-term PSD checks."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from minproc import stft
 from minproc.stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, FrameParams,
                           Spectrogram, analyze, long_term_psd, sqrt_hann,
                           synthesize, write_wav)
-from oracles import overlap_add
+from oracles import analyze_by_frame, overlap_add
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
+
+# block counts: one on the calling thread, and two, three and seven
+# blocks, down to one frame per block
+BLOCKS = (1, 2, 3, 7)
+
+
+def split_frames(monkeypatch, blocks):
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
+
+
+def signed_zero_signal(channels, n, seed):
+    """Noise with a silent channel, a silent stretch and negative zeros."""
+    x = np.random.default_rng(seed).standard_normal((channels, n))
+    x[:, n // 3:n // 2] = 0.0
+    x[-1, -5:] = -0.0
+    if channels > 1:
+        x[1] = -0.0
+    return x
 
 
 def test_frame_params_defaults():
@@ -61,7 +83,23 @@ def test_round_trip_awkward_length():
     assert np.linalg.norm(y - x) / np.linalg.norm(x) <= 1e-8
 
 
-def test_synthesis_matches_frame_loop_bit_for_bit():
+# analyze needs a full frame, so it makes at least three frames
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("n, n_frames", [(512, 3), (600, 4), (4000, 17)])
+def test_analysis_matches_frame_loop_bit_for_bit(monkeypatch, blocks,
+                                                 channels, n, n_frames):
+    split_frames(monkeypatch, blocks)
+    x = signed_zero_signal(channels, n, seed=channels)
+    expected = analyze_by_frame(x, PARAMS)
+    assert expected.shape == (channels, n_frames, PARAMS.bins)
+    data = analyze(x, PARAMS).data
+    assert np.array_equal(data, expected)
+    assert np.array_equal(np.signbit(data.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(data.imag), np.signbit(expected.imag))
+
+
+def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
     # signed zeros included: a silent channel and a silent stretch
     rng = np.random.default_rng(31)
     x = rng.standard_normal((3, 4000))
@@ -69,19 +107,81 @@ def test_synthesis_matches_frame_loop_bit_for_bit():
     x[2, 1000:2500] = 0.0
     data = analyze(x, PARAMS).data
     data[0, 5] = -0.0
-    frames = np.fft.irfft(data, n=PARAMS.frame_len, axis=2) \
-        * sqrt_hann(PARAMS.frame_len)
-    pad = PARAMS.frame_len - PARAMS.hop
-    span = overlap_add(frames, PARAMS.hop)[:, pad:]
-    # the 17 frames span 4352 samples after the first hop: shorter
-    # outputs are trimmed, longer ones zero-extended
-    for num_samples in (4000, 600, 4351, 4352, 4353, 9000):
-        expected = np.zeros((3, num_samples))
-        m = min(num_samples, span.shape[1])
-        expected[:, :m] = span[:, :m]
-        y = synthesize(Spectrogram(data), PARAMS, num_samples)
-        assert np.array_equal(y, expected)
-        assert np.array_equal(np.signbit(y), np.signbit(expected))
+    cases = [(data, (4000, 600, 4351, 4352, 4353, 9000))]
+    # 2, 3 and 5 frames at 1-3 channels, negative zeros in every channel
+    for channels in (1, 2, 3):
+        for n_frames in (2, 3, 5):
+            spec = (rng.standard_normal((channels, n_frames, PARAMS.bins))
+                    + 1j * rng.standard_normal((channels, n_frames,
+                                                PARAMS.bins)))
+            spec[:, n_frames // 2] = -0.0
+            cases.append((spec, (1, PARAMS.hop * n_frames - 1,
+                                 PARAMS.hop * (n_frames + 2))))
+    for spec, lengths in cases:
+        channels, n_frames, _ = spec.shape
+        frames = np.fft.irfft(spec, n=PARAMS.frame_len, axis=2) \
+            * sqrt_hann(PARAMS.frame_len)
+        pad = PARAMS.frame_len - PARAMS.hop
+        span = overlap_add(frames, PARAMS.hop)[:, pad:]
+        # the 17 frames of x span 4352 samples after the first hop:
+        # shorter outputs are trimmed, longer ones zero-extended
+        for num_samples in lengths:
+            expected = np.zeros((channels, num_samples))
+            m = min(num_samples, span.shape[1])
+            expected[:, :m] = span[:, :m]
+            for blocks in BLOCKS:
+                split_frames(monkeypatch, blocks)
+                y = synthesize(Spectrogram(spec), PARAMS, num_samples)
+                assert np.array_equal(y, expected)
+                assert np.array_equal(np.signbit(y), np.signbit(expected))
+
+
+def overflow_in_a_worker(a, b):
+    """Overflows in every block but the first, which the caller runs."""
+    if a > 0:
+        np.multiply(np.full(3, 1e308), 10.0, out=np.empty(3))
+
+
+def test_worker_blocks_keep_the_callers_errstate(monkeypatch):
+    split_frames(monkeypatch, 2)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            stft._by_frames(2, overflow_in_a_worker)
+    calls = []
+    with np.errstate(over="call", call=lambda err, flag: calls.append(err)):
+        stft._by_frames(2, overflow_in_a_worker)
+    assert calls == ["overflow"]
+
+
+def test_worker_block_warnings_reach_the_caller(monkeypatch):
+    split_frames(monkeypatch, 2)
+    # as under the suite's error::RuntimeWarning filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            stft._by_frames(2, overflow_in_a_worker)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        stft._by_frames(2, overflow_in_a_worker)
+    assert [str(w.message) for w in seen] \
+        == ["overflow encountered in multiply"]
+
+
+def test_blocks_cover_every_frame_once_under_contention(monkeypatch):
+    # eight blocks on fewer cores, switching threads as often as they can
+    split_frames(monkeypatch, 8)
+    runs = np.zeros(5000, dtype=int)
+
+    def block(a, b):
+        runs[a:b] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stft._by_frames(runs.size, block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(runs == 1)
 
 
 def test_insufficient_samples():

@@ -200,12 +200,7 @@ def steering_matrix(src_pos, mic_positions, freqs, speed_of_sound=343.0):
 def _at_mics(steer, source):
     """A (1, frames, bins) source through its (bins, mics) steering
     matrix: its spectrum at every mic, (mics, frames, bins) in C order."""
-    cols = np.ascontiguousarray(steer.T)[:, None, :]
-    data = source.data
-    out = np.empty((cols.shape[0],) + data.shape[1:], dtype=complex)
-    _by_frames(data.shape[1], lambda a, b: np.multiply(
-        cols, data[:, a:b], out=out[:, a:b]))
-    return Spectrogram(out)
+    return Spectrogram(np.ascontiguousarray(steer.T)[:, None, :] * source.data)
 
 
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind

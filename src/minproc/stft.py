@@ -16,6 +16,7 @@ import contextvars
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +99,6 @@ class Spectrogram:
         return self.data.shape[1]
 
 
-# (pid, size, executor): the worker threads of the process that started
-# them; a forked child starts its own, and a dropped executor ends its
-# threads
-_pool = None
-
-
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -115,31 +110,36 @@ def _by_frames(n_frames, fn):
     """Run fn(a, b) on contiguous blocks [a, b) of range(n_frames), one
     block per usable CPU, at the same time.
 
-    The caller runs the first block and worker threads the rest, each in
-    a copy of the caller's context, so np.errstate holds in every block.
-    An error in any block is raised here once every block is done.  fn
-    calls numpy only, and writes with out= or in place into arrays the
-    caller made, only into its own frames of them: a worker that
-    allocated its own share would keep it in a malloc arena of its own.
+    The caller runs the first block, and a thread started for this call
+    runs each of the others in a copy of the caller's context, so
+    np.errstate holds in every block.  An error in any block is raised here once every block is
+    done.  fn calls numpy only, and writes with out= or in place into
+    arrays the caller made, only into its own frames of them: a thread
+    that allocated its own share would keep it in a malloc arena of its
+    own.
     """
-    blocks = min(_usable_cpus(), n_frames)
-    if blocks <= 1:
-        fn(0, n_frames)
-        return
-    global _pool
-    if _pool is None or _pool[0] != os.getpid() or _pool[1] < blocks - 1:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = os.getpid(), blocks - 1, ThreadPoolExecutor(blocks - 1)
+    blocks = max(1, min(_usable_cpus(), n_frames))
     edges = [k * n_frames // blocks for k in range(blocks + 1)]
-    futures = [_pool[2].submit(contextvars.copy_context().run, fn, a, b)
+    errors = []
+
+    def block(a, b):
+        try:
+            fn(a, b)
+        except Exception as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(block, a, b))
                for a, b in zip(edges[1:-1], edges[2:])]
+    for thread in threads:
+        thread.start()
     try:
         fn(0, edges[1])
     finally:
-        errors = [f.exception() for f in futures]  # waits for every block
-    for error in errors:
-        if error is not None:
-            raise error
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def sqrt_hann(frame_len):

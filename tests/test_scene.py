@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
@@ -132,20 +131,19 @@ def scene_digest(cfg):
 
 def send_scene_digest(conn, cfg):
     try:
-        conn.send((scene_digest(cfg), stft._pool[0] == os.getpid()))
+        conn.send(scene_digest(cfg))
     finally:
         conn.close()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork on this platform")
-def test_forked_child_starts_its_own_workers(monkeypatch):
-    """A child forked after the worker threads started has none of them:
-    it starts its own, and its scene equals the parent's."""
+def test_forked_child_makes_the_same_scene(monkeypatch):
+    """A child forked after blocks ran on threads of the parent starts
+    threads of its own, and its scene equals the parent's."""
     monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
     cfg = short_cfg(seed=6, duration=1.0)
     parent = scene_digest(cfg)
-    assert stft._pool is not None and stft._pool[0] == os.getpid()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=send_scene_digest, args=(send, cfg))
@@ -154,7 +152,7 @@ def test_forked_child_starts_its_own_workers(monkeypatch):
     try:
         # a child waiting on the parent's threads would hang here
         assert recv.poll(60), "the forked child sent no scene in 60 s"
-        assert recv.recv() == (parent, True)
+        assert recv.recv() == parent
     finally:
         child.join(5)
         if child.is_alive():

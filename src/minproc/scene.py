@@ -14,13 +14,15 @@ distortionless beamformer, the unprocessed passthrough, and the near-end
 noise on one common scale.
 """
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram, _by_frames,
-                   analyze, long_term_psd, synthesize)
+from .stft import (_CHUNK, WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram,
+                   _by_frames, analyze, long_term_psd, synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -203,6 +205,19 @@ def _at_mics(steer, source):
     return Spectrogram(np.ascontiguousarray(steer.T)[:, None, :] * source.data)
 
 
+def _add_at_mics(acc, steer, source):
+    """acc += _at_mics(steer, source).data, with no full-size product:
+    in frame blocks, and in chunks of _CHUNK frames within each."""
+    steer = np.ascontiguousarray(steer.T)[:, None, :]
+
+    def add(a, b):
+        for c in range(a, b, _CHUNK):
+            e = min(c + _CHUNK, b)
+            acc[:, c:e] += steer * source.data[:, c:e]
+
+    _by_frames(acc.shape[1], add)
+
+
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
 _CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
               "car_like": 200.0}
@@ -238,10 +253,82 @@ def _babble_envelope(n_frames, frame_rate, rng):
     return np.sqrt(np.mean(np.maximum(1.0 + 0.5 * env, 0.05) ** 2, axis=0))
 
 
+def _source_draws(kind, n_samples, params):
+    """make_source's draws for a source of ``kind``, in order, as
+    (method, *args) calls of its rng."""
+    draws = [("standard_normal", n_samples)]
+    if kind == "speech":
+        draws.insert(0, ("uniform", 0.0, 2.0 * np.pi))
+    if kind == "babble_like":  # the envelope's eight talkers, per frame
+        draws.append(("standard_normal", (8, -(-n_samples // params.hop) + 1)))
+    return draws
+
+
+class _DrawAhead:
+    """Stands in for ``rng`` over a run of draws known in advance: each
+    call takes the next (method, *args) call of ``plan``, which a thread
+    made while the caller worked, and starts the one after on a thread
+    of its own.  The draws run one at a time, in plan order, so they
+    equal rng's own calls bit for bit; a call off the plan raises.
+    close() waits for the pending draw."""
+
+    def __init__(self, rng, plan):
+        self._rng = rng
+        self._plan = iter(plan)
+        self._thread = None
+        self._start()
+
+    def _start(self):
+        self._call = next(self._plan, None)
+        self._value = self._error = None
+        if self._call is None:
+            return
+        method, *args = self._call
+        if method == "standard_normal":
+            # the buffer is made here: a thread that allocated it would
+            # keep it in a malloc arena of its own
+            draw = functools.partial(self._rng.standard_normal,
+                                     out=np.empty(args[0]))
+        else:
+            draw = functools.partial(getattr(self._rng, method), *args)
+        self._thread = threading.Thread(target=self._run, args=(draw,))
+        self._thread.start()
+
+    def _run(self, draw):
+        try:
+            self._value = draw()
+        except Exception as error:
+            self._error = error
+
+    def _take(self, *call):
+        if call != self._call:
+            raise RuntimeError(f"draw {call} is off the plan, whose next "
+                               f"draw is {self._call}")
+        self.close()
+        if self._error is not None:
+            raise self._error
+        value = self._value
+        self._start()
+        return value
+
+    def standard_normal(self, size):
+        return self._take("standard_normal", size)
+
+    def uniform(self, low, high):
+        return self._take("uniform", low, high)
+
+    def close(self):
+        if self._thread is not None:
+            self._thread.join()
+
+
 def make_source(kind, n_samples, params, rng):
     """One unit-power (mean |X|^2 = 1) source spectrum, (1, frames, bins):
     one time-domain draw, analysed once and shaped per bin by its low-pass
-    response; babble is also scaled by its per-frame envelope."""
+    response; babble is also scaled by its per-frame envelope.
+
+    ``rng`` is a numpy Generator, or any object whose ``standard_normal``
+    and ``uniform`` calls give the same draws in the same order."""
     if kind not in SOURCE_KINDS:
         raise ValueError(f"unknown source kind: {kind}")
     if kind == "speech":
@@ -252,10 +339,12 @@ def make_source(kind, n_samples, params, rng):
         cycles = np.floor(np.cumsum(f0) / params.sample_rate)
         draw = np.zeros(n_samples)
         draw[1:] = (np.diff(cycles) > 0).astype(float)
+        del t, f0, cycles
         draw += 0.03 * rng.standard_normal(n_samples)
     else:
         draw = rng.standard_normal(n_samples)
     data = analyze(draw, params).data
+    del draw  # read by analyze only
     n_frames = data.shape[1]
     response = (lowpass_response(params.freqs, _CUTOFF_HZ[kind],
                                  params.sample_rate)
@@ -309,10 +398,25 @@ def synthesize_scene(cfg, params):
     cfg.validate()
     if params.sample_rate != cfg.sample_rate:
         raise ValueError("frame parameters and scene sample rate disagree")
-    rng = np.random.default_rng(cfg.seed)
     n = int(round(cfg.duration * cfg.sample_rate))
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
+    noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
+    # the scene's draws, in order: the talker, the point noises, one
+    # self-noise row per mic and the near-end noise; each is made on a
+    # thread while the caller works on the one before
+    rng = _DrawAhead(np.random.default_rng(cfg.seed), [
+        *_source_draws("speech", n, params),
+        *(noises.shape[0] * _source_draws(cfg.fe_noise_kind, n, params)),
+        *(mics.shape[0] * [("standard_normal", n)]),
+        *_source_draws(cfg.ne_noise_kind, n, params)])
+    try:
+        return _synthesize_scene(cfg, params, n, mics, noises, rng)
+    finally:
+        rng.close()
 
+
+def _synthesize_scene(cfg, params, n, mics, noises, rng):
+    """synthesize_scene's scene of n samples, drawn from rng."""
     # the mixture starts as the talker through its steering vector; the
     # speech power is taken at the reference mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
@@ -325,10 +429,10 @@ def synthesize_scene(cfg, params):
     # point noise sources, mixed at the mics, then scaled to the far-end
     # SNR, which only mic 0's waveform sets
     fe_data = np.zeros_like(spec_x.data)
-    for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
+    for pos in noises:
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        fe_data += _at_mics(a_i, make_source(cfg.fe_noise_kind, n, params,
-                                             rng)).data
+        _add_at_mics(fe_data, a_i,
+                     make_source(cfg.fe_noise_kind, n, params, rng))
     p_pts = np.mean(synthesize(Spectrogram(fe_data[:1]), params, n)[0] ** 2)
     fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
 
@@ -339,6 +443,7 @@ def synthesize_scene(cfg, params):
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
         fe_data[m] += analyze(row, params).data[0]
+    del row
     # C_U is taken before the far-end noise joins the mixture in place
     c_u = long_term_psd(Spectrogram(fe_data))
     spec_x.data += fe_data

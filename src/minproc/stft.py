@@ -7,9 +7,10 @@ hop on either side before framing, which keeps every input sample under
 full window coverage (no edge taper on the reconstruction).
 
 The per-frame passes run in contiguous blocks of frames, one per usable
-CPU, at the same time.  Each frame is computed by the same operations in
-the same order whatever the block count, so the results do not depend on
-it.
+CPU, at the same time, and each block in chunks of _CHUNK frames, so no
+pass holds a scratch array the size of its input.  Each frame is
+computed by the same operations in the same order whatever the blocks
+and chunks, so the results do not depend on them.
 """
 
 import contextvars
@@ -40,6 +41,12 @@ WAV_DATA_LIMIT = 2**32 - 1 - 50
 # the most samples per second one mono float32 WAV file can declare: its
 # byte rate, 4 * channels * rate, is a 32-bit header field
 WAV_RATE_LIMIT = (2**32 - 1) // 4
+
+# frames per chunk of a block's pass, and bins per chunk of long_term_psd:
+# a 16-bin conjugate is 6% of a 257-bin spectrum, and narrower chunks
+# cost the einsum more per bin
+_CHUNK = 64
+_BIN_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -108,15 +115,17 @@ def _usable_cpus():
 
 def _by_frames(n_frames, fn):
     """Run fn(a, b) on contiguous blocks [a, b) of range(n_frames), one
-    block per usable CPU, at the same time.
+    block per usable CPU, at the same time.  (long_term_psd cuts its
+    bins the same way.)
 
     The caller runs the first block, and a thread started for this call
     runs each of the others in a copy of the caller's context, so
-    np.errstate holds in every block.  An error in any block is raised here once every block is
-    done.  fn calls numpy only, and writes with out= or in place into
-    arrays the caller made, only into its own frames of them: a thread
-    that allocated its own share would keep it in a malloc arena of its
-    own.
+    np.errstate holds in every block.  An error in any block is raised
+    here once every block is done.  fn calls numpy only, and writes with
+    out= or in place into arrays the caller made, only into its own
+    frames of them; it allocates at most scratch of a few chunks: a
+    thread that allocated its own share would keep it in a malloc arena
+    of its own.
     """
     blocks = max(1, min(_usable_cpus(), n_frames))
     edges = [k * n_frames // blocks for k in range(blocks + 1)]
@@ -172,13 +181,15 @@ def analyze(signal, params):
     window = sqrt_hann(params.frame_len)
     view = np.lib.stride_tricks.sliding_window_view(
         padded, params.frame_len, axis=1)[:, ::params.hop, :]
-    frames = np.empty(view.shape)
     data = np.empty((x.shape[0], n_frames, params.bins), dtype=complex)
 
     def block(a, b):
-        np.multiply(view[:, a:b], window, out=frames[:, a:b])
-        np.fft.rfft(frames[:, a:b], n=params.frame_len, axis=2,
-                    out=data[:, a:b])
+        frames = np.empty((x.shape[0], min(_CHUNK, b - a), params.frame_len))
+        for c in range(a, b, _CHUNK):
+            e = min(c + _CHUNK, b)
+            part = frames[:, :e - c]
+            np.multiply(view[:, c:e], window, out=part)
+            np.fft.rfft(part, n=params.frame_len, axis=2, out=data[:, c:e])
 
     _by_frames(n_frames, block)
     return Spectrogram(data)
@@ -195,20 +206,26 @@ def synthesize(spec, params, num_samples):
         raise ValueError("bin count does not match frame parameters")
 
     window = sqrt_hann(params.frame_len)
-    frames = np.empty((channels, n_frames, params.frame_len))
 
     # the signal starts one hop in, so its hop-block i is the second half
     # of frame i plus the first half of frame i + 1; adding both into
-    # zeros gives a sum per sample equal to frame-by-frame overlap-add
+    # zeros, in that order, gives a sum per sample equal to
+    # frame-by-frame overlap-add
     hop = params.hop
     y = np.zeros((channels, max(-(-num_samples // hop), n_frames), hop))
 
     def block(a, b):
-        part = frames[:, a:b]
-        np.fft.irfft(data[:, a:b], n=params.frame_len, axis=2, out=part)
-        part *= window
-        y[:, a:b] += part[..., hop:]
-        y[:, a:b - 1] += part[:, 1:, :hop]
+        frames = np.empty((channels, min(_CHUNK, b - a), params.frame_len))
+        for c in range(a, b, _CHUNK):
+            e = min(c + _CHUNK, b)
+            part = frames[:, :e - c]
+            np.fft.irfft(data[:, c:e], n=params.frame_len, axis=2, out=part)
+            part *= window
+            y[:, c:e] += part[..., hop:]
+            # the chunk before added frame c - 1's second half already;
+            # frame a's first half is the block before's
+            lo = max(c, a + 1)
+            y[:, lo - 1:e - 1] += part[:, lo - c:, :hop]
         if b < n_frames:
             # the next block makes frame b too; its first half is made
             # again here from the same spectrum row
@@ -224,12 +241,30 @@ def long_term_psd(spec):
     """Per-bin long-term PSD matrix, the mean of x[t,k] x[t,k]^H over frames.
 
     Returns an array of shape (bins, channels, channels); Hermitian and
-    positive semi-definite per bin by construction.
+    positive semi-definite per bin by construction.  Raises ValueError
+    on a spectrogram without frames.
     """
     data = spec.data
+    channels, n_frames, bins = data.shape
+    if n_frames == 0:
+        raise ValueError("the spectrogram's frame axis is empty")
+    # laid out (channels, channels, bins), as one einsum over every bin
+    # lays out its result
+    psd = np.empty((channels, channels, bins), dtype=complex)
+    psd = psd.transpose(2, 0, 1)
+
     # mean over t of the outer product across channels; exactly
-    # Hermitian, as entry (n, m) sums the conjugates of (m, n)'s products
-    return np.einsum("mtk,ntk->kmn", data, np.conj(data)) / data.shape[1]
+    # Hermitian, as entry (n, m) sums the conjugates of (m, n)'s products.
+    # A chunk of bins sums each product in the same order as all of them
+    def block(a, b):
+        for c in range(a, b, _BIN_CHUNK):
+            e = min(c + _BIN_CHUNK, b)
+            part = data[..., c:e]
+            np.einsum("mtk,ntk->kmn", part, np.conj(part), out=psd[c:e])
+
+    _by_frames(bins, block)
+    psd /= n_frames
+    return psd
 
 
 def write_wav(path, rate, data):

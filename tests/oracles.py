@@ -242,6 +242,13 @@ def overlap_add(frames, hop):
     return out
 
 
+def psd_by_whole_einsum(data):
+    """Long-term PSD of (channels, frames, bins) data as one einsum over
+    every bin: the mean over frames of x x^H, shaped (bins, channels,
+    channels)."""
+    return np.einsum("mtk,ntk->kmn", data, np.conj(data)) / data.shape[1]
+
+
 def band_terms_by_members(stats, bset, fb, band_idx, target_snr):
     """0.3.0's band integration: one band's powers from its member bins
     alone, each term its own weighted dot product."""

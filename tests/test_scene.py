@@ -4,23 +4,27 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
-from minproc import stft
+from minproc import scene, stft
 from minproc.beamform import apply_beamformer
 from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
-                           lowpass_response, make_source, steering_matrix,
-                           synthesize_scene, transfer_function)
+                           _DrawAhead, lowpass_response, make_source,
+                           steering_matrix, synthesize_scene,
+                           transfer_function)
 from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
                           synthesize)
 from oracles import babble_envelope, design_response, scene_components
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 MICS = SceneConfig().mic_positions
+THREE_MICS = MICS + ((1.50, 2.04, 1.00),)
 
 
 def short_cfg(**kw):
@@ -37,13 +41,20 @@ def clean_and_fe_noise(cfg):
             synthesize(parts.fe_noise, PARAMS, n))
 
 
-# the scenes the oracle composition is checked on
+# the scenes the oracle composition is checked on; the scene's draws
+# depend on the noise kinds, so every kind is the far-end noise once and
+# the near-end noise once, at one mic and at three
 SCENES = {
     "default": {},
-    "3-mic": {"mic_positions": MICS + ((1.50, 2.04, 1.00),)},
+    "3-mic": {"mic_positions": THREE_MICS},
     "one-mic": {"mic_positions": MICS[:1]},
     "noise-free": {"fe_snr_db": math.inf, "mic_selfnoise_snr_db": math.inf,
                    "ne_snr_db": math.inf},
+    **{f"{fe}+{ne}-{len(mics)}-mic": {"fe_noise_kind": fe,
+                                      "ne_noise_kind": ne,
+                                      "mic_positions": mics}
+       for fe, ne in zip(SOURCE_KINDS, SOURCE_KINDS[1:] + SOURCE_KINDS[:1])
+       for mics in (MICS[:1], THREE_MICS)},
 }
 
 
@@ -86,6 +97,70 @@ def test_scene_is_oracle_composition_bit_for_bit(kw):
     assert np.array_equal(stats.c_u, long_term_psd(parts.fe_noise))
     assert np.array_equal(stats.sigma_n2,
                           np.mean(np.abs(parts.ne_spec.data[0]) ** 2, axis=0))
+
+
+def test_draw_off_the_plan_raises():
+    draws = _DrawAhead(np.random.default_rng(2),
+                       [("standard_normal", 5), ("uniform", 0.0, 1.0)])
+    try:
+        with pytest.raises(RuntimeError, match="off the plan"):
+            draws.standard_normal(6)
+        ref = np.random.default_rng(2)
+        assert np.array_equal(draws.standard_normal(5),
+                              ref.standard_normal(5))
+        with pytest.raises(RuntimeError, match="off the plan"):
+            draws.uniform(0.0, 2.0)
+        assert draws.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+        with pytest.raises(RuntimeError, match="off the plan"):
+            draws.standard_normal(5)
+    finally:
+        draws.close()
+
+
+def test_scene_whose_draws_leave_the_plan_raises(monkeypatch):
+    plan = scene._source_draws
+
+    def without_pitch_phase(kind, n_samples, params):
+        return [call for call in plan(kind, n_samples, params)
+                if call[0] != "uniform"]
+
+    monkeypatch.setattr(scene, "_source_draws", without_pitch_phase)
+    with pytest.raises(RuntimeError, match="off the plan"):
+        synthesize_scene(short_cfg(duration=1.0), PARAMS)
+
+
+class SlowGenerator:
+    """A numpy Generator whose every standard_normal draw takes 0.1 s
+    more."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def standard_normal(self, *args, **kwargs):
+        time.sleep(0.1)
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+
+def test_failed_scene_leaves_no_draw_running(monkeypatch):
+    """A scene whose third analysis fails raises, and the draw made
+    ahead of it has ended by then."""
+    calls = []
+
+    def fail_third_analysis(signal, params):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ArithmeticError("the third analysis failed")
+        return analyze(signal, params)
+
+    monkeypatch.setattr(scene, "analyze", fail_third_analysis)
+    monkeypatch.setattr(np.random, "default_rng", SlowGenerator)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="third analysis"):
+        synthesize_scene(short_cfg(duration=1.0), PARAMS)
+    assert threading.active_count() == threads
 
 
 def test_scene_holds_only_what_a_run_reads():
@@ -161,8 +236,7 @@ def test_forked_child_makes_the_same_scene(monkeypatch):
     assert child.exitcode == 0
 
 
-@pytest.mark.parametrize("mics", [MICS[:1], MICS,
-                                  MICS + ((1.50, 2.04, 1.00),)])
+@pytest.mark.parametrize("mics", [MICS[:1], MICS, THREE_MICS])
 def test_mixture_waveform_is_reference_mic_synthesis(mics):
     """x is the mono mic-0 waveform, bit for bit the first channel of a
     synthesis of every mic."""
@@ -174,8 +248,7 @@ def test_mixture_waveform_is_reference_mic_synthesis(mics):
     assert np.array_equal(np.signbit(signals.x), np.signbit(full[0]))
 
 
-@pytest.mark.parametrize("mics", [MICS[:1], MICS,
-                                  MICS + ((1.50, 2.04, 1.00),)])
+@pytest.mark.parametrize("mics", [MICS[:1], MICS, THREE_MICS])
 def test_every_spectrum_is_c_contiguous(mics):
     """Spectra are stored in C order (channels, frames, bins), so a pass
     over one channel reads contiguous memory.  (The oracle composition

@@ -1,6 +1,7 @@
 """STFT round-trip, Parseval, and long-term PSD checks."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,13 +12,16 @@ from minproc import stft
 from minproc.stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, FrameParams,
                           Spectrogram, analyze, long_term_psd, sqrt_hann,
                           synthesize, write_wav)
-from oracles import analyze_by_frame, overlap_add
+from oracles import analyze_by_frame, overlap_add, psd_by_whole_einsum
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
 # block counts: one on the calling thread, and two, three and seven
 # blocks, down to one frame per block
 BLOCKS = (1, 2, 3, 7)
+
+# frame counts around the 64-frame chunks of a block
+CHUNK_EDGES = (63, 64, 65, 129)
 
 
 def split_frames(monkeypatch, blocks):
@@ -86,7 +90,9 @@ def test_round_trip_awkward_length():
 # analyze needs a full frame, so it makes at least three frames
 @pytest.mark.parametrize("blocks", BLOCKS)
 @pytest.mark.parametrize("channels", [1, 2, 3])
-@pytest.mark.parametrize("n, n_frames", [(512, 3), (600, 4), (4000, 17)])
+@pytest.mark.parametrize("n, n_frames", [
+    (512, 3), (600, 4), (4000, 17),
+    *(((f - 1) * PARAMS.hop, f) for f in CHUNK_EDGES)])
 def test_analysis_matches_frame_loop_bit_for_bit(monkeypatch, blocks,
                                                  channels, n, n_frames):
     split_frames(monkeypatch, blocks)
@@ -108,9 +114,10 @@ def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
     data = analyze(x, PARAMS).data
     data[0, 5] = -0.0
     cases = [(data, (4000, 600, 4351, 4352, 4353, 9000))]
-    # 2, 3 and 5 frames at 1-3 channels, negative zeros in every channel
+    # 2, 3, 5 frames and the chunk edges at 1-3 channels, negative zeros
+    # in every channel
     for channels in (1, 2, 3):
-        for n_frames in (2, 3, 5):
+        for n_frames in (2, 3, 5, *CHUNK_EDGES):
             spec = (rng.standard_normal((channels, n_frames, PARAMS.bins))
                     + 1j * rng.standard_normal((channels, n_frames,
                                                 PARAMS.bins)))
@@ -134,6 +141,62 @@ def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
                 y = synthesize(Spectrogram(spec), PARAMS, num_samples)
                 assert np.array_equal(y, expected)
                 assert np.array_equal(np.signbit(y), np.signbit(expected))
+
+
+def test_synthesis_of_no_frames_is_silence():
+    spec = Spectrogram(np.zeros((2, 0, PARAMS.bins), dtype=complex))
+    for num_samples in (0, 1, 600):
+        y = synthesize(spec, PARAMS, num_samples)
+        assert y.shape == (2, num_samples) and not np.any(y)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory tracemalloc saw it hold beyond what
+    was held before the call."""
+    fn(*args)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+# 2 channels of 1001 frames: a scratch array of every frame would take
+# (2 * 1001 * 512) floats, 8.2 MB, and two blocks' 64-frame chunks
+# take 13% of that
+def test_analysis_holds_no_full_size_scratch(monkeypatch):
+    split_frames(monkeypatch, 2)
+    x = np.random.default_rng(3).standard_normal((2, 1000 * PARAMS.hop))
+    spec, peak = traced_peak(analyze, x, PARAMS)
+    padded = 2 * (spec.frames + 1) * PARAMS.hop * 8
+    full = 2 * spec.frames * PARAMS.frame_len * 8
+    assert peak <= spec.data.nbytes + padded + full // 4
+
+
+def test_synthesis_holds_no_full_size_scratch(monkeypatch):
+    split_frames(monkeypatch, 2)
+    rng = np.random.default_rng(4)
+    shape = (2, 1001, PARAMS.bins)
+    spec = Spectrogram(rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    y, peak = traced_peak(synthesize, spec, PARAMS, 1000 * PARAMS.hop)
+    full = 2 * spec.frames * PARAMS.frame_len * 8
+    assert peak <= y.base.nbytes + full // 4
+
+
+def test_long_term_psd_holds_no_full_size_conjugate(monkeypatch):
+    # a conjugate of every bin would be as large as the data; two
+    # blocks' 16-bin chunks take 12% of it
+    split_frames(monkeypatch, 2)
+    rng = np.random.default_rng(5)
+    shape = (2, 1001, PARAMS.bins)
+    spec = Spectrogram(rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    psd, peak = traced_peak(long_term_psd, spec)
+    assert peak <= psd.nbytes + spec.data.nbytes // 4
 
 
 def overflow_in_a_worker(a, b):
@@ -286,6 +349,28 @@ def test_long_term_psd_needs_no_symmetrising(channels, frames):
         psd = long_term_psd(Spectrogram(data))
         old = 0.5 * (psd + np.conj(psd).transpose(0, 2, 1))
         assert psd.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("bins", [9, 31, 32, 33, 257])
+def test_long_term_psd_is_one_einsum_byte_for_byte(monkeypatch, blocks,
+                                                    bins):
+    # 16-bin chunks within each block: the same sum over frames, per
+    # entry, as one einsum over every bin
+    split_frames(monkeypatch, blocks)
+    rng = np.random.default_rng(bins)
+    for channels, frames in ((1, 3), (2, 40), (3, 129)):
+        shape = (channels, frames, bins)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data[:, :, bins // 2] = -0.0
+        psd = long_term_psd(Spectrogram(data))
+        assert psd.tobytes() == psd_by_whole_einsum(data).tobytes()
+
+
+def test_long_term_psd_needs_frames():
+    with pytest.raises(ValueError, match="frame axis is empty"):
+        long_term_psd(Spectrogram(np.zeros((2, 0, PARAMS.bins),
+                                           dtype=complex)))
 
 
 def test_spectrogram_shape_checks():

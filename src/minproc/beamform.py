@@ -79,5 +79,11 @@ def apply_beamformer(spec, weights):
     data = spec.data
     if data.shape[0] != weights.shape[1] or data.shape[2] != weights.shape[0]:
         raise ValueError("weight shape does not match spectrogram")
-    y = np.einsum("km,mtk->tk", np.conj(weights), data)
-    return Spectrogram(y[None, :, :])
+    return Spectrogram(_beamform(weights, data)[None, :, :])
+
+
+def _beamform(weights, data, out=None):
+    """y[t, k] = w[k]^H x[:, t, k] of (channels, frames, bins) data, as
+    (frames, bins), into ``out`` if given: apply_beamformer's expression,
+    which render applies a chunk of frames at a time."""
+    return np.einsum("km,mtk->tk", np.conj(weights), data, out=out)

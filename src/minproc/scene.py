@@ -366,6 +366,7 @@ def make_source(kind, n_samples, params, rng):
     _by_frames(n_frames, shape)
     # one mean over the whole array, so its pairwise sum is unchanged
     power = np.mean(sq)
+    del sq  # freed before the output is made
     if power <= 0:
         return Spectrogram(data)
     scale = math.sqrt(power)
@@ -393,7 +394,9 @@ def synthesize_scene(cfg, params):
     plus the far-end noise at every mic, and the broadband SNRs at mic 0
     match the configured values.  An infinite SNR disables the
     corresponding noise entirely.  Each component spectrum is kept only
-    until its statistic is taken; the mixture spectrum is the one kept.
+    until its statistic is taken, and the talker's one-channel source
+    until it joins the far-end noise; the mixture spectrum is the one
+    kept.
     """
     cfg.validate()
     if params.sample_rate != cfg.sample_rate:
@@ -417,18 +420,21 @@ def synthesize_scene(cfg, params):
 
 def _synthesize_scene(cfg, params, n, mics, noises, rng):
     """synthesize_scene's scene of n samples, drawn from rng."""
-    # the mixture starts as the talker through its steering vector; the
-    # speech power is taken at the reference mic
+    # the talker's one-channel source is kept; its product through the
+    # steering vector, the clean speech at the mics, is formed only for
+    # the speech power at the reference mic and the clean power per mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
-    spec_x = _at_mics(d_abs, make_source("speech", n, params, rng))
-    sigma_s2 = np.mean(np.abs(spec_x.data[0]) ** 2, axis=0)
+    speech = make_source("speech", n, params, rng)
+    clean = _at_mics(d_abs, speech)
+    sigma_s2 = np.mean(np.abs(clean.data[0]) ** 2, axis=0)
     # clean speech power at each mic, the level reference
-    p_clean = [np.mean(c ** 2) for c in synthesize(spec_x, params, n)]
+    p_clean = [np.mean(c ** 2) for c in synthesize(clean, params, n)]
+    del clean
 
     # point noise sources, mixed at the mics, then scaled to the far-end
     # SNR, which only mic 0's waveform sets
-    fe_data = np.zeros_like(spec_x.data)
+    fe_data = np.zeros((len(mics), *speech.data.shape[1:]), complex)
     for pos in noises:
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
         _add_at_mics(fe_data, a_i,
@@ -437,17 +443,19 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
 
     # microphone self noise, referenced to the clean speech at each mic;
-    # drawn one mic at a time, so no (mics, n) draw sits next to spec_x
+    # drawn one mic at a time, so no (mics, n) draw sits next to fe_data
     for m in range(mics.shape[0]):
         row = rng.standard_normal(n)
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
         fe_data[m] += analyze(row, params).data[0]
     del row
-    # C_U is taken before the far-end noise joins the mixture in place
+    # C_U is taken before the clean speech joins the far-end noise in
+    # place, making the mixture: fe + clean equals clean + fe bit for bit
     c_u = long_term_psd(Spectrogram(fe_data))
-    spec_x.data += fe_data
-    del fe_data
+    _add_at_mics(fe_data, d_abs, speech)
+    spec_x = Spectrogram(fe_data)
+    del speech
     # only the reference mic's mixture waveform is read
     x = synthesize(Spectrogram(spec_x.data[:1]), params, n)[0]
 

@@ -10,7 +10,9 @@ The per-frame passes run in contiguous blocks of frames, one per usable
 CPU, at the same time, and each block in chunks of _CHUNK frames, so no
 pass holds a scratch array the size of its input.  Each frame is
 computed by the same operations in the same order whatever the blocks
-and chunks, so the results do not depend on them.
+and chunks, so the results do not depend on them.  The overlap-add pass
+can also take its spectrum a chunk at a time from a function, so a
+spectrum made per chunk (pipeline.render's) is never held whole.
 """
 
 import contextvars
@@ -204,7 +206,16 @@ def synthesize(spec, params, num_samples):
     channels, n_frames, bins = data.shape
     if bins != params.bins:
         raise ValueError("bin count does not match frame parameters")
+    return _overlap_add(lambda c, e: data[:, c:e], channels, n_frames,
+                        params, num_samples)
 
+
+def _overlap_add(rows, channels, n_frames, params, num_samples):
+    """synthesize's overlap-add pass over a spectrum of (channels,
+    n_frames) frames given by rows: rows(c, e) returns frames [c, e),
+    (channels, e - c, bins), as a view or as scratch it makes for one
+    chunk.  It is called from every frame block, for at most _CHUNK
+    frames at a time, so it follows _by_frames's rules."""
     window = sqrt_hann(params.frame_len)
 
     # the signal starts one hop in, so its hop-block i is the second half
@@ -219,7 +230,7 @@ def synthesize(spec, params, num_samples):
         for c in range(a, b, _CHUNK):
             e = min(c + _CHUNK, b)
             part = frames[:, :e - c]
-            np.fft.irfft(data[:, c:e], n=params.frame_len, axis=2, out=part)
+            np.fft.irfft(rows(c, e), n=params.frame_len, axis=2, out=part)
             part *= window
             y[:, c:e] += part[..., hop:]
             # the chunk before added frame c - 1's second half already;
@@ -229,7 +240,8 @@ def synthesize(spec, params, num_samples):
         if b < n_frames:
             # the next block makes frame b too; its first half is made
             # again here from the same spectrum row
-            head = np.fft.irfft(data[:, b], n=params.frame_len)[:, :hop]
+            head = np.fft.irfft(rows(b, b + 1)[:, 0],
+                                n=params.frame_len)[:, :hop]
             head *= window[:hop]
             y[:, b - 1] += head
 

@@ -1,5 +1,6 @@
 """End-to-end methods: recombination, rendering, blind baseline."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from oracles import (band_terms_by_members, blind_by_band, covered_bins,
                      recombine_by_mix, reference_filter_pair, xi_by_band)
 
-from minproc import pipeline
-from minproc.beamform import BeamformerSet, build_beamformers
+from minproc import beamform, pipeline, stft
+from minproc.beamform import (BeamformerSet, apply_beamformer,
+                              build_beamformers)
 from minproc.filterbank import allocate_targets, build_filterbank
 from minproc.metrics import asii, evaluate
 from minproc.pipeline import (
@@ -24,7 +26,7 @@ from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import (REL_TOL, BandStatus, SolverTerms,
                             band_term_table, band_terms, solve_band,
                             subband_snr)
-from minproc.stft import FrameParams, long_term_psd
+from minproc.stft import FrameParams, Spectrogram, long_term_psd, synthesize
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
@@ -171,23 +173,90 @@ def test_unprocessed_renders_mic_plus_near_noise(stft_calls):
     assert np.array_equal(z, signals.x + signals.ne_noise)
 
 
-def test_unit_gain_render_synthesizes_once(stft_calls):
+@pytest.fixture
+def render_passes(monkeypatch):
+    """The channel count of each of render's overlap-add passes, and the
+    frame count of each spectrum it beamforms."""
+    seen = {"channels": [], "frames": []}
+
+    def overlap_add(rows, channels, *args):
+        seen["channels"].append(channels)
+        return stft._overlap_add(rows, channels, *args)
+
+    def filtered(weights, data, out=None):
+        seen["frames"].append(data.shape[1])
+        return beamform._beamform(weights, data, out=out)
+
+    monkeypatch.setattr(pipeline, "_overlap_add", overlap_add)
+    monkeypatch.setattr(pipeline, "_beamform", filtered)
+    return seen
+
+
+def test_unit_gain_render_synthesizes_once(render_passes, stft_calls):
     # acceptance criterion 4's favorable scene: every band passes
-    # through, so gY is Y
+    # through, so gY is Y and the one pass has one channel; the
+    # unprocessed result makes no pass at all
     signals, stats, bset, fb = make_scene(30.0, 30.0, seed=0)
+    render(signals, run_unprocessed(stats, fb), PARAMS)
+    assert render_passes == {"channels": [], "frames": []}
     res = run_joint(stats, bset, fb)
     assert np.all(res.g_mp == 1.0)
     y, z = render(signals, res, PARAMS)
-    assert stft_calls == {"apply_beamformer": 1, "synthesize": 1}
+    assert render_passes["channels"] == [1]
+    # Y is beamformed a chunk at a time, never whole
+    assert 0 < max(render_passes["frames"]) <= stft._CHUNK
     assert np.array_equal(z, y + signals.ne_noise)
+    # the pass's threads look up neither name that the benchmark's
+    # tracer times, whose span stack is not thread-safe
+    assert stft_calls == {"apply_beamformer": 0, "synthesize": 0}
 
 
-def test_processed_render_synthesizes_y_and_gy(stft_calls):
+def test_processed_render_synthesizes_y_and_gy(render_passes, stft_calls):
+    # y and gY are the two channels of one pass
     signals, stats, bset, fb = make_scene(0.0, -30.0)
     res = run_joint(stats, bset, fb)
     assert np.any(res.g_mp != 1.0)
     render(signals, res, PARAMS)
-    assert stft_calls == {"apply_beamformer": 1, "synthesize": 2}
+    assert render_passes["channels"] == [2]
+    assert 0 < max(render_passes["frames"]) <= stft._CHUNK
+    assert stft_calls == {"apply_beamformer": 0, "synthesize": 0}
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_render_equals_whole_spectrum_synthesis(monkeypatch, blocks):
+    # the whole Y spectrum and g_mp times it, each synthesized alone
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
+    signals, stats, bset, fb = make_scene(0.0, -30.0, duration=1.0)
+    res = run_joint(stats, bset, fb)
+    y, z = render(signals, res, PARAMS)
+    n = signals.x.shape[-1]
+    y_spec = apply_beamformer(signals.spec_x, res.w_mp)
+    gy = synthesize(Spectrogram(y_spec.data * res.g_mp), PARAMS, n)[0]
+    assert y.tobytes() == synthesize(y_spec, PARAMS, n)[0].tobytes()
+    assert z.tobytes() == (gy + signals.ne_noise).tobytes()
+
+
+def test_processed_render_holds_no_full_size_spectrum(monkeypatch):
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
+    signals, stats, bset, fb = make_scene(0.0, -30.0, duration=10.0)
+    res = run_joint(stats, bset, fb)
+    assert np.any(res.g_mp != 1.0)
+    render(signals, res, PARAMS)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y, z = render(signals, res, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output is one buffer holding y and z; each of the two blocks
+    # holds one chunk's two-channel spectrum and frames; a quarter of a
+    # spectrum (0.6 MB here) covers the small arrays.  Y and gY, whole,
+    # would be two spectra more
+    assert z.base is y.base
+    chunk = 2 * stft._CHUNK * (PARAMS.bins * 16 + PARAMS.frame_len * 8)
+    spectrum = signals.spec_x.data[0].nbytes
+    assert peak - before <= y.base.nbytes + 2 * chunk + spectrum // 4
 
 
 def test_zero_gain_renders_noise_only():

@@ -183,6 +183,30 @@ def test_scene_holds_only_what_a_run_reads():
     assert held <= sum(a.nbytes for a in arrays) + 64 * 1024
 
 
+def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
+    """While a point noise is made, the scene holds the two-mic far-end
+    sum (2 spectra), the talker's one-channel source (1) and that
+    noise's spectrum and normalised output (2), with the next draw (1
+    waveform).  Holding the two-mic clean spectrum instead of the
+    source, as well as the |X|^2 scratch beside the output, came to
+    about 6 spectra and 2 waveforms."""
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
+    cfg = short_cfg(duration=10.0, seed=4)
+    synthesize_scene(cfg, PARAMS)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        signals, _ = synthesize_scene(cfg, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spectrum = signals.spec_x.data[0].nbytes
+    waveform = signals.x.nbytes
+    # a third of a spectrum (0.9 MB here) covers both blocks' chunks and
+    # the small arrays
+    assert peak - before <= 5 * spectrum + waveform + spectrum // 3
+
+
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
 def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
     # 4000 samples make 17 frames: blocks of 17, 8 + 9, 5 + 6 + 6, ...

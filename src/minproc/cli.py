@@ -27,8 +27,7 @@ from .metrics import evaluate
 from .pipeline import (Method, render, run_blind_concat, run_joint,
                        run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import (BandStatus, boost_fraction, constraint_bounds,
-                     snr_margin)
+from .solver import BandStatus, boost_fraction, snr_margin
 from .stft import FrameParams, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -203,10 +202,17 @@ def config_echo(cfg):
 
 def _constraint_ratios(result, delta_u_db):
     """How close each band's delivered point sits to C1 and C2 (1.0 =
-    tight); inf where the bound is zero."""
+    tight); inf where the bound is zero.  The bounds are those of
+    solver.constraint_bounds, taken over the table's columns."""
     table, g2 = result.table, result.gains**2
-    rhs, cap = np.array([constraint_bounds(t, delta_u_db)
-                         for t in result.terms]).T
+    sigma_n2 = table.sigma_n2
+    factor = 10.0 ** (delta_u_db / 10.0)
+    # as in constraint_bounds's float products, an overflow is inf and
+    # 0 * inf is NaN, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = sigma_n2 * table.target_snr
+        cap = np.multiply(sigma_n2, factor, out=np.full_like(rhs, np.inf),
+                          where=sigma_n2 != 0.0)
     c1 = np.divide(g2 * snr_margin(table, result.alphas), rhs,
                    out=np.full_like(rhs, np.inf), where=rhs > 0.0)
     c2 = np.divide(g2 * table.noise_power(result.alphas), cap,

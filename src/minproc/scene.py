@@ -21,8 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import (_CHUNK, WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram,
-                   _by_frames, analyze, long_term_psd, synthesize)
+# analyze stays a name of this module, though the scene analyses through
+# _analysis: perfbench/tracing.py wraps it here
+from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram, _analysis,
+                   _busy_cpus, _by_chunks, _by_frames, _frame_count,
+                   _overlap_add, analyze, long_term_psd, synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -199,24 +202,26 @@ def steering_matrix(src_pos, mic_positions, freqs, speed_of_sound=343.0):
     return np.stack(cols, axis=1)
 
 
-def _at_mics(steer, source):
-    """A (1, frames, bins) source through its (bins, mics) steering
-    matrix: its spectrum at every mic, (mics, frames, bins) in C order."""
-    return Spectrogram(np.ascontiguousarray(steer.T)[:, None, :] * source.data)
-
-
-def _add_at_mics(acc, steer, source):
-    """acc += _at_mics(steer, source).data, with no full-size product:
-    in frame blocks, and in chunks of _CHUNK frames within each."""
+def _add_at_mics(acc, steer, source, scale=None):
+    """acc += steer.T[:, None, :] * (source / scale), a (1, frames, bins)
+    source through its (bins, mics) steering matrix, with no full-size
+    product or normalised copy: each chunk of _CHUNK frames of the
+    source is divided by scale (unless it is None), multiplied and added
+    in turn, in frame blocks."""
     steer = np.ascontiguousarray(steer.T)[:, None, :]
 
-    def add(a, b):
-        for c in range(a, b, _CHUNK):
-            e = min(c + _CHUNK, b)
-            acc[:, c:e] += steer * source.data[:, c:e]
+    def add(c, e):
+        part = source[:, c:e]
+        if scale is not None:
+            part = np.divide(part, scale)
+        acc[:, c:e] += steer * part
 
-    _by_frames(acc.shape[1], add)
+    _by_chunks(acc.shape[1], add)
 
+
+# samples per chunk of a pass over a waveform, as many as the hops of
+# _CHUNK frames at 16 kHz and 32 ms: 128 kB per float scratch array
+_SAMPLES = 16384
 
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
 _CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
@@ -317,6 +322,10 @@ class _DrawAhead:
     def uniform(self, low, high):
         return self._take("uniform", low, high)
 
+    def busy(self):
+        """1 while a draw runs on its thread, else 0: the CPUs it takes."""
+        return int(self._thread is not None and self._thread.is_alive())
+
     def close(self):
         if self._thread is not None:
             self._thread.join()
@@ -329,53 +338,105 @@ def make_source(kind, n_samples, params, rng):
 
     ``rng`` is a numpy Generator, or any object whose ``standard_normal``
     and ``uniform`` calls give the same draws in the same order."""
-    if kind not in SOURCE_KINDS:
-        raise ValueError(f"unknown source kind: {kind}")
-    if kind == "speech":
-        # harmonic pulse train with drifting pitch
-        t = np.arange(n_samples) / params.sample_rate
-        drift_phase = rng.uniform(0.0, 2.0 * np.pi)
-        f0 = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t + drift_phase))
-        cycles = np.floor(np.cumsum(f0) / params.sample_rate)
-        draw = np.zeros(n_samples)
-        draw[1:] = (np.diff(cycles) > 0).astype(float)
-        del t, f0, cycles
-        draw += 0.03 * rng.standard_normal(n_samples)
-    else:
-        draw = rng.standard_normal(n_samples)
-    data = analyze(draw, params).data
-    del draw  # read by analyze only
-    n_frames = data.shape[1]
-    response = (lowpass_response(params.freqs, _CUTOFF_HZ[kind],
-                                 params.sample_rate)
-                if kind in _CUTOFF_HZ else None)
-    envelope = (_babble_envelope(n_frames, params.sample_rate / params.hop,
-                                 rng)[:, None]
-                if kind == "babble_like" else None)
-    sq = np.empty(data.shape)
-
-    def shape(a, b):
-        part = data[:, a:b]
-        if response is not None:
-            part *= response
-        if envelope is not None:
-            part *= envelope[a:b]
-        np.abs(part, out=sq[:, a:b])
-        np.square(sq[:, a:b], out=sq[:, a:b])
-
-    _by_frames(n_frames, shape)
-    # one mean over the whole array, so its pairwise sum is unchanged
-    power = np.mean(sq)
-    del sq  # freed before the output is made
-    if power <= 0:
+    data, scale = _raw_source(kind, n_samples, params, rng)
+    if scale is None:
         return Spectrogram(data)
-    scale = math.sqrt(power)
     # into a new array: normalising in place left the heap in a state
     # that gave a 10 s CLI sweep 3.6 times the page faults
     out = np.empty_like(data)
-    _by_frames(n_frames, lambda a, b: np.divide(
+    _by_frames(data.shape[1], lambda a, b: np.divide(
         data[:, a:b], scale, out=out[:, a:b]))
     return Spectrogram(out)
+
+
+def _raw_source(kind, n_samples, params, rng):
+    """make_source's spectrum before its normalisation, and the scale
+    that normalises it: the root of its mean |X|^2, or None where that
+    is not positive.  The shaping and the |X|^2 scratch are applied to
+    each chunk of the analysis as soon as it is made."""
+    if kind not in SOURCE_KINDS:
+        raise ValueError(f"unknown source kind: {kind}")
+    if kind == "speech":
+        draw = _pulse_train(n_samples, params, rng)
+    else:
+        draw = rng.standard_normal(n_samples)
+    data = np.empty((1, _frame_count(n_samples, params), params.bins),
+                    dtype=complex)
+    response = (lowpass_response(params.freqs, _CUTOFF_HZ[kind],
+                                 params.sample_rate)
+                if kind in _CUTOFF_HZ else None)
+    # the envelope's draws come after the source's
+    envelope = (_babble_envelope(data.shape[1],
+                                 params.sample_rate / params.hop, rng)[:, None]
+                if kind == "babble_like" else None)
+    sq = np.empty(data.shape)
+
+    def shape(c, e, part):
+        if response is not None:
+            part *= response
+        if envelope is not None:
+            part *= envelope[c:e]
+        np.abs(part, out=sq[:, c:e])
+        np.square(sq[:, c:e], out=sq[:, c:e])
+
+    _analysis(draw[None], params, data, shape)
+    del draw  # read by the analysis only
+    # one mean over the whole array, so its pairwise sum is unchanged
+    power = np.mean(sq)
+    return data, None if power <= 0 else math.sqrt(power)
+
+
+def _pulse_train(n_samples, params, rng):
+    """The speech source's draw: a unit pulse wherever a pitch drifting
+    around 110 Hz starts a cycle, plus 0.03 of white noise.  The
+    elementwise passes run in sample chunks; the cumsum is one call."""
+    fs = params.sample_rate
+    drift_phase = rng.uniform(0.0, 2.0 * np.pi)
+    f0 = np.empty(n_samples)
+
+    def pitch(c, e):
+        t = np.arange(c, e) / fs
+        f0[c:e] = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t
+                                              + drift_phase))
+
+    _by_chunks(n_samples, pitch, _SAMPLES)
+    cycles = np.cumsum(f0)
+    del f0
+    draw = rng.standard_normal(n_samples)
+
+    def add_pulses(c, e):
+        # sample i > 0 has a pulse where floor(cycles / fs) rises from
+        # sample i - 1; sample 0, compared with itself, has none
+        count = np.floor(cycles[np.r_[max(c - 1, 0), c:e]] / fs)
+        part = draw[c:e]
+        part *= 0.03
+        part += np.diff(count) > 0
+
+    _by_chunks(n_samples, add_pulses, _SAMPLES)
+    return draw
+
+
+def _mean_square(signal, out):
+    """np.mean(signal ** 2) of a 1-D signal, its squares made in sample
+    chunks into out, which may be signal itself."""
+    _by_chunks(signal.size, lambda c, e: np.square(signal[c:e],
+                                                   out=out[c:e]), _SAMPLES)
+    return np.mean(out)
+
+
+def _power_per_bin(rows, n_frames, bins):
+    """np.mean(np.abs(X) ** 2, axis=0) of a (n_frames, bins) spectrum X
+    given by rows: rows(c, e) returns frames [c, e), as chunk scratch.
+    |X|^2 is filled a chunk at a time into one buffer, which one mean
+    reduces."""
+    power = np.empty((n_frames, bins))
+
+    def fill(c, e):
+        np.abs(rows(c, e), out=power[c:e])
+        np.square(power[c:e], out=power[c:e])
+
+    _by_chunks(n_frames, fill)
+    return np.mean(power, axis=0)
 
 
 def _snr_gain(ref_power, raw_power, snr_db):
@@ -393,10 +454,11 @@ def synthesize_scene(cfg, params):
     Returns (signals, stats).  The mixture spectrum is the clean speech
     plus the far-end noise at every mic, and the broadband SNRs at mic 0
     match the configured values.  An infinite SNR disables the
-    corresponding noise entirely.  Each component spectrum is kept only
-    until its statistic is taken, and the talker's one-channel source
-    until it joins the far-end noise; the mixture spectrum is the one
-    kept.
+    corresponding noise entirely.  The clean speech at the mics and each
+    normalised noise are formed a chunk of frames at a time where they
+    are read, never whole; each source's spectrum is kept only until it
+    is read, and the talker's one-channel source until it joins the
+    far-end noise; the mixture spectrum is the one kept.
     """
     cfg.validate()
     if params.sample_rate != cfg.sample_rate:
@@ -406,50 +468,70 @@ def synthesize_scene(cfg, params):
     noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
     # the scene's draws, in order: the talker, the point noises, one
     # self-noise row per mic and the near-end noise; each is made on a
-    # thread while the caller works on the one before
+    # thread while the caller works on the one before, and the frame
+    # blocks leave that thread its CPU while it runs
     rng = _DrawAhead(np.random.default_rng(cfg.seed), [
         *_source_draws("speech", n, params),
         *(noises.shape[0] * _source_draws(cfg.fe_noise_kind, n, params)),
         *(mics.shape[0] * [("standard_normal", n)]),
         *_source_draws(cfg.ne_noise_kind, n, params)])
+    busy = _busy_cpus.set(rng.busy)
     try:
         return _synthesize_scene(cfg, params, n, mics, noises, rng)
     finally:
+        _busy_cpus.reset(busy)
         rng.close()
 
 
 def _synthesize_scene(cfg, params, n, mics, noises, rng):
     """synthesize_scene's scene of n samples, drawn from rng."""
     # the talker's one-channel source is kept; its product through the
-    # steering vector, the clean speech at the mics, is formed only for
-    # the speech power at the reference mic and the clean power per mic
+    # steering vector, the clean speech at the mics, is formed a chunk at
+    # a time, for the speech power at the reference mic and the clean
+    # power per mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
-    speech = make_source("speech", n, params, rng)
-    clean = _at_mics(d_abs, speech)
-    sigma_s2 = np.mean(np.abs(clean.data[0]) ** 2, axis=0)
+    steer = np.ascontiguousarray(d_abs.T)[:, None, :]
+    speech = make_source("speech", n, params, rng).data
+    n_frames = speech.shape[1]
+    sigma_s2 = _power_per_bin(lambda c, e: steer[0] * speech[0, c:e],
+                              n_frames, params.bins)
     # clean speech power at each mic, the level reference
-    p_clean = [np.mean(c ** 2) for c in synthesize(clean, params, n)]
+    clean = _overlap_add(lambda c, e: steer * speech[:, c:e], len(mics),
+                         n_frames, params, n)
+    p_clean = [_mean_square(row, row) for row in clean]
     del clean
 
     # point noise sources, mixed at the mics, then scaled to the far-end
     # SNR, which only mic 0's waveform sets
-    fe_data = np.zeros((len(mics), *speech.data.shape[1:]), complex)
+    fe_data = np.zeros((len(mics), n_frames, params.bins), complex)
     for pos in noises:
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
         _add_at_mics(fe_data, a_i,
-                     make_source(cfg.fe_noise_kind, n, params, rng))
-    p_pts = np.mean(synthesize(Spectrogram(fe_data[:1]), params, n)[0] ** 2)
-    fe_data *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
+                     *_raw_source(cfg.fe_noise_kind, n, params, rng))
+    fe_0 = synthesize(Spectrogram(fe_data[:1]), params, n)[0]
+    gain = _snr_gain(p_clean[0], _mean_square(fe_0, fe_0), cfg.fe_snr_db)
+    del fe_0
 
     # microphone self noise, referenced to the clean speech at each mic;
-    # drawn one mic at a time, so no (mics, n) draw sits next to fe_data
+    # drawn one mic at a time, so no (mics, n) draw sits next to fe_data.
+    # Each mic's far-end noise is scaled by the gain in the pass that
+    # adds its self noise
+    square = np.empty(n)
     for m in range(mics.shape[0]):
         row = rng.standard_normal(n)
-        row *= _snr_gain(p_clean[m], np.mean(row ** 2),
-                         cfg.mic_selfnoise_snr_db)
-        fe_data[m] += analyze(row, params).data[0]
-    del row
+        row_gain = _snr_gain(p_clean[m], _mean_square(row, square),
+                             cfg.mic_selfnoise_snr_db)
+        _by_chunks(n, lambda c, e: np.multiply(row[c:e], row_gain,
+                                               out=row[c:e]), _SAMPLES)
+
+        def add(c, e, part):
+            acc = fe_data[m, c:e]
+            acc *= gain
+            acc += part[0]
+
+        _analysis(row[None], params, None, add)
+    del row, square
     # C_U is taken before the clean speech joins the far-end noise in
     # place, making the mixture: fe + clean equals clean + fe bit for bit
     c_u = long_term_psd(Spectrogram(fe_data))
@@ -459,12 +541,22 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     # only the reference mic's mixture waveform is read
     x = synthesize(Spectrogram(spec_x.data[:1]), params, n)[0]
 
-    spec_ne = make_source(cfg.ne_noise_kind, n, params, rng)
-    ne_noise = synthesize(spec_ne, params, n)[0]
-    gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
-    ne_noise *= gamma
-    spec_ne.data *= gamma
-    sigma_n2 = np.mean(np.abs(spec_ne.data[0]) ** 2, axis=0)
+    # the near-end noise is normalised a chunk at a time wherever its
+    # spectrum is read, and scaled by gamma in the pass that takes its
+    # power per bin
+    ne, ne_scale = _raw_source(cfg.ne_noise_kind, n, params, rng)
+
+    def ne_rows(c, e):
+        return ne[:, c:e] if ne_scale is None \
+            else np.divide(ne[:, c:e], ne_scale)
+
+    ne_noise = _overlap_add(ne_rows, 1, n_frames, params, n)[0]
+    gamma = _snr_gain(p_clean[0], _mean_square(ne_noise, np.empty(n)),
+                      cfg.ne_snr_db)
+    _by_chunks(n, lambda c, e: np.multiply(ne_noise[c:e], gamma,
+                                           out=ne_noise[c:e]), _SAMPLES)
+    sigma_n2 = _power_per_bin(lambda c, e: ne_rows(c, e)[0] * gamma,
+                              n_frames, params.bins)
 
     stats = SpectralStats(sigma_s2, d_abs / d_abs[:, :1], c_u, sigma_n2)
     stats.validate()

@@ -10,8 +10,12 @@ The per-frame passes run in contiguous blocks of frames, one per usable
 CPU, at the same time, and each block in chunks of _CHUNK frames, so no
 pass holds a scratch array the size of its input.  Each frame is
 computed by the same operations in the same order whatever the blocks
-and chunks, so the results do not depend on them.  The overlap-add pass
-can also take its spectrum a chunk at a time from a function, so a
+and chunks, so the results do not depend on them.  The analysis pass
+windows the frames straight from the signal, with no zero-padded copy,
+and can hand each chunk's spectrum to a function as soon as it is made,
+so a spectrum that is shaped or summed per chunk (scene.make_source's,
+the scene's self noise) takes no pass of its own.  The overlap-add pass
+can likewise take its spectrum a chunk at a time from a function, so a
 spectrum made per chunk (pipeline.render's) is never held whole.
 """
 
@@ -23,6 +27,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "FrameParams",
@@ -44,9 +49,10 @@ WAV_DATA_LIMIT = 2**32 - 1 - 50
 # byte rate, 4 * channels * rate, is a 32-bit header field
 WAV_RATE_LIMIT = (2**32 - 1) // 4
 
-# frames per chunk of a block's pass, and bins per chunk of long_term_psd:
-# a 16-bin conjugate is 6% of a 257-bin spectrum, and narrower chunks
-# cost the einsum more per bin
+# frames per chunk of a block's pass, and bins per chunk and channel of
+# long_term_psd: a chunk conjugates one channel of _BIN_CHUNK * channels
+# bins, as many values as 16 bins of every channel, 6% of a 257-bin
+# spectrum; narrower chunks cost the einsum more per bin
 _CHUNK = 64
 _BIN_CHUNK = 16
 
@@ -115,10 +121,17 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+# the number of usable CPUs that a thread running beside the frame
+# blocks, such as the scene's draw thread, takes at the moment: a pass
+# started while it runs cuts one block fewer, so that no block waits
+# for a CPU while the others are done
+_busy_cpus = contextvars.ContextVar("busy_cpus", default=lambda: 0)
+
+
 def _by_frames(n_frames, fn):
     """Run fn(a, b) on contiguous blocks [a, b) of range(n_frames), one
-    block per usable CPU, at the same time.  (long_term_psd cuts its
-    bins the same way.)
+    block per usable CPU that _busy_cpus leaves free, at the same time.
+    (long_term_psd cuts its bins the same way.)
 
     The caller runs the first block, and a thread started for this call
     runs each of the others in a copy of the caller's context, so
@@ -129,7 +142,7 @@ def _by_frames(n_frames, fn):
     thread that allocated its own share would keep it in a malloc arena
     of its own.
     """
-    blocks = max(1, min(_usable_cpus(), n_frames))
+    blocks = max(1, min(_usable_cpus() - _busy_cpus.get()(), n_frames))
     edges = [k * n_frames // blocks for k in range(blocks + 1)]
     errors = []
 
@@ -153,6 +166,17 @@ def _by_frames(n_frames, fn):
         raise errors[0]
 
 
+def _by_chunks(n, fn, chunk=_CHUNK):
+    """Run fn(c, e) on each chunk [c, e) of at most ``chunk`` of
+    range(n), the chunks of each block of _by_frames in turn; fn follows
+    _by_frames's rules."""
+    def block(a, b):
+        for c in range(a, b, chunk):
+            fn(c, min(c + chunk, b))
+
+    _by_frames(n, block)
+
+
 def sqrt_hann(frame_len):
     """Square root of the periodic Hann window: w[n] = sin(pi*n/N).
 
@@ -171,30 +195,64 @@ def analyze(signal, params):
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     if x.ndim != 2:
         raise ValueError("signal must be 1-D or 2-D")
-    n = x.shape[1]
+    data = np.empty((x.shape[0], _frame_count(x.shape[1], params),
+                     params.bins), dtype=complex)
+    _analysis(x, params, data)
+    return Spectrogram(data)
+
+
+def _frame_count(n, params):
+    """Frames of an n-sample signal: one hop of zeros in front, and
+    zeros to the end of the last frame."""
     if n < params.frame_len:
         raise ValueError("insufficient samples")
+    return int(np.ceil(n / params.hop)) + 1
 
-    # zero-pad by one hop in front and to the end of the last frame
-    n_frames = int(np.ceil(n / params.hop)) + 1
-    padded = np.zeros((x.shape[0], (n_frames + 1) * params.hop))
-    padded[:, params.hop:params.hop + n] = x
 
-    window = sqrt_hann(params.frame_len)
-    view = np.lib.stride_tricks.sliding_window_view(
-        padded, params.frame_len, axis=1)[:, ::params.hop, :]
-    data = np.empty((x.shape[0], n_frames, params.bins), dtype=complex)
+def _analysis(x, params, data, each_chunk=None):
+    """analyze's pass over x, (channels, n): the rfft of each windowed
+    frame goes to its frames of data, or, where data is None, to chunk
+    scratch.  each_chunk(c, e, part), if given, is then called with the
+    spectrum of frames [c, e); it may rewrite part in place, and follows
+    _by_frames's rules.
+
+    No padded copy of x is made: frames 1 to n // hop - 1 lie wholly in
+    x, and the first and the last one or two are windowed from small
+    copies of x's ends with the padding's zeros."""
+    channels, n = x.shape
+    hop, size = params.hop, params.frame_len
+    n_frames = _frame_count(n, params)
+    inner = n // hop - 1
+    head = np.zeros((channels, 1, size))
+    head[:, 0, hop:] = x[:, :hop]
+    tail = np.zeros((channels, (n_frames - inner) * hop))
+    tail[:, :n - inner * hop] = x[:, inner * hop:]
+    window = sqrt_hann(size)
+    # (frames, first frame) of each source of frames, in order
+    sources = ((head, 0),
+               (sliding_window_view(x, size, axis=1)[:, ::hop], 1),
+               (sliding_window_view(tail, size, axis=1)[:, ::hop],
+                inner + 1))
 
     def block(a, b):
-        frames = np.empty((x.shape[0], min(_CHUNK, b - a), params.frame_len))
+        width = min(_CHUNK, b - a)
+        frames = np.empty((channels, width, size))
+        spec = (np.empty((channels, width, params.bins), dtype=complex)
+                if data is None else None)
         for c in range(a, b, _CHUNK):
             e = min(c + _CHUNK, b)
             part = frames[:, :e - c]
-            np.multiply(view[:, c:e], window, out=part)
-            np.fft.rfft(part, n=params.frame_len, axis=2, out=data[:, c:e])
+            for src, first in sources:
+                lo, hi = max(c, first), min(e, first + src.shape[1])
+                if lo < hi:
+                    np.multiply(src[:, lo - first:hi - first], window,
+                                out=part[:, lo - c:hi - c])
+            out = spec[:, :e - c] if data is None else data[:, c:e]
+            np.fft.rfft(part, n=size, axis=2, out=out)
+            if each_chunk is not None:
+                each_chunk(c, e, out)
 
     _by_frames(n_frames, block)
-    return Spectrogram(data)
 
 
 def synthesize(spec, params, num_samples):
@@ -267,12 +325,18 @@ def long_term_psd(spec):
 
     # mean over t of the outer product across channels; exactly
     # Hermitian, as entry (n, m) sums the conjugates of (m, n)'s products.
-    # A chunk of bins sums each product in the same order as all of them
+    # Column n comes from one einsum against channel n's conjugate, over
+    # a chunk of bins at a time, and sums each product in the same order
+    # as one einsum over every channel and bin
+    width = _BIN_CHUNK * channels
+
     def block(a, b):
-        for c in range(a, b, _BIN_CHUNK):
-            e = min(c + _BIN_CHUNK, b)
+        for c in range(a, b, width):
+            e = min(c + width, b)
             part = data[..., c:e]
-            np.einsum("mtk,ntk->kmn", part, np.conj(part), out=psd[c:e])
+            for n in range(channels):
+                np.einsum("mtk,tk->km", part, np.conj(part[n]),
+                          out=psd[c:e, :, n])
 
     _by_frames(bins, block)
     psd /= n_frames

@@ -208,6 +208,20 @@ def babble_envelope(n_frames, frame_rate, rng):
     return np.sqrt(power / 8)
 
 
+def pulse_train(n_samples, sample_rate, rng):
+    """The speech source's draw in one pass over every sample: a unit
+    pulse wherever the cycle count of a pitch drifting around 110 Hz
+    rises, plus 0.03 of white noise."""
+    t = np.arange(n_samples) / sample_rate
+    drift_phase = rng.uniform(0.0, 2.0 * np.pi)
+    f0 = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t + drift_phase))
+    cycles = np.floor(np.cumsum(f0) / sample_rate)
+    draw = np.zeros(n_samples)
+    draw[1:] = (np.diff(cycles) > 0).astype(float)
+    draw += 0.03 * rng.standard_normal(n_samples)
+    return draw
+
+
 def analyze_by_frame(signal, params):
     """STFT of a (channels, n) signal one frame at a time: zero-padded by
     one hop in front and to the end of the last frame, and each frame

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from minproc.cli import (BAND_COLUMNS, METHOD_NAMES, config_echo,
                          config_from_pairs, main, parse_config)
 from minproc.metrics import evaluate
 from minproc.scene import SOURCE_KINDS
+from minproc.solver import SolverTerms, band_rows, constraint_bounds
 
 BASE = """
 # short scene so the suite stays fast
@@ -623,6 +625,30 @@ def test_band_csv_without_near_noise(tmp_path):
         (out / "bands_joint.csv").read_text().splitlines()))
     assert {r["status"] for r in rows} <= {"Feasible", "C1Infeasible"}
     assert all(float(r["c2_ratio"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("delta_u_db", [12.0, 300.0, -300.0, math.inf,
+                                        -math.inf])
+def test_constraint_ratios_use_constraint_bounds(delta_u_db):
+    # the ratios take each band's bounds from the table's columns, bit
+    # for bit as solver.constraint_bounds takes them in Python floats:
+    # an overflow is inf, and no near-end noise leaves C2 uncapped, with
+    # no warning (the suite turns RuntimeWarnings into errors)
+    sigma_n2, target = (np.array(v, dtype=float) for v in zip(
+        *[(s, t) for s in (0.0, 0.5, 1e300) for t in (0.0, 2.0, 1e300)]))
+    ones, zeros = np.ones_like(sigma_n2), np.zeros_like(sigma_n2)
+    table = SolverTerms(ones, ones, zeros, zeros, zeros, zeros, sigma_n2,
+                        target)
+    result = SimpleNamespace(table=table, alphas=np.full_like(ones, 0.5),
+                             gains=np.full_like(ones, 2.0))
+    rhs, cap = np.array([constraint_bounds(t, delta_u_db)
+                         for t in band_rows(table)]).T
+    c1, c2 = minproc.cli._constraint_ratios(result, delta_u_db)
+    # p(0.5) = 0.5 and g^2 = 4; the far-end noise power is 0
+    assert c1.tobytes() == np.divide(
+        2.0, rhs, out=np.full_like(rhs, np.inf), where=rhs > 0.0).tobytes()
+    assert c2.tobytes() == np.divide(
+        0.0, cap, out=np.full_like(cap, np.inf), where=cap > 0.0).tobytes()
 
 
 @pytest.mark.parametrize("text", [BASE, NOISE_FREE],

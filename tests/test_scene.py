@@ -20,7 +20,8 @@ from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
                            transfer_function)
 from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
                           synthesize)
-from oracles import babble_envelope, design_response, scene_components
+from oracles import (babble_envelope, design_response, pulse_train,
+                     scene_components)
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 MICS = SceneConfig().mic_positions
@@ -148,19 +149,38 @@ def test_failed_scene_leaves_no_draw_running(monkeypatch):
     """A scene whose third analysis fails raises, and the draw made
     ahead of it has ended by then."""
     calls = []
+    analysis = scene._analysis
 
-    def fail_third_analysis(signal, params):
+    def fail_third_analysis(x, params, data, each_chunk=None):
         calls.append(None)
         if len(calls) == 3:
             raise ArithmeticError("the third analysis failed")
-        return analyze(signal, params)
+        return analysis(x, params, data, each_chunk)
 
-    monkeypatch.setattr(scene, "analyze", fail_third_analysis)
+    monkeypatch.setattr(scene, "_analysis", fail_third_analysis)
     monkeypatch.setattr(np.random, "default_rng", SlowGenerator)
     threads = threading.active_count()
     with pytest.raises(ArithmeticError, match="third analysis"):
         synthesize_scene(short_cfg(duration=1.0), PARAMS)
     assert threading.active_count() == threads
+
+
+def test_passes_leave_the_draw_thread_its_cpu(monkeypatch):
+    """An analysis that starts while the next draw runs on its thread
+    sees that thread take a CPU, and the last one, with no draw left,
+    sees none; after the scene every CPU is free again."""
+    busy = []
+    analysis = scene._analysis
+
+    def record(x, params, data, each_chunk=None):
+        busy.append(stft._busy_cpus.get()())
+        return analysis(x, params, data, each_chunk)
+
+    monkeypatch.setattr(scene, "_analysis", record)
+    monkeypatch.setattr(np.random, "default_rng", SlowGenerator)
+    synthesize_scene(short_cfg(duration=1.0), PARAMS)
+    assert busy[0] == 1 and busy[-1] == 0
+    assert stft._busy_cpus.get()() == 0
 
 
 def test_scene_holds_only_what_a_run_reads():
@@ -184,12 +204,13 @@ def test_scene_holds_only_what_a_run_reads():
 
 
 def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
-    """While a point noise is made, the scene holds the two-mic far-end
-    sum (2 spectra), the talker's one-channel source (1) and that
-    noise's spectrum and normalised output (2), with the next draw (1
-    waveform).  Holding the two-mic clean spectrum instead of the
-    source, as well as the |X|^2 scratch beside the output, came to
-    about 6 spectra and 2 waveforms."""
+    """While a point noise is analysed, the scene holds the two-mic
+    far-end sum (2 spectra), the talker's one-channel source (1) and
+    that noise's spectrum (1), with its draw, its |X|^2 scratch and the
+    next draw (3 waveforms); the noise is normalised where the far-end
+    sum reads it, with no normalised copy.  Holding the two-mic clean
+    spectrum instead of the source, as well as the |X|^2 scratch beside
+    a normalised output, came to about 6 spectra and 2 waveforms."""
     monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
     cfg = short_cfg(duration=10.0, seed=4)
     synthesize_scene(cfg, PARAMS)  # first-call allocations stay out
@@ -204,7 +225,7 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
     waveform = signals.x.nbytes
     # a third of a spectrum (0.9 MB here) covers both blocks' chunks and
     # the small arrays
-    assert peak - before <= 5 * spectrum + waveform + spectrum // 3
+    assert peak - before <= 4 * spectrum + 3 * waveform + spectrum // 3
 
 
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
@@ -217,6 +238,35 @@ def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
                                    np.random.default_rng(9)).data)
     for data in spectra[1:]:
         assert data.tobytes() == spectra[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [512, 4001, 960000])
+def test_pulse_train_is_one_pass_bit_for_bit(monkeypatch, n):
+    """The speech draw's sample chunks give the one-pass expression's
+    samples, at chunk edges that split off the first sample, start a
+    chunk at sample 1, on a pulse and right after it, and fall at odd
+    offsets, and in the frame blocks of 1, 2, 3 and 7 CPUs."""
+    expected = pulse_train(n, 16000, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    rng.uniform(0.0, 2.0 * np.pi)
+    pulses = np.flatnonzero(expected - 0.03 * rng.standard_normal(n) > 0.5)
+    pulse = pulses[len(pulses) // 2]
+    edges = sorted({0, 1, 7, pulse, pulse + 1, n // 2 + 1, n // 2 + 13, n})
+    expected = expected.tobytes()
+
+    def by_edges(n_samples, fn, chunk):
+        assert n_samples == n
+        for a, b in zip(edges, edges[1:]):
+            fn(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scene, "_by_chunks", by_edges)
+        draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
+    assert draw.tobytes() == expected
+    for blocks in (1, 2, 3, 7):
+        monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
+        draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
+        assert draw.tobytes() == expected
 
 
 def scene_digest(cfg):

@@ -9,13 +9,13 @@ from .pipeline import (EnhancementResult, Method, render, run_blind_concat,
                        run_joint, run_unprocessed)
 from .scene import SceneConfig, SpectralStats, synthesize_scene
 from .solver import BandSolution, BandStatus, SolverTerms, solve_band
-from .stft import FrameParams, Spectrogram, analyze, synthesize
+from .stft import FrameParams, analyze, synthesize
 
 __all__ = [
     "__version__",
     "BandSolution", "BandStatus", "BeamformerSet", "EnhancementResult",
     "EvalReport", "Filterbank", "FrameParams", "Method", "SceneConfig",
-    "SolverTerms", "SpectralStats", "Spectrogram",
+    "SolverTerms", "SpectralStats",
     "allocate_targets", "analyze", "asii", "build_beamformers",
     "build_filterbank", "evaluate", "render", "run_blind_concat",
     "run_joint", "run_unprocessed", "solve_band", "synthesize",

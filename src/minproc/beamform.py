@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import Spectrogram
+from .stft import _spectrum
 
 __all__ = ["BeamformerSet", "mwf_all", "apply_beamformer",
            "build_beamformers", "DIAG_LOAD"]
@@ -71,15 +71,15 @@ def build_beamformers(stats, mu_ref=0.0, mu_nr=5.0):
 
 
 def apply_beamformer(spec, weights):
-    """Apply per-bin filters to a spectrogram.
+    """Apply per-bin filters to a (channels, frames, bins) spectrum.
 
-    weights has shape (bins, channels); the output is the single-channel
-    spectrogram y[t, k] = w[k]^H x[t, k].
+    weights has shape (bins, channels); the output is the one-channel
+    spectrum y[t, k] = w[k]^H x[t, k], shaped (1, frames, bins).
     """
-    data = spec.data
+    data = _spectrum(spec)
     if data.shape[0] != weights.shape[1] or data.shape[2] != weights.shape[0]:
-        raise ValueError("weight shape does not match spectrogram")
-    return Spectrogram(_beamform(weights, data)[None, :, :])
+        raise ValueError("weight shape does not match spectrum")
+    return _beamform(weights, data)[None, :, :]
 
 
 def _beamform(weights, data, out=None):

@@ -243,7 +243,7 @@ def render(signals, result, params):
 
     The unprocessed method meets both rules and renders without an STFT.
     """
-    data = signals.spec_x.data
+    data = signals.spec_x
     w, g = result.w_mp, result.g_mp
     mic0 = np.all(w[:, 0] == 1.0) and not np.any(w[:, 1:])
     unit = np.all(g == 1.0)

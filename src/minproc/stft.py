@@ -4,7 +4,9 @@ Square-root Hann windows are used on both the analysis and the synthesis
 side at 50% overlap, so the overlapped window product sums to one and the
 round trip is exact up to float rounding.  Signals are zero-padded by one
 hop on either side before framing, which keeps every input sample under
-full window coverage (no edge taper on the reconstruction).
+full window coverage (no edge taper on the reconstruction).  A spectrum
+is a plain complex array shaped (channels, frames, bins); the functions
+that take one raise ValueError on any other shape.
 
 The per-frame passes run in contiguous blocks of frames, one per usable
 CPU, at the same time, and each block in chunks of _CHUNK frames, so no
@@ -31,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "FrameParams",
-    "Spectrogram",
     "sqrt_hann",
     "analyze",
     "synthesize",
@@ -93,25 +94,11 @@ class FrameParams:
         return np.fft.rfftfreq(self.frame_len, 1.0 / self.sample_rate)
 
 
-@dataclass
-class Spectrogram:
-    """One-sided STFT data with shape (channels, frames, bins), in C
-    order: a pass over one channel reads contiguous memory."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise ValueError("spectrogram data must be (channels, frames, bins)")
-
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    @property
-    def frames(self):
-        return self.data.shape[1]
+def _spectrum(spec):
+    """spec as an array, which must be (channels, frames, bins)."""
+    if np.ndim(spec) != 3:
+        raise ValueError("a spectrum must be (channels, frames, bins)")
+    return np.asarray(spec)
 
 
 def _usable_cpus():
@@ -166,13 +153,12 @@ def _by_frames(n_frames, fn):
         raise errors[0]
 
 
-def _by_chunks(n, fn, chunk=_CHUNK):
-    """Run fn(c, e) on each chunk [c, e) of at most ``chunk`` of
-    range(n), the chunks of each block of _by_frames in turn; fn follows
-    _by_frames's rules."""
+def _by_chunks(n, fn):
+    """Run fn(c, e) on each chunk [c, e) of at most _CHUNK of range(n),
+    in the blocks of _by_frames; fn follows _by_frames's rules."""
     def block(a, b):
-        for c in range(a, b, chunk):
-            fn(c, min(c + chunk, b))
+        for c in range(a, b, _CHUNK):
+            fn(c, min(c + _CHUNK, b))
 
     _by_frames(n, block)
 
@@ -190,7 +176,9 @@ def sqrt_hann(frame_len):
 def analyze(signal, params):
     """STFT of a mono (n,) or multichannel (channels, n) signal.
 
-    Returns a Spectrogram with data shaped (channels, frames, bins).
+    Returns the one-sided spectrum, a complex array shaped (channels,
+    frames, bins) in C order: a pass over one channel reads contiguous
+    memory.
     """
     x = np.atleast_2d(np.asarray(signal, dtype=np.float64))
     if x.ndim != 2:
@@ -198,7 +186,7 @@ def analyze(signal, params):
     data = np.empty((x.shape[0], _frame_count(x.shape[1], params),
                      params.bins), dtype=complex)
     _analysis(x, params, data)
-    return Spectrogram(data)
+    return data
 
 
 def _frame_count(n, params):
@@ -258,9 +246,12 @@ def _analysis(x, params, data, each_chunk=None):
 def synthesize(spec, params, num_samples):
     """Overlap-add inverse STFT, shaped (channels, num_samples).
 
-    The output is trimmed or zero-extended to ``num_samples``.
+    The output is trimmed or zero-extended to ``num_samples``, a
+    nonnegative integer.
     """
-    data = spec.data
+    data = _spectrum(spec)
+    if not isinstance(num_samples, (int, np.integer)) or num_samples < 0:
+        raise ValueError("num_samples must be a nonnegative integer")
     channels, n_frames, bins = data.shape
     if bins != params.bins:
         raise ValueError("bin count does not match frame parameters")
@@ -312,12 +303,12 @@ def long_term_psd(spec):
 
     Returns an array of shape (bins, channels, channels); Hermitian and
     positive semi-definite per bin by construction.  Raises ValueError
-    on a spectrogram without frames.
+    on a spectrum without frames.
     """
-    data = spec.data
+    data = _spectrum(spec)
     channels, n_frames, bins = data.shape
     if n_frames == 0:
-        raise ValueError("the spectrogram's frame axis is empty")
+        raise ValueError("the spectrum's frame axis is empty")
     # laid out (channels, channels, bins), as one einsum over every bin
     # lays out its result
     psd = np.empty((channels, channels, bins), dtype=complex)

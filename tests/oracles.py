@@ -14,7 +14,7 @@ from scipy import signal as sig
 from minproc.beamform import BeamformerSet, mwf_all
 from minproc.scene import SpectralStats, make_source, steering_matrix
 from minproc.solver import REL_TOL, SolverTerms
-from minproc.stft import Spectrogram, analyze, synthesize
+from minproc.stft import analyze, synthesize
 
 
 def combo_quad(alpha, at_one, at_zero, cross):
@@ -389,25 +389,23 @@ def scene_components(cfg, params):
 
     def at_mics(pos, kind):
         a = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        return a, a.T[:, None, :] * make_source(kind, n, params, rng).data
+        return a, a.T[:, None, :] * make_source(kind, n, params, rng)
 
     d, clean = at_mics(cfg.talker_pos, "speech")
-    p_clean = [np.mean(c ** 2) for c in synthesize(Spectrogram(clean),
-                                                   params, n)]
+    p_clean = [np.mean(c ** 2) for c in synthesize(clean, params, n)]
     fe = np.zeros_like(clean)
     for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
         fe += at_mics(pos, cfg.fe_noise_kind)[1]
-    p_pts = np.mean(synthesize(Spectrogram(fe[:1]), params, n)[0] ** 2)
+    p_pts = np.mean(synthesize(fe[:1], params, n)[0] ** 2)
     fe *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
     selfnoise = rng.standard_normal((mics.shape[0], n))
     for m, row in enumerate(selfnoise):
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
-    fe += analyze(selfnoise, params).data
+    fe += analyze(selfnoise, params)
 
-    ne = make_source(cfg.ne_noise_kind, n, params, rng).data
-    ne_wave = synthesize(Spectrogram(ne), params, n)[0]
+    ne = make_source(cfg.ne_noise_kind, n, params, rng)
+    ne_wave = synthesize(ne, params, n)[0]
     gamma = _snr_gain(p_clean[0], np.mean(ne_wave ** 2), cfg.ne_snr_db)
-    return SimpleNamespace(clean=Spectrogram(clean), fe_noise=Spectrogram(fe),
-                           ne_spec=Spectrogram(gamma * ne),
+    return SimpleNamespace(clean=clean, fe_noise=fe, ne_spec=gamma * ne,
                            ne_noise=gamma * ne_wave, d=d / d[:, :1])

@@ -307,7 +307,7 @@ def test_criterion_08_stft_round_trip_and_power():
     assert rt <= 1e-8
     weights = np.full(params.frame_len // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0
-    e_spec = float(np.sum(weights * np.abs(spec.data[0]) ** 2)
+    e_spec = float(np.sum(weights * np.abs(spec[0]) ** 2)
                    / params.frame_len)
     e_time = float(np.sum(x ** 2))
     pm = abs(e_spec - e_time) / e_time

@@ -9,7 +9,7 @@ from minproc.metrics import asii, evaluate
 from minproc.pipeline import render, run_joint, run_unprocessed
 from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import BandStatus, subband_snr
-from minproc.stft import FrameParams, Spectrogram, synthesize
+from minproc.stft import FrameParams, synthesize
 from oracles import scene_components
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -106,8 +106,8 @@ def test_broadband_snr_matches_waveform_oracle():
     n = signals.x.shape[-1]
 
     def heard(spec):
-        gy = apply_beamformer(spec, res.w_mp).data * res.g_mp
-        return synthesize(Spectrogram(gy), PARAMS, n)[0]
+        gy = apply_beamformer(spec, res.w_mp) * res.g_mp
+        return synthesize(gy, PARAMS, n)[0]
 
     parts = scene_components(cfg, PARAMS)
     speech = heard(parts.clean)

@@ -26,7 +26,7 @@ from minproc.scene import SceneConfig, synthesize_scene
 from minproc.solver import (REL_TOL, BandStatus, SolverTerms,
                             band_term_table, band_terms, solve_band,
                             subband_snr)
-from minproc.stft import FrameParams, Spectrogram, long_term_psd, synthesize
+from minproc.stft import FrameParams, long_term_psd, synthesize
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
@@ -231,7 +231,7 @@ def test_render_equals_whole_spectrum_synthesis(monkeypatch, blocks):
     y, z = render(signals, res, PARAMS)
     n = signals.x.shape[-1]
     y_spec = apply_beamformer(signals.spec_x, res.w_mp)
-    gy = synthesize(Spectrogram(y_spec.data * res.g_mp), PARAMS, n)[0]
+    gy = synthesize(y_spec * res.g_mp, PARAMS, n)[0]
     assert y.tobytes() == synthesize(y_spec, PARAMS, n)[0].tobytes()
     assert z.tobytes() == (gy + signals.ne_noise).tobytes()
 
@@ -255,7 +255,7 @@ def test_processed_render_holds_no_full_size_spectrum(monkeypatch):
     # would be two spectra more
     assert z.base is y.base
     chunk = 2 * stft._CHUNK * (PARAMS.bins * 16 + PARAMS.frame_len * 8)
-    spectrum = signals.spec_x.data[0].nbytes
+    spectrum = signals.spec_x[0].nbytes
     assert peak - before <= y.base.nbytes + 2 * chunk + spectrum // 4
 
 
@@ -277,12 +277,12 @@ def test_rendered_energy_matches_spectral_power():
     quad = np.einsum("km,kmn,kn->k", np.conj(res.w_mp), c_x, res.w_mp).real
     pw = np.full(PARAMS.bins, 2.0)
     pw[0] = pw[-1] = 1.0
-    frames = signals.spec_x.data.shape[1]
+    frames = signals.spec_x.shape[1]
     predicted = frames / PARAMS.frame_len * np.sum(pw * res.g_mp**2 * quad)
 
     # in the spectral domain the quadratic form is an identity
     z_spec = res.g_mp[None, :] * np.einsum("km,mtk->tk", np.conj(res.w_mp),
-                                           signals.spec_x.data)
+                                           signals.spec_x)
     e_spec = np.sum(pw[None, :] * np.abs(z_spec) ** 2) / PARAMS.frame_len
     assert abs(e_spec - predicted) < 1e-10 * predicted
     # the waveform realizes that energy only up to the overlap-add

@@ -18,8 +18,7 @@ from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
                            _DrawAhead, lowpass_response, make_source,
                            steering_matrix, synthesize_scene,
                            transfer_function)
-from minproc.stft import (FrameParams, Spectrogram, analyze, long_term_psd,
-                          synthesize)
+from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
 from oracles import (babble_envelope, design_response, pulse_train,
                      scene_components)
 
@@ -87,17 +86,16 @@ def test_scene_is_oracle_composition_bit_for_bit(kw):
     cfg = short_cfg(seed=4, **kw)
     signals, stats = synthesize_scene(cfg, PARAMS)
     parts = scene_components(cfg, PARAMS)
-    spec_x = parts.clean.data + parts.fe_noise.data
-    assert np.array_equal(signals.spec_x.data, spec_x)
-    assert np.array_equal(signals.x, synthesize(Spectrogram(spec_x[:1]),
-                                                PARAMS, 48000)[0])
+    spec_x = parts.clean + parts.fe_noise
+    assert np.array_equal(signals.spec_x, spec_x)
+    assert np.array_equal(signals.x, synthesize(spec_x[:1], PARAMS, 48000)[0])
     assert np.array_equal(signals.ne_noise, parts.ne_noise)
     assert np.array_equal(stats.sigma_s2,
-                          np.mean(np.abs(parts.clean.data[0]) ** 2, axis=0))
+                          np.mean(np.abs(parts.clean[0]) ** 2, axis=0))
     assert np.array_equal(stats.d, parts.d)
     assert np.array_equal(stats.c_u, long_term_psd(parts.fe_noise))
     assert np.array_equal(stats.sigma_n2,
-                          np.mean(np.abs(parts.ne_spec.data[0]) ** 2, axis=0))
+                          np.mean(np.abs(parts.ne_spec[0]) ** 2, axis=0))
 
 
 def test_draw_off_the_plan_raises():
@@ -196,7 +194,7 @@ def test_scene_holds_only_what_a_run_reads():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = (signals.x, signals.ne_noise, signals.spec_x.data,
+    arrays = (signals.x, signals.ne_noise, signals.spec_x,
               stats.sigma_s2, stats.d, stats.c_u, stats.sigma_n2)
     # the slack covers the waveforms' few trailing padding samples and
     # the objects around the arrays; one component spectrum is 1.5 MB
@@ -221,7 +219,7 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    spectrum = signals.spec_x.data[0].nbytes
+    spectrum = signals.spec_x[0].nbytes
     waveform = signals.x.nbytes
     # a third of a spectrum (0.9 MB here) covers both blocks' chunks and
     # the small arrays
@@ -235,44 +233,23 @@ def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
     for blocks in (1, 2, 3, 7):
         monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
         spectra.append(make_source(kind, 4000, PARAMS,
-                                   np.random.default_rng(9)).data)
+                                   np.random.default_rng(9)))
     for data in spectra[1:]:
         assert data.tobytes() == spectra[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [512, 4001, 960000])
-def test_pulse_train_is_one_pass_bit_for_bit(monkeypatch, n):
-    """The speech draw's sample chunks give the one-pass expression's
-    samples, at chunk edges that split off the first sample, start a
-    chunk at sample 1, on a pulse and right after it, and fall at odd
-    offsets, and in the frame blocks of 1, 2, 3 and 7 CPUs."""
-    expected = pulse_train(n, 16000, np.random.default_rng(8))
-    rng = np.random.default_rng(8)
-    rng.uniform(0.0, 2.0 * np.pi)
-    pulses = np.flatnonzero(expected - 0.03 * rng.standard_normal(n) > 0.5)
-    pulse = pulses[len(pulses) // 2]
-    edges = sorted({0, 1, 7, pulse, pulse + 1, n // 2 + 1, n // 2 + 13, n})
-    expected = expected.tobytes()
-
-    def by_edges(n_samples, fn, chunk):
-        assert n_samples == n
-        for a, b in zip(edges, edges[1:]):
-            fn(a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scene, "_by_chunks", by_edges)
-        draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
-    assert draw.tobytes() == expected
-    for blocks in (1, 2, 3, 7):
-        monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
-        draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
-        assert draw.tobytes() == expected
+def test_pulse_train_is_one_pass_bit_for_bit(n):
+    """The speech draw is the oracle's one-pass expression bit for bit."""
+    draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
+    assert draw.tobytes() == pulse_train(n, 16000,
+                                         np.random.default_rng(8)).tobytes()
 
 
 def scene_digest(cfg):
     signals, stats = synthesize_scene(cfg, PARAMS)
     h = hashlib.sha256()
-    for a in (signals.x, signals.ne_noise, signals.spec_x.data,
+    for a in (signals.x, signals.ne_noise, signals.spec_x,
               *dataclasses.astuple(stats)):
         h.update(a.tobytes())
     return h.hexdigest()
@@ -338,8 +315,8 @@ def test_every_spectrum_is_c_contiguous(mics):
                signals.spec_x,
                apply_beamformer(signals.spec_x, np.ones((PARAMS.bins, m)))]
     for spec in spectra:
-        assert spec.data.flags.c_contiguous
-    assert signals.spec_x.data.shape[0] == m
+        assert type(spec) is np.ndarray and spec.flags.c_contiguous
+    assert signals.spec_x.shape[0] == m
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 12.0])
@@ -533,8 +510,8 @@ def test_sources_unit_rms(kind):
     bins is 1."""
     rng = np.random.default_rng(17)
     x = make_source(kind, 32000, PARAMS, rng)
-    assert x.data.shape == (1, 126, PARAMS.bins)
-    assert np.isclose(np.mean(np.abs(x.data) ** 2), 1.0, rtol=1e-12)
+    assert x.shape == (1, 126, PARAMS.bins)
+    assert np.isclose(np.mean(np.abs(x) ** 2), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (12, 48001)])
@@ -542,8 +519,8 @@ def test_babble_is_speech_shaped_under_oracle_envelope(seed, n):
     """Babble is the speech-shaped draw times the eight-talker envelope
     the oracle builds talker by talker, and draws nothing more."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = make_source("babble_like", n, PARAMS, rng).data
-    shaped = make_source("speech_shaped", n, PARAMS, ref_rng).data
+    x = make_source("babble_like", n, PARAMS, rng)
+    shaped = make_source("speech_shaped", n, PARAMS, ref_rng)
     env = babble_envelope(shaped.shape[1], 16000 / PARAMS.hop, ref_rng)
     ref = shaped * env[:, None]
     ref /= np.sqrt(np.mean(np.abs(ref) ** 2))

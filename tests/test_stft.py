@@ -9,9 +9,10 @@ import pytest
 from scipy.io import wavfile
 
 from minproc import stft
+from minproc.beamform import apply_beamformer
 from minproc.stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, FrameParams,
-                          Spectrogram, analyze, long_term_psd, sqrt_hann,
-                          synthesize, write_wav)
+                          analyze, long_term_psd, sqrt_hann, synthesize,
+                          write_wav)
 from oracles import analyze_by_frame, overlap_add, psd_by_whole_einsum
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
@@ -72,8 +73,8 @@ def test_round_trip_multichannel():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 5000))
     spec = analyze(x, PARAMS)
-    assert spec.channels == 3
-    assert spec.data.shape[2] == 257
+    assert type(spec) is np.ndarray
+    assert spec.shape == (3, 21, 257) and spec.flags.c_contiguous
     y = synthesize(spec, PARAMS, num_samples=5000)
     assert y.shape == (3, 5000)
     assert np.max(np.abs(y - x)) <= 1e-10 * np.max(np.abs(x))
@@ -99,7 +100,7 @@ def test_analysis_matches_frame_loop_bit_for_bit(monkeypatch, blocks,
     x = signed_zero_signal(channels, n, seed=channels)
     expected = analyze_by_frame(x, PARAMS)
     assert expected.shape == (channels, n_frames, PARAMS.bins)
-    data = analyze(x, PARAMS).data
+    data = analyze(x, PARAMS)
     assert np.array_equal(data, expected)
     assert np.array_equal(np.signbit(data.real), np.signbit(expected.real))
     assert np.array_equal(np.signbit(data.imag), np.signbit(expected.imag))
@@ -111,7 +112,7 @@ def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
     x = rng.standard_normal((3, 4000))
     x[1] = 0.0
     x[2, 1000:2500] = 0.0
-    data = analyze(x, PARAMS).data
+    data = analyze(x, PARAMS)
     data[0, 5] = -0.0
     cases = [(data, (4000, 600, 4351, 4352, 4353, 9000))]
     # 2, 3, 5 frames and the chunk edges at 1-3 channels, negative zeros
@@ -138,13 +139,13 @@ def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
             expected[:, :m] = span[:, :m]
             for blocks in BLOCKS:
                 split_frames(monkeypatch, blocks)
-                y = synthesize(Spectrogram(spec), PARAMS, num_samples)
+                y = synthesize(spec, PARAMS, num_samples)
                 assert np.array_equal(y, expected)
                 assert np.array_equal(np.signbit(y), np.signbit(expected))
 
 
 def test_synthesis_of_no_frames_is_silence():
-    spec = Spectrogram(np.zeros((2, 0, PARAMS.bins), dtype=complex))
+    spec = np.zeros((2, 0, PARAMS.bins), dtype=complex)
     for num_samples in (0, 1, 600):
         y = synthesize(spec, PARAMS, num_samples)
         assert y.shape == (2, num_samples) and not np.any(y)
@@ -172,18 +173,17 @@ def test_analysis_holds_no_full_size_scratch(monkeypatch):
     split_frames(monkeypatch, 2)
     x = np.random.default_rng(3).standard_normal((2, 1000 * PARAMS.hop))
     spec, peak = traced_peak(analyze, x, PARAMS)
-    full = 2 * spec.frames * PARAMS.frame_len * 8
-    assert peak <= spec.data.nbytes + full // 4
+    full = 2 * spec.shape[1] * PARAMS.frame_len * 8
+    assert peak <= spec.nbytes + full // 4
 
 
 def test_synthesis_holds_no_full_size_scratch(monkeypatch):
     split_frames(monkeypatch, 2)
     rng = np.random.default_rng(4)
     shape = (2, 1001, PARAMS.bins)
-    spec = Spectrogram(rng.standard_normal(shape)
-                       + 1j * rng.standard_normal(shape))
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     y, peak = traced_peak(synthesize, spec, PARAMS, 1000 * PARAMS.hop)
-    full = 2 * spec.frames * PARAMS.frame_len * 8
+    full = 2 * spec.shape[1] * PARAMS.frame_len * 8
     assert peak <= y.base.nbytes + full // 4
 
 
@@ -193,10 +193,9 @@ def test_long_term_psd_holds_no_full_size_conjugate(monkeypatch):
     split_frames(monkeypatch, 2)
     rng = np.random.default_rng(5)
     shape = (2, 1001, PARAMS.bins)
-    spec = Spectrogram(rng.standard_normal(shape)
-                       + 1j * rng.standard_normal(shape))
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     psd, peak = traced_peak(long_term_psd, spec)
-    assert peak <= psd.nbytes + spec.data.nbytes // 4
+    assert peak <= psd.nbytes + spec.nbytes // 4
 
 
 def overflow_in_a_worker(a, b):
@@ -279,7 +278,7 @@ def test_parseval():
     spec = analyze(x, PARAMS)
     weights = np.full(PARAMS.bins, 2.0)
     weights[0] = weights[-1] = 1.0
-    p_spec = np.sum(weights * np.abs(spec.data[0]) ** 2) / PARAMS.frame_len
+    p_spec = np.sum(weights * np.abs(spec[0]) ** 2) / PARAMS.frame_len
     p_time = np.sum(x ** 2)
     assert abs(p_spec - p_time) / p_time <= 1e-6
 
@@ -320,7 +319,7 @@ def test_pure_tone_concentrates():
     offset = (t - 1) * PARAMS.hop
     psi = 2 * np.pi * k0 * offset / PARAMS.frame_len + phi
     expected = _windowed_tone_dft(k0, psi, PARAMS.frame_len)
-    frame = spec.data[0, t]
+    frame = spec[0, t]
     assert np.max(np.abs(frame - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     energy = np.abs(frame) ** 2
@@ -361,7 +360,7 @@ def test_long_term_psd_needs_no_symmetrising(channels, frames):
     for level in (1e-6, 1.0, 1e3):
         data = level * (rng.standard_normal((channels, frames, 9))
                         + 1j * rng.standard_normal((channels, frames, 9)))
-        psd = long_term_psd(Spectrogram(data))
+        psd = long_term_psd(data)
         old = 0.5 * (psd + np.conj(psd).transpose(0, 2, 1))
         assert psd.tobytes() == old.tobytes()
 
@@ -383,13 +382,13 @@ def test_long_term_psd_is_one_einsum_byte_for_byte(monkeypatch, blocks,
         shape = (channels, frames, bins)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         data[:, :, bins // 2] = -0.0
-        plain = long_term_psd(Spectrogram(data))
+        plain = long_term_psd(data)
         assert plain.tobytes() == psd_by_whole_einsum(data).tobytes()
         for part in (data.real, data.imag):
             at = rng.random(shape) < 0.02
             part[at] = rng.choice(special, np.count_nonzero(at))
         with np.errstate(invalid="ignore"):  # inf - inf in the sums
-            psd = long_term_psd(Spectrogram(data))
+            psd = long_term_psd(data)
             expected = psd_by_whole_einsum(data)
         psd, expected = (np.ascontiguousarray(a).view(float)
                          for a in (psd, expected))
@@ -400,16 +399,28 @@ def test_long_term_psd_is_one_einsum_byte_for_byte(monkeypatch, blocks,
 
 def test_long_term_psd_needs_frames():
     with pytest.raises(ValueError, match="frame axis is empty"):
-        long_term_psd(Spectrogram(np.zeros((2, 0, PARAMS.bins),
-                                           dtype=complex)))
+        long_term_psd(np.zeros((2, 0, PARAMS.bins), dtype=complex))
 
 
-def test_spectrogram_shape_checks():
-    for shape in ((5,), (4, 257)):
-        with pytest.raises(ValueError):
-            Spectrogram(np.zeros(shape, dtype=complex))
-    s = Spectrogram(np.zeros((1, 4, 257), dtype=complex))
-    assert s.channels == 1 and s.frames == 4
+def test_spectrum_shape_checks():
+    """Every function that takes a spectrum requires it to be
+    (channels, frames, bins)."""
+    for shape in ((5,), (4, 257), (1, 1, 4, 257)):
+        spec = np.zeros(shape, dtype=complex)
+        for take in (lambda: synthesize(spec, PARAMS, 600),
+                     lambda: long_term_psd(spec),
+                     lambda: apply_beamformer(spec, np.ones((257, 4)))):
+            with pytest.raises(ValueError, match="channels, frames, bins"):
+                take()
+
+
+@pytest.mark.parametrize("num_samples", [-5, -1, 2.5, 4000.0, None, "4000"])
+def test_synthesis_needs_a_nonnegative_integer_length(num_samples):
+    spec = analyze(np.random.default_rng(6).standard_normal(4000), PARAMS)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        synthesize(spec, PARAMS, num_samples)
+    # numpy integers are integers
+    assert synthesize(spec, PARAMS, np.int64(4000)).shape == (1, 4000)
 
 
 def test_wav_round_trip(tmp_path):

@@ -24,7 +24,7 @@ import numpy as np
 # analyze stays a name of this module, though the scene analyses through
 # _analysis: perfbench/tracing.py wraps it here
 from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, _analysis, _busy_cpus,
-                   _by_chunks, _by_frames, _frame_count, _overlap_add,
+                   _by_chunks, _frame_count, _overlap_add,
                    analyze, long_term_psd, synthesize)
 
 __all__ = [
@@ -207,7 +207,7 @@ def _add_at_mics(acc, steer, source, scale=None):
     source through its (bins, mics) steering matrix, with no full-size
     product or normalised copy: each chunk of _CHUNK frames of the
     source is divided by scale (unless it is None), multiplied and added
-    in turn, in frame blocks."""
+    in turn."""
     steer = np.ascontiguousarray(steer.T)[:, None, :]
 
     def add(c, e):
@@ -261,7 +261,7 @@ def _source_draws(kind, n_samples, params):
     if kind == "speech":
         draws.insert(0, ("uniform", 0.0, 2.0 * np.pi))
     if kind == "babble_like":  # the envelope's eight talkers, per frame
-        draws.append(("standard_normal", (8, -(-n_samples // params.hop) + 1)))
+        draws.append(("standard_normal", (8, _frame_count(n_samples, params))))
     return draws
 
 
@@ -340,8 +340,8 @@ def make_source(kind, n_samples, params, rng):
     # into a new array: normalising in place left the heap in a state
     # that gave a 10 s CLI sweep 3.6 times the page faults
     out = np.empty_like(data)
-    _by_frames(data.shape[1], lambda a, b: np.divide(
-        data[:, a:b], scale, out=out[:, a:b]))
+    _by_chunks(data.shape[1], lambda c, e: np.divide(
+        data[:, c:e], scale, out=out[:, c:e]))
     return out
 
 
@@ -441,8 +441,8 @@ def synthesize_scene(cfg, params):
     noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
     # the scene's draws, in order: the talker, the point noises, one
     # self-noise row per mic and the near-end noise; each is made on a
-    # thread while the caller works on the one before, and the frame
-    # blocks leave that thread its CPU while it runs
+    # thread while the caller works on the one before, and the passes
+    # leave that thread its CPU while it runs
     rng = _DrawAhead(np.random.default_rng(cfg.seed), [
         *_source_draws("speech", n, params),
         *(noises.shape[0] * _source_draws(cfg.fe_noise_kind, n, params)),

@@ -8,16 +8,17 @@ full window coverage (no edge taper on the reconstruction).  A spectrum
 is a plain complex array shaped (channels, frames, bins); the functions
 that take one raise ValueError on any other shape.
 
-The per-frame passes run in contiguous blocks of frames, one per usable
-CPU, at the same time, and each block in chunks of _CHUNK frames, so no
-pass holds a scratch array the size of its input.  Each frame is
-computed by the same operations in the same order whatever the blocks
-and chunks, so the results do not depend on them.  The analysis pass
-windows the frames straight from the signal, with no zero-padded copy,
-and can hand each chunk's spectrum to a function as soon as it is made,
-so a spectrum that is shaped or summed per chunk (scene.make_source's,
-the scene's self noise) takes no pass of its own.  The overlap-add pass
-can likewise take its spectrum a chunk at a time from a function, so a
+Every per-frame pass is a function of one chunk of frames, and
+_by_chunks runs it over fixed chunks, whose edges depend on the input's
+length alone, dealt out in contiguous runs, one per usable CPU, at the
+same time.  No pass holds a scratch array the size of its input, and as
+each chunk is computed by the same operations whatever the runs, the
+results do not depend on the CPU count.  The analysis pass windows the
+frames straight from the signal, with no zero-padded copy, and can hand
+each chunk's spectrum to a function as soon as it is made, so a
+spectrum that is shaped or summed per chunk (scene.make_source's, the
+scene's self noise) takes no pass of its own.  The overlap-add pass can
+likewise take its spectrum a chunk at a time from a function, so a
 spectrum made per chunk (pipeline.render's) is never held whole.
 """
 
@@ -50,10 +51,12 @@ WAV_DATA_LIMIT = 2**32 - 1 - 50
 # byte rate, 4 * channels * rate, is a 32-bit header field
 WAV_RATE_LIMIT = (2**32 - 1) // 4
 
-# frames per chunk of a block's pass, and bins per chunk and channel of
-# long_term_psd: a chunk conjugates one channel of _BIN_CHUNK * channels
-# bins, as many values as 16 bins of every channel, 6% of a 257-bin
-# spectrum; narrower chunks cost the einsum more per bin
+# frames per chunk of a pass, halved in the analysis to keep two runs'
+# frame scratch within the scene's one-copy bound; and bins per chunk
+# and channel of long_term_psd: a chunk conjugates one channel of
+# _BIN_CHUNK * channels bins, as many values as 16 bins of every
+# channel, 6% of a 257-bin spectrum; narrower chunks cost the einsum
+# more per bin
 _CHUNK = 64
 _BIN_CHUNK = 16
 
@@ -108,59 +111,51 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-# the number of usable CPUs that a thread running beside the frame
-# blocks, such as the scene's draw thread, takes at the moment: a pass
-# started while it runs cuts one block fewer, so that no block waits
-# for a CPU while the others are done
+# the number of usable CPUs that a thread running beside the passes,
+# such as the scene's draw thread, takes at the moment: a pass started
+# while it runs deals its chunks out in one run fewer, so that no run
+# waits for a CPU while the others are done
 _busy_cpus = contextvars.ContextVar("busy_cpus", default=lambda: 0)
 
 
-def _by_frames(n_frames, fn):
-    """Run fn(a, b) on contiguous blocks [a, b) of range(n_frames), one
-    block per usable CPU that _busy_cpus leaves free, at the same time.
-    (long_term_psd cuts its bins the same way.)
+def _by_chunks(n, fn, width=_CHUNK):
+    """Run fn(c, e) on each chunk [c, e) = [k * width, (k + 1) * width)
+    of range(n), cut at n, so the chunks depend on n and width alone.
+    Whole chunks are dealt out in contiguous runs, one run per usable
+    CPU that _busy_cpus leaves free, and the runs go at the same time.
 
-    The caller runs the first block, and a thread started for this call
-    runs each of the others in a copy of the caller's context, so
-    np.errstate holds in every block.  An error in any block is raised
-    here once every block is done.  fn calls numpy only, and writes with
-    out= or in place into arrays the caller made, only into its own
-    frames of them; it allocates at most scratch of a few chunks: a
-    thread that allocated its own share would keep it in a malloc arena
-    of its own.
+    The caller makes the first run, and a thread started for this call
+    makes each of the others in a copy of the caller's context, so
+    np.errstate holds in every run.  An error in any run is raised here
+    once every run is done.  fn calls numpy only, and writes with out=
+    or in place into arrays the caller made, only into its own chunk of
+    them; it allocates at most scratch for its chunk: a thread that
+    allocated its own share would keep it in a malloc arena of its own.
     """
-    blocks = max(1, min(_usable_cpus() - _busy_cpus.get()(), n_frames))
-    edges = [k * n_frames // blocks for k in range(blocks + 1)]
+    chunks = -(-n // width)
+    runs = max(1, min(_usable_cpus() - _busy_cpus.get()(), chunks))
+    edges = [k * chunks // runs * width for k in range(runs + 1)]
     errors = []
 
-    def block(a, b):
+    def run(a, b):
         try:
-            fn(a, b)
+            for c in range(a, b, width):
+                fn(c, min(c + width, n))
         except Exception as error:
             errors.append(error)
 
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(block, a, b))
+                                args=(run, a, b))
                for a, b in zip(edges[1:-1], edges[2:])]
     for thread in threads:
         thread.start()
     try:
-        fn(0, edges[1])
+        run(0, edges[1])
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _by_chunks(n, fn):
-    """Run fn(c, e) on each chunk [c, e) of at most _CHUNK of range(n),
-    in the blocks of _by_frames; fn follows _by_frames's rules."""
-    def block(a, b):
-        for c in range(a, b, _CHUNK):
-            fn(c, min(c + _CHUNK, b))
-
-    _by_frames(n, block)
 
 
 def sqrt_hann(frame_len):
@@ -198,11 +193,11 @@ def _frame_count(n, params):
 
 
 def _analysis(x, params, data, each_chunk=None):
-    """analyze's pass over x, (channels, n): the rfft of each windowed
-    frame goes to its frames of data, or, where data is None, to chunk
-    scratch.  each_chunk(c, e, part), if given, is then called with the
-    spectrum of frames [c, e); it may rewrite part in place, and follows
-    _by_frames's rules.
+    """analyze's pass over x, (channels, n), in chunks of _CHUNK // 2
+    frames: the rfft of each windowed frame goes to its frames of data,
+    or, where data is None, to scratch for the chunk.  each_chunk(c, e,
+    part), if given, is then called with the spectrum of frames [c, e);
+    it may rewrite part in place, and follows _by_chunks's rules.
 
     No padded copy of x is made: frames 1 to n // hop - 1 lie wholly in
     x, and the first and the last one or two are windowed from small
@@ -222,25 +217,19 @@ def _analysis(x, params, data, each_chunk=None):
                (sliding_window_view(tail, size, axis=1)[:, ::hop],
                 inner + 1))
 
-    def block(a, b):
-        width = min(_CHUNK, b - a)
-        frames = np.empty((channels, width, size))
-        spec = (np.empty((channels, width, params.bins), dtype=complex)
-                if data is None else None)
-        for c in range(a, b, _CHUNK):
-            e = min(c + _CHUNK, b)
-            part = frames[:, :e - c]
-            for src, first in sources:
-                lo, hi = max(c, first), min(e, first + src.shape[1])
-                if lo < hi:
-                    np.multiply(src[:, lo - first:hi - first], window,
-                                out=part[:, lo - c:hi - c])
-            out = spec[:, :e - c] if data is None else data[:, c:e]
-            np.fft.rfft(part, n=size, axis=2, out=out)
-            if each_chunk is not None:
-                each_chunk(c, e, out)
+    def chunk(c, e):
+        part = np.empty((channels, e - c, size))
+        for src, first in sources:
+            lo, hi = max(c, first), min(e, first + src.shape[1])
+            if lo < hi:
+                np.multiply(src[:, lo - first:hi - first], window,
+                            out=part[:, lo - c:hi - c])
+        out = np.fft.rfft(part, n=size, axis=2,
+                          out=None if data is None else data[:, c:e])
+        if each_chunk is not None:
+            each_chunk(c, e, out)
 
-    _by_frames(n_frames, block)
+    _by_chunks(n_frames, chunk, _CHUNK // 2)
 
 
 def synthesize(spec, params, num_samples):
@@ -263,38 +252,27 @@ def _overlap_add(rows, channels, n_frames, params, num_samples):
     """synthesize's overlap-add pass over a spectrum of (channels,
     n_frames) frames given by rows: rows(c, e) returns frames [c, e),
     (channels, e - c, bins), as a view or as scratch it makes for one
-    chunk.  It is called from every frame block, for at most _CHUNK
-    frames at a time, so it follows _by_frames's rules."""
-    window = sqrt_hann(params.frame_len)
+    chunk.  It is called for at most _CHUNK frames at a time, from
+    every run, so it follows _by_chunks's rules.
 
-    # the signal starts one hop in, so its hop-block i is the second half
-    # of frame i plus the first half of frame i + 1; adding both into
-    # zeros, in that order, gives a sum per sample equal to
-    # frame-by-frame overlap-add
+    The signal starts one hop in, so its hop-block i is the second half
+    of frame i plus the first half of frame i + 1; adding both into
+    zeros, in that order, gives a sum per sample equal to frame-by-frame
+    overlap-add.  A chunk writes hop-blocks [c, e) and reads frames
+    [c, e + 1), cut at n_frames, so frame e is made in this chunk and
+    in the next alike."""
+    window = sqrt_hann(params.frame_len)
     hop = params.hop
     y = np.zeros((channels, max(-(-num_samples // hop), n_frames), hop))
 
-    def block(a, b):
-        frames = np.empty((channels, min(_CHUNK, b - a), params.frame_len))
-        for c in range(a, b, _CHUNK):
-            e = min(c + _CHUNK, b)
-            part = frames[:, :e - c]
-            np.fft.irfft(rows(c, e), n=params.frame_len, axis=2, out=part)
-            part *= window
-            y[:, c:e] += part[..., hop:]
-            # the chunk before added frame c - 1's second half already;
-            # frame a's first half is the block before's
-            lo = max(c, a + 1)
-            y[:, lo - 1:e - 1] += part[:, lo - c:, :hop]
-        if b < n_frames:
-            # the next block makes frame b too; its first half is made
-            # again here from the same spectrum row
-            head = np.fft.irfft(rows(b, b + 1)[:, 0],
-                                n=params.frame_len)[:, :hop]
-            head *= window[:hop]
-            y[:, b - 1] += head
+    def chunk(c, e):
+        f = min(e + 1, n_frames)
+        part = np.fft.irfft(rows(c, f), n=params.frame_len, axis=2)
+        part *= window
+        y[:, c:e] += part[:, :e - c, hop:]
+        y[:, c:f - 1] += part[:, 1:, :hop]
 
-    _by_frames(n_frames, block)
+    _by_chunks(n_frames, chunk, _CHUNK - 1)
     return y.reshape(channels, -1)[:, :num_samples]
 
 
@@ -319,17 +297,13 @@ def long_term_psd(spec):
     # Column n comes from one einsum against channel n's conjugate, over
     # a chunk of bins at a time, and sums each product in the same order
     # as one einsum over every channel and bin
-    width = _BIN_CHUNK * channels
+    def chunk(c, e):
+        part = data[..., c:e]
+        for n in range(channels):
+            np.einsum("mtk,tk->km", part, np.conj(part[n]),
+                      out=psd[c:e, :, n])
 
-    def block(a, b):
-        for c in range(a, b, width):
-            e = min(c + width, b)
-            part = data[..., c:e]
-            for n in range(channels):
-                np.einsum("mtk,tk->km", part, np.conj(part[n]),
-                          out=psd[c:e, :, n])
-
-    _by_frames(bins, block)
+    _by_chunks(bins, chunk, _BIN_CHUNK * channels)
     psd /= n_frames
     return psd
 

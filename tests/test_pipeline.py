@@ -249,7 +249,7 @@ def test_processed_render_holds_no_full_size_spectrum(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the output is one buffer holding y and z; each of the two blocks
+    # the output is one buffer holding y and z; each of the two runs
     # holds one chunk's two-channel spectrum and frames; a quarter of a
     # spectrum (0.6 MB here) covers the small arrays.  Y and gY, whole,
     # would be two spectra more

@@ -208,8 +208,13 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
     next draw (3 waveforms); the noise is normalised where the far-end
     sum reads it, with no normalised copy.  Holding the two-mic clean
     spectrum instead of the source, as well as the |X|^2 scratch beside
-    a normalised output, came to about 6 spectra and 2 waveforms."""
+    a normalised output, came to about 6 spectra and 2 waveforms.
+
+    Every pass makes two runs at once, as it does whenever no draw is
+    running: a draw thread that counted as busy would leave the passes
+    one run, and the peak lower."""
     monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scene._DrawAhead, "busy", lambda self: 0)
     cfg = short_cfg(duration=10.0, seed=4)
     synthesize_scene(cfg, PARAMS)  # first-call allocations stay out
     tracemalloc.start()
@@ -221,21 +226,24 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
         tracemalloc.stop()
     spectrum = signals.spec_x[0].nbytes
     waveform = signals.x.nbytes
-    # a third of a spectrum (0.9 MB here) covers both blocks' chunks and
+    # a third of a spectrum (0.9 MB here) covers both runs' chunks and
     # the small arrays
     assert peak - before <= 4 * spectrum + 3 * waveform + spectrum // 3
 
 
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
 def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
-    # 4000 samples make 17 frames: blocks of 17, 8 + 9, 5 + 6 + 6, ...
-    spectra = []
-    for blocks in (1, 2, 3, 7):
-        monkeypatch.setattr(stft, "_usable_cpus", lambda: blocks)
-        spectra.append(make_source(kind, 4000, PARAMS,
-                                   np.random.default_rng(9)))
-    for data in spectra[1:]:
-        assert data.tobytes() == spectra[0].tobytes()
+    # 4000 samples make 17 frames, one chunk; 57344 make 225 frames,
+    # 8 analysis chunks and 4 of the normalisation's, dealt out in
+    # 1, 2, 3 and 7 runs
+    for n in (4000, 57344):
+        spectra = []
+        for runs in (1, 2, 3, 7):
+            monkeypatch.setattr(stft, "_usable_cpus", lambda: runs)
+            spectra.append(make_source(kind, n, PARAMS,
+                                       np.random.default_rng(9)))
+        for data in spectra[1:]:
+            assert data.tobytes() == spectra[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [512, 4001, 960000])
@@ -265,7 +273,7 @@ def send_scene_digest(conn, cfg):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork on this platform")
 def test_forked_child_makes_the_same_scene(monkeypatch):
-    """A child forked after blocks ran on threads of the parent starts
+    """A child forked after passes ran on threads of the parent starts
     threads of its own, and its scene equals the parent's."""
     monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
     cfg = short_cfg(seed=6, duration=1.0)

@@ -1,6 +1,7 @@
 """STFT round-trip, Parseval, and long-term PSD checks."""
 
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -17,12 +18,17 @@ from oracles import analyze_by_frame, overlap_add, psd_by_whole_einsum
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 
-# block counts: one on the calling thread, and two, three and seven
-# blocks, down to one frame per block
+# run counts: one on the calling thread, and two, three and seven runs
 BLOCKS = (1, 2, 3, 7)
 
-# frame counts around the 64-frame chunks of a block
-CHUNK_EDGES = (63, 64, 65, 129)
+# frame counts around the analysis's 32-frame chunks (63 to 65 around
+# the end of its second); the last is 8 chunks, so that 3 and 7 runs
+# split
+ANALYSIS_EDGES = (31, 32, 33, 63, 64, 65, 129, 225)
+
+# frame counts around the overlap-add's 63 hop-blocks per chunk, each
+# chunk reading one frame more; the last is 8 chunks
+SYNTHESIS_EDGES = (62, 63, 64, 65, 126, 127, 129, 442)
 
 
 def split_frames(monkeypatch, blocks):
@@ -93,7 +99,7 @@ def test_round_trip_awkward_length():
 @pytest.mark.parametrize("channels", [1, 2, 3])
 @pytest.mark.parametrize("n, n_frames", [
     (512, 3), (600, 4), (4000, 17),
-    *(((f - 1) * PARAMS.hop, f) for f in CHUNK_EDGES)])
+    *(((f - 1) * PARAMS.hop, f) for f in ANALYSIS_EDGES)])
 def test_analysis_matches_frame_loop_bit_for_bit(monkeypatch, blocks,
                                                  channels, n, n_frames):
     split_frames(monkeypatch, blocks)
@@ -118,7 +124,7 @@ def test_synthesis_matches_frame_loop_bit_for_bit(monkeypatch):
     # 2, 3, 5 frames and the chunk edges at 1-3 channels, negative zeros
     # in every channel
     for channels in (1, 2, 3):
-        for n_frames in (2, 3, 5, *CHUNK_EDGES):
+        for n_frames in (2, 3, 5, *SYNTHESIS_EDGES):
             spec = (rng.standard_normal((channels, n_frames, PARAMS.bins))
                     + 1j * rng.standard_normal((channels, n_frames,
                                                 PARAMS.bins)))
@@ -166,9 +172,9 @@ def traced_peak(fn, *args):
 
 
 # 2 channels of 1001 frames: a scratch array of every frame would take
-# (2 * 1001 * 512) floats, 8.2 MB, and two blocks' 64-frame chunks
-# take 13% of that; the signal is read in place, with no zero-padded
-# copy of it (4.1 MB)
+# (2 * 1001 * 512) floats, 8.2 MB, and two runs' 32-frame chunks take
+# 6% of that; the signal is read in place, with no zero-padded copy of
+# it (4.1 MB)
 def test_analysis_holds_no_full_size_scratch(monkeypatch):
     split_frames(monkeypatch, 2)
     x = np.random.default_rng(3).standard_normal((2, 1000 * PARAMS.hop))
@@ -189,7 +195,7 @@ def test_synthesis_holds_no_full_size_scratch(monkeypatch):
 
 def test_long_term_psd_holds_no_full_size_conjugate(monkeypatch):
     # a conjugate of every bin would be as large as the data; two
-    # blocks' 16-bin chunks take 12% of it
+    # runs' 16-bin chunks take 12% of it
     split_frames(monkeypatch, 2)
     rng = np.random.default_rng(5)
     shape = (2, 1001, PARAMS.bins)
@@ -198,9 +204,9 @@ def test_long_term_psd_holds_no_full_size_conjugate(monkeypatch):
     assert peak <= psd.nbytes + spec.nbytes // 4
 
 
-def overflow_in_a_worker(a, b):
-    """Overflows in every block but the first, which the caller runs."""
-    if a > 0:
+def overflow_in_a_worker(c, e):
+    """Overflows in every chunk but the first, which the caller runs."""
+    if c > 0:
         np.multiply(np.full(3, 1e308), 10.0, out=np.empty(3))
 
 
@@ -208,10 +214,10 @@ def test_worker_blocks_keep_the_callers_errstate(monkeypatch):
     split_frames(monkeypatch, 2)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            stft._by_frames(2, overflow_in_a_worker)
+            stft._by_chunks(2, overflow_in_a_worker, 1)
     calls = []
     with np.errstate(over="call", call=lambda err, flag: calls.append(err)):
-        stft._by_frames(2, overflow_in_a_worker)
+        stft._by_chunks(2, overflow_in_a_worker, 1)
     assert calls == ["overflow"]
 
 
@@ -221,26 +227,26 @@ def test_worker_block_warnings_reach_the_caller(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            stft._by_frames(2, overflow_in_a_worker)
+            stft._by_chunks(2, overflow_in_a_worker, 1)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        stft._by_frames(2, overflow_in_a_worker)
+        stft._by_chunks(2, overflow_in_a_worker, 1)
     assert [str(w.message) for w in seen] \
         == ["overflow encountered in multiply"]
 
 
 def test_blocks_cover_every_frame_once_under_contention(monkeypatch):
-    # eight blocks on fewer cores, switching threads as often as they can
+    # eight runs on fewer cores, switching threads as often as they can
     split_frames(monkeypatch, 8)
     runs = np.zeros(5000, dtype=int)
 
-    def block(a, b):
-        runs[a:b] += 1
+    def chunk(c, e):
+        runs[c:e] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stft._by_frames(runs.size, block)
+        stft._by_chunks(runs.size, chunk, 1)
     finally:
         sys.setswitchinterval(interval)
     assert np.all(runs == 1)
@@ -248,17 +254,21 @@ def test_blocks_cover_every_frame_once_under_contention(monkeypatch):
 
 def test_a_busy_cpu_takes_a_block(monkeypatch):
     # a thread running beside the passes takes a CPU: a pass started
-    # meanwhile cuts one block fewer, and never fewer than one
+    # meanwhile makes one run fewer, and never fewer than one; each run
+    # is on a thread of its own, and the Thread objects kept here stay
+    # distinct where a finished thread's id is reused
     split_frames(monkeypatch, 3)
-    for busy, blocks in ((0, 3), (1, 2), (3, 1)):
+    for busy, runs in ((0, 3), (1, 2), (3, 1)):
         seen = []
         token = stft._busy_cpus.set(lambda: busy)
         try:
-            stft._by_frames(30, lambda a, b: seen.append((a, b)))
+            stft._by_chunks(30, lambda c, e: seen.append(
+                (threading.current_thread(), c, e)), 1)
         finally:
             stft._busy_cpus.reset(token)
-        assert len(seen) == blocks
-        assert sum(b - a for a, b in seen) == 30
+        assert len({thread for thread, _, _ in seen}) == runs
+        assert sorted((c, e) for _, c, e in seen) \
+            == [(c, c + 1) for c in range(30)]
 
 
 def test_insufficient_samples():
@@ -369,12 +379,13 @@ def test_long_term_psd_needs_no_symmetrising(channels, frames):
 @pytest.mark.parametrize("bins", [9, 31, 32, 33, 257])
 def test_long_term_psd_is_one_einsum_byte_for_byte(monkeypatch, blocks,
                                                     bins):
-    # one einsum per conjugated channel, over chunks of bins within each
-    # block: the same sum over frames, per entry, as one einsum over
-    # every channel and bin, for negative zeros, subnormals, infinities
-    # and NaNs too; a NaN made by inf - inf takes its sign from the
-    # einsum's inner loop, which depends on the chunk's width, so NaNs
-    # match only as NaNs
+    # one einsum per conjugated channel, over chunks of bins: the same
+    # sum over frames, per entry, as one einsum over every channel and
+    # bin, for negative zeros, subnormals, infinities and NaNs too; a
+    # NaN made by inf - inf takes its sign from the einsum's inner loop,
+    # which depends on the chunk's width, so NaNs match only as NaNs.
+    # The chunks depend on the bins and channels alone, so every byte,
+    # NaN signs included, is the same at any run count
     split_frames(monkeypatch, blocks)
     rng = np.random.default_rng(bins)
     special = np.array([np.inf, -np.inf, np.nan, 5e-324, -2.5e-310])
@@ -390,6 +401,9 @@ def test_long_term_psd_is_one_einsum_byte_for_byte(monkeypatch, blocks,
         with np.errstate(invalid="ignore"):  # inf - inf in the sums
             psd = long_term_psd(data)
             expected = psd_by_whole_einsum(data)
+            split_frames(monkeypatch, 1)
+            assert long_term_psd(data).tobytes() == psd.tobytes()
+            split_frames(monkeypatch, blocks)
         psd, expected = (np.ascontiguousarray(a).view(float)
                          for a in (psd, expected))
         nan = np.isnan(expected)

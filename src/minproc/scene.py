@@ -14,18 +14,16 @@ distortionless beamformer, the unprocessed passthrough, and the near-end
 noise on one common scale.
 """
 
-import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # analyze stays a name of this module, though the scene analyses through
 # _analysis: perfbench/tracing.py wraps it here
-from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, _analysis, _busy_cpus,
-                   _by_chunks, _frame_count, _overlap_add,
-                   analyze, long_term_psd, synthesize)
+from .stft import (WAV_DATA_LIMIT, WAV_RATE_LIMIT, _analysis, _by_chunks,
+                   _frame_count, _overlap_add, analyze, long_term_psd,
+                   synthesize)
 
 __all__ = [
     "SceneConfig",
@@ -254,87 +252,42 @@ def _babble_envelope(n_frames, frame_rate, rng):
     return np.sqrt(np.mean(np.maximum(1.0 + 0.5 * env, 0.05) ** 2, axis=0))
 
 
-def _source_draws(kind, n_samples, params):
-    """make_source's draws for a source of ``kind``, in order, as
-    (method, *args) calls of its rng."""
-    draws = [("standard_normal", n_samples)]
-    if kind == "speech":
-        draws.insert(0, ("uniform", 0.0, 2.0 * np.pi))
-    if kind == "babble_like":  # the envelope's eight talkers, per frame
-        draws.append(("standard_normal", (8, _frame_count(n_samples, params))))
-    return draws
+# samples per chunk of a normal draw, each drawn by a generator of its own
+_DRAW_CHUNK = 2**16
 
 
-class _DrawAhead:
-    """Stands in for ``rng`` over a run of draws known in advance: each
-    call takes the next (method, *args) call of ``plan``, which a thread
-    made while the caller worked, and starts the one after on a thread
-    of its own.  The draws run one at a time, in plan order, so they
-    equal rng's own calls bit for bit; a call off the plan raises.
-    close() waits for the pending draw."""
-
-    def __init__(self, rng, plan):
-        self._rng = rng
-        self._plan = iter(plan)
-        self._thread = None
-        self._start()
-
-    def _start(self):
-        self._call = next(self._plan, None)
-        self._value = self._error = None
-        if self._call is None:
-            return
-        method, *args = self._call
-        if method == "standard_normal":
-            # the buffer is made here: a thread that allocated it would
-            # keep it in a malloc arena of its own
-            draw = functools.partial(self._rng.standard_normal,
-                                     out=np.empty(args[0]))
-        else:
-            draw = functools.partial(getattr(self._rng, method), *args)
-        self._thread = threading.Thread(target=self._run, args=(draw,))
-        self._thread.start()
-
-    def _run(self, draw):
-        try:
-            self._value = draw()
-        except Exception as error:
-            self._error = error
-
-    def _take(self, *call):
-        if call != self._call:
-            raise RuntimeError(f"draw {call} is off the plan, whose next "
-                               f"draw is {self._call}")
-        self.close()
-        if self._error is not None:
-            raise self._error
-        value = self._value
-        self._start()
-        return value
-
-    def standard_normal(self, size):
-        return self._take("standard_normal", size)
-
-    def uniform(self, low, high):
-        return self._take("uniform", low, high)
-
-    def busy(self):
-        """1 while a draw runs on its thread, else 0: the CPUs it takes."""
-        return int(self._thread is not None and self._thread.is_alive())
-
-    def close(self):
-        if self._thread is not None:
-            self._thread.join()
+def _child(seq, *keys):
+    """seq's child at ``keys``, as seq.spawn spawns it, but with no count
+    kept: the same keys give the same child every time."""
+    return np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
+                                  spawn_key=(*seq.spawn_key, *keys))
 
 
-def make_source(kind, n_samples, params, rng):
+def _normal(n, seq, each_chunk=None):
+    """n standard normal samples from the stream seq in one chunked pass,
+    chunk k from seq's child k; each_chunk(c, e, part), if given, may then
+    rewrite samples [c, e) in place, and follows _by_chunks's rules."""
+    out = np.empty(n)
+
+    def draw(c, e):
+        part = out[c:e]
+        np.random.default_rng(_child(seq, c // _DRAW_CHUNK)).standard_normal(
+            out=part)
+        if each_chunk is not None:
+            each_chunk(c, e, part)
+
+    _by_chunks(n, draw, _DRAW_CHUNK)
+    return out
+
+
+def make_source(kind, n_samples, params, seed):
     """One unit-power (mean |X|^2 = 1) source spectrum, (1, frames, bins):
     one time-domain draw, analysed once and shaped per bin by its low-pass
     response; babble is also scaled by its per-frame envelope.
 
-    ``rng`` is a numpy Generator, or any object whose ``standard_normal``
-    and ``uniform`` calls give the same draws in the same order."""
-    data, scale = _raw_source(kind, n_samples, params, rng)
+    ``seed``, a numpy SeedSequence, alone decides the spectrum: the draw
+    comes from its child 0, the pitch phase or babble envelope from 1."""
+    data, scale = _raw_source(kind, n_samples, params, seed)
     if scale is None:
         return data
     # into a new array: normalising in place left the heap in a state
@@ -345,25 +298,22 @@ def make_source(kind, n_samples, params, rng):
     return out
 
 
-def _raw_source(kind, n_samples, params, rng):
+def _raw_source(kind, n_samples, params, seed):
     """make_source's spectrum before its normalisation, and the scale
     that normalises it: the root of its mean |X|^2, or None where that
     is not positive.  The shaping and the |X|^2 scratch are applied to
     each chunk of the analysis as soon as it is made."""
     if kind not in SOURCE_KINDS:
         raise ValueError(f"unknown source kind: {kind}")
-    if kind == "speech":
-        draw = _pulse_train(n_samples, params, rng)
-    else:
-        draw = rng.standard_normal(n_samples)
+    draw = (_pulse_train(n_samples, params, seed) if kind == "speech"
+            else _normal(n_samples, _child(seed, 0)))
     data = np.empty((1, _frame_count(n_samples, params), params.bins),
                     dtype=complex)
     response = (lowpass_response(params.freqs, _CUTOFF_HZ[kind],
                                  params.sample_rate)
                 if kind in _CUTOFF_HZ else None)
-    # the envelope's draws come after the source's
-    envelope = (_babble_envelope(data.shape[1],
-                                 params.sample_rate / params.hop, rng)[:, None]
+    envelope = (_babble_envelope(data.shape[1], params.sample_rate / params.hop,
+                                 np.random.default_rng(_child(seed, 1)))[:, None]
                 if kind == "babble_like" else None)
     sq = np.empty(data.shape)
 
@@ -382,21 +332,25 @@ def _raw_source(kind, n_samples, params, rng):
     return data, None if power <= 0 else math.sqrt(power)
 
 
-def _pulse_train(n_samples, params, rng):
+def _pulse_train(n_samples, params, seed):
     """The speech source's draw: a unit pulse wherever a pitch drifting
-    around 110 Hz starts a cycle, plus 0.03 of white noise."""
+    around 110 Hz starts a cycle, plus 0.03 of white noise.  The cycle
+    count is the floor of the pitch's integral from 0, in closed form, so
+    each chunk of the draw makes its own pulses."""
     fs = params.sample_rate
-    drift_phase = rng.uniform(0.0, 2.0 * np.pi)
-    cycles = np.floor(np.cumsum(110.0 * (1.0 + 0.1 * np.sin(
-        2.0 * np.pi * 0.4 * (np.arange(n_samples, dtype=float) / fs)
-        + drift_phase))) / fs)
-    draw = rng.standard_normal(n_samples)
-    draw *= 0.03
-    # sample i > 0 has a pulse where the cycle count rises from sample
-    # i - 1.  A float time axis and this comparison, not an int64 arange
-    # and np.diff, keep a 10 s sweep's peak RSS about 1% lower
-    draw[1:] += cycles[1:] > cycles[:-1]
-    return draw
+    phase = np.random.default_rng(_child(seed, 1)).uniform(0.0, 2.0 * np.pi)
+
+    def pulses(c, e, part):
+        part *= 0.03
+        # sample i > 0 has a pulse where the cycle count rises from
+        # sample i - 1, so the chunk's counts start one sample early
+        lo = max(c - 1, 0)
+        t = np.arange(lo, e) / fs
+        cycles = np.floor(110.0 * t + 11.0 / (0.8 * np.pi) * (
+            np.cos(phase) - np.cos(2.0 * np.pi * 0.4 * t + phase)))
+        part[lo + 1 - c:] += cycles[1:] > cycles[:-1]
+
+    return _normal(n_samples, _child(seed, 0), pulses)
 
 
 def _power_per_bin(rows, n_frames, bins):
@@ -439,25 +393,10 @@ def synthesize_scene(cfg, params):
     n = int(round(cfg.duration * cfg.sample_rate))
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
     noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
-    # the scene's draws, in order: the talker, the point noises, one
-    # self-noise row per mic and the near-end noise; each is made on a
-    # thread while the caller works on the one before, and the passes
-    # leave that thread its CPU while it runs
-    rng = _DrawAhead(np.random.default_rng(cfg.seed), [
-        *_source_draws("speech", n, params),
-        *(noises.shape[0] * _source_draws(cfg.fe_noise_kind, n, params)),
-        *(mics.shape[0] * [("standard_normal", n)]),
-        *_source_draws(cfg.ne_noise_kind, n, params)])
-    busy = _busy_cpus.set(rng.busy)
-    try:
-        return _synthesize_scene(cfg, params, n, mics, noises, rng)
-    finally:
-        _busy_cpus.reset(busy)
-        rng.close()
+    # one stream per draw, spawned from the seed: 0 the talker's, (1, i)
+    # point noise i's, (2, m) mic m's self noise's, 3 the near-end noise's
+    root = np.random.SeedSequence(cfg.seed)
 
-
-def _synthesize_scene(cfg, params, n, mics, noises, rng):
-    """synthesize_scene's scene of n samples, drawn from rng."""
     # the talker's one-channel source is kept; its product through the
     # steering vector, the clean speech at the mics, is formed a chunk at
     # a time, for the speech power at the reference mic and the clean
@@ -465,7 +404,7 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
     steer = np.ascontiguousarray(d_abs.T)[:, None, :]
-    speech = make_source("speech", n, params, rng)
+    speech = make_source("speech", n, params, _child(root, 0))
     n_frames = speech.shape[1]
     sigma_s2 = _power_per_bin(lambda c, e: steer[0] * speech[0, c:e],
                               n_frames, params.bins)
@@ -478,10 +417,10 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     # point noise sources, mixed at the mics, then scaled to the far-end
     # SNR, which only mic 0's waveform sets
     fe_data = np.zeros((len(mics), n_frames, params.bins), complex)
-    for pos in noises:
+    for i, pos in enumerate(noises):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        _add_at_mics(fe_data, a_i,
-                     *_raw_source(cfg.fe_noise_kind, n, params, rng))
+        _add_at_mics(fe_data, a_i, *_raw_source(cfg.fe_noise_kind, n, params,
+                                                _child(root, 1, i)))
     fe_0 = synthesize(fe_data[:1], params, n)[0]
     gain = _snr_gain(p_clean[0], np.mean(np.square(fe_0, out=fe_0)),
                      cfg.fe_snr_db)
@@ -493,7 +432,7 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     # adds its self noise
     square = np.empty(n)
     for m in range(mics.shape[0]):
-        row = rng.standard_normal(n)
+        row = _normal(n, _child(root, 2, m))
         row *= _snr_gain(p_clean[m], np.mean(np.square(row, out=square)),
                          cfg.mic_selfnoise_snr_db)
 
@@ -515,7 +454,7 @@ def _synthesize_scene(cfg, params, n, mics, noises, rng):
     # the near-end noise is normalised a chunk at a time wherever its
     # spectrum is read, and scaled by gamma in the pass that takes its
     # power per bin
-    ne, ne_scale = _raw_source(cfg.ne_noise_kind, n, params, rng)
+    ne, ne_scale = _raw_source(cfg.ne_noise_kind, n, params, _child(root, 3))
 
     def ne_rows(c, e):
         return ne[:, c:e] if ne_scale is None \

@@ -51,12 +51,10 @@ WAV_DATA_LIMIT = 2**32 - 1 - 50
 # byte rate, 4 * channels * rate, is a 32-bit header field
 WAV_RATE_LIMIT = (2**32 - 1) // 4
 
-# frames per chunk of a pass, halved in the analysis to keep two runs'
-# frame scratch within the scene's one-copy bound; and bins per chunk
-# and channel of long_term_psd: a chunk conjugates one channel of
-# _BIN_CHUNK * channels bins, as many values as 16 bins of every
-# channel, 6% of a 257-bin spectrum; narrower chunks cost the einsum
-# more per bin
+# frames per chunk of a pass; and bins per chunk and channel of
+# long_term_psd: a chunk conjugates one channel of _BIN_CHUNK * channels
+# bins, as many values as 16 bins of every channel, 6% of a 257-bin
+# spectrum; narrower chunks cost the einsum more per bin
 _CHUNK = 64
 _BIN_CHUNK = 16
 
@@ -111,18 +109,11 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-# the number of usable CPUs that a thread running beside the passes,
-# such as the scene's draw thread, takes at the moment: a pass started
-# while it runs deals its chunks out in one run fewer, so that no run
-# waits for a CPU while the others are done
-_busy_cpus = contextvars.ContextVar("busy_cpus", default=lambda: 0)
-
-
 def _by_chunks(n, fn, width=_CHUNK):
     """Run fn(c, e) on each chunk [c, e) = [k * width, (k + 1) * width)
     of range(n), cut at n, so the chunks depend on n and width alone.
     Whole chunks are dealt out in contiguous runs, one run per usable
-    CPU that _busy_cpus leaves free, and the runs go at the same time.
+    CPU, and the runs go at the same time.
 
     The caller makes the first run, and a thread started for this call
     makes each of the others in a copy of the caller's context, so
@@ -133,7 +124,7 @@ def _by_chunks(n, fn, width=_CHUNK):
     allocated its own share would keep it in a malloc arena of its own.
     """
     chunks = -(-n // width)
-    runs = max(1, min(_usable_cpus() - _busy_cpus.get()(), chunks))
+    runs = max(1, min(_usable_cpus(), chunks))
     edges = [k * chunks // runs * width for k in range(runs + 1)]
     errors = []
 
@@ -193,8 +184,8 @@ def _frame_count(n, params):
 
 
 def _analysis(x, params, data, each_chunk=None):
-    """analyze's pass over x, (channels, n), in chunks of _CHUNK // 2
-    frames: the rfft of each windowed frame goes to its frames of data,
+    """analyze's pass over x, (channels, n), in chunks of _CHUNK frames:
+    the rfft of each windowed frame goes to its frames of data,
     or, where data is None, to scratch for the chunk.  each_chunk(c, e,
     part), if given, is then called with the spectrum of frames [c, e);
     it may rewrite part in place, and follows _by_chunks's rules.
@@ -229,7 +220,7 @@ def _analysis(x, params, data, each_chunk=None):
         if each_chunk is not None:
             each_chunk(c, e, out)
 
-    _by_chunks(n_frames, chunk, _CHUNK // 2)
+    _by_chunks(n_frames, chunk)
 
 
 def synthesize(spec, params, num_samples):

@@ -208,17 +208,43 @@ def babble_envelope(n_frames, frame_rate, rng):
     return np.sqrt(power / 8)
 
 
-def pulse_train(n_samples, sample_rate, rng):
+# samples per chunk of a source's normal draw
+DRAW_CHUNK = 2**16
+
+
+def fresh(seq):
+    """A SeedSequence equal to seq that has spawned no children yet."""
+    return np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key,
+                                  pool_size=seq.pool_size)
+
+
+def normal_draw(n, seq):
+    """n standard normal samples from the stream seq, one chunk after
+    another: chunk k of DRAW_CHUNK samples comes from a generator on the
+    k-th child that seq spawns."""
+    children = fresh(seq).spawn(-(-n // DRAW_CHUNK))
+    out = np.empty(n)
+    for k, child in enumerate(children):
+        chunk = out[k * DRAW_CHUNK:(k + 1) * DRAW_CHUNK]
+        chunk[:] = np.random.default_rng(child).standard_normal(chunk.size)
+    return out
+
+
+def pulse_train(n_samples, sample_rate, seq):
     """The speech source's draw in one pass over every sample: a unit
     pulse wherever the cycle count of a pitch drifting around 110 Hz
-    rises, plus 0.03 of white noise."""
+    rises, plus 0.03 of white noise.  The count is the floor of the
+    pitch's integral, 110 t + 11 / (0.8 pi) (cos phi - cos(2 pi 0.4 t +
+    phi)); the noise is seq's first child's stream, and the phase phi
+    is drawn from its second."""
+    noise, drift = fresh(seq).spawn(2)
     t = np.arange(n_samples) / sample_rate
-    drift_phase = rng.uniform(0.0, 2.0 * np.pi)
-    f0 = 110.0 * (1.0 + 0.1 * np.sin(2.0 * np.pi * 0.4 * t + drift_phase))
-    cycles = np.floor(np.cumsum(f0) / sample_rate)
+    drift_phase = np.random.default_rng(drift).uniform(0.0, 2.0 * np.pi)
+    cycles = np.floor(110.0 * t + 11.0 / (0.8 * np.pi) * (
+        np.cos(drift_phase) - np.cos(2.0 * np.pi * 0.4 * t + drift_phase)))
     draw = np.zeros(n_samples)
     draw[1:] = (np.diff(cycles) > 0).astype(float)
-    draw += 0.03 * rng.standard_normal(n_samples)
+    draw += 0.03 * normal_draw(n_samples, noise)
     return draw
 
 
@@ -375,36 +401,40 @@ def _snr_gain(ref_power, raw_power, snr_db):
 
 
 def scene_components(cfg, params):
-    """synthesize_scene's scene as its separate components, drawn in the
-    same order from the same seed.
+    """synthesize_scene's scene as its separate components, each drawn
+    from its own stream spawned from the seed: the talker's, one per
+    point noise, one per mic's self noise and the near-end noise's.
 
     Returns a namespace of ``clean`` and ``fe_noise``, the clean speech
     and far-end noise spectra at every mic, ``ne_spec`` and ``ne_noise``,
     the scaled near-end noise spectrum and waveform, and ``d``, the
     talker's steering vector normalized to mic 0.
     """
-    rng = np.random.default_rng(cfg.seed)
     n = int(round(cfg.duration * cfg.sample_rate))
     mics = np.atleast_2d(np.asarray(cfg.mic_positions, dtype=float))
+    noises = np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float))
+    talker, points, selfnoises, near_end = \
+        np.random.SeedSequence(cfg.seed).spawn(4)
 
-    def at_mics(pos, kind):
+    def at_mics(pos, kind, seq):
         a = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        return a, a.T[:, None, :] * make_source(kind, n, params, rng)
+        return a, a.T[:, None, :] * make_source(kind, n, params, seq)
 
-    d, clean = at_mics(cfg.talker_pos, "speech")
+    d, clean = at_mics(cfg.talker_pos, "speech", talker)
     p_clean = [np.mean(c ** 2) for c in synthesize(clean, params, n)]
     fe = np.zeros_like(clean)
-    for pos in np.atleast_2d(np.asarray(cfg.noise_positions, dtype=float)):
-        fe += at_mics(pos, cfg.fe_noise_kind)[1]
+    for pos, seq in zip(noises, points.spawn(len(noises))):
+        fe += at_mics(pos, cfg.fe_noise_kind, seq)[1]
     p_pts = np.mean(synthesize(fe[:1], params, n)[0] ** 2)
     fe *= _snr_gain(p_clean[0], p_pts, cfg.fe_snr_db)
-    selfnoise = rng.standard_normal((mics.shape[0], n))
+    selfnoise = np.stack([normal_draw(n, seq)
+                          for seq in selfnoises.spawn(len(mics))])
     for m, row in enumerate(selfnoise):
         row *= _snr_gain(p_clean[m], np.mean(row ** 2),
                          cfg.mic_selfnoise_snr_db)
     fe += analyze(selfnoise, params)
 
-    ne = make_source(cfg.ne_noise_kind, n, params, rng)
+    ne = make_source(cfg.ne_noise_kind, n, params, near_end)
     ne_wave = synthesize(ne, params, n)[0]
     gamma = _snr_gain(p_clean[0], np.mean(ne_wave ** 2), cfg.ne_snr_db)
     return SimpleNamespace(clean=clean, fe_noise=fe, ne_spec=gamma * ne,

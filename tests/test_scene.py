@@ -5,7 +5,6 @@ import hashlib
 import math
 import multiprocessing
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -15,12 +14,11 @@ from scipy import signal as sig
 from minproc import scene, stft
 from minproc.beamform import apply_beamformer
 from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
-                           _DrawAhead, lowpass_response, make_source,
-                           steering_matrix, synthesize_scene,
-                           transfer_function)
+                           lowpass_response, make_source, steering_matrix,
+                           synthesize_scene, transfer_function)
 from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
-from oracles import (babble_envelope, design_response, pulse_train,
-                     scene_components)
+from oracles import (DRAW_CHUNK, babble_envelope, design_response,
+                     normal_draw, pulse_train, scene_components)
 
 PARAMS = FrameParams.from_ms(16000, 32.0)
 MICS = SceneConfig().mic_positions
@@ -98,54 +96,9 @@ def test_scene_is_oracle_composition_bit_for_bit(kw):
                           np.mean(np.abs(parts.ne_spec[0]) ** 2, axis=0))
 
 
-def test_draw_off_the_plan_raises():
-    draws = _DrawAhead(np.random.default_rng(2),
-                       [("standard_normal", 5), ("uniform", 0.0, 1.0)])
-    try:
-        with pytest.raises(RuntimeError, match="off the plan"):
-            draws.standard_normal(6)
-        ref = np.random.default_rng(2)
-        assert np.array_equal(draws.standard_normal(5),
-                              ref.standard_normal(5))
-        with pytest.raises(RuntimeError, match="off the plan"):
-            draws.uniform(0.0, 2.0)
-        assert draws.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
-        with pytest.raises(RuntimeError, match="off the plan"):
-            draws.standard_normal(5)
-    finally:
-        draws.close()
-
-
-def test_scene_whose_draws_leave_the_plan_raises(monkeypatch):
-    plan = scene._source_draws
-
-    def without_pitch_phase(kind, n_samples, params):
-        return [call for call in plan(kind, n_samples, params)
-                if call[0] != "uniform"]
-
-    monkeypatch.setattr(scene, "_source_draws", without_pitch_phase)
-    with pytest.raises(RuntimeError, match="off the plan"):
-        synthesize_scene(short_cfg(duration=1.0), PARAMS)
-
-
-class SlowGenerator:
-    """A numpy Generator whose every standard_normal draw takes 0.1 s
-    more."""
-
-    def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-
-    def standard_normal(self, *args, **kwargs):
-        time.sleep(0.1)
-        return self._rng.standard_normal(*args, **kwargs)
-
-    def uniform(self, *args):
-        return self._rng.uniform(*args)
-
-
 def test_failed_scene_leaves_no_draw_running(monkeypatch):
-    """A scene whose third analysis fails raises, and the draw made
-    ahead of it has ended by then."""
+    """A scene whose third analysis fails raises, and leaves no thread
+    running: every pass, its draws' among them, joins its runs."""
     calls = []
     analysis = scene._analysis
 
@@ -156,29 +109,11 @@ def test_failed_scene_leaves_no_draw_running(monkeypatch):
         return analysis(x, params, data, each_chunk)
 
     monkeypatch.setattr(scene, "_analysis", fail_third_analysis)
-    monkeypatch.setattr(np.random, "default_rng", SlowGenerator)
+    monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
     threads = threading.active_count()
     with pytest.raises(ArithmeticError, match="third analysis"):
         synthesize_scene(short_cfg(duration=1.0), PARAMS)
     assert threading.active_count() == threads
-
-
-def test_passes_leave_the_draw_thread_its_cpu(monkeypatch):
-    """An analysis that starts while the next draw runs on its thread
-    sees that thread take a CPU, and the last one, with no draw left,
-    sees none; after the scene every CPU is free again."""
-    busy = []
-    analysis = scene._analysis
-
-    def record(x, params, data, each_chunk=None):
-        busy.append(stft._busy_cpus.get()())
-        return analysis(x, params, data, each_chunk)
-
-    monkeypatch.setattr(scene, "_analysis", record)
-    monkeypatch.setattr(np.random, "default_rng", SlowGenerator)
-    synthesize_scene(short_cfg(duration=1.0), PARAMS)
-    assert busy[0] == 1 and busy[-1] == 0
-    assert stft._busy_cpus.get()() == 0
 
 
 def test_scene_holds_only_what_a_run_reads():
@@ -204,17 +139,13 @@ def test_scene_holds_only_what_a_run_reads():
 def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
     """While a point noise is analysed, the scene holds the two-mic
     far-end sum (2 spectra), the talker's one-channel source (1) and
-    that noise's spectrum (1), with its draw, its |X|^2 scratch and the
-    next draw (3 waveforms); the noise is normalised where the far-end
-    sum reads it, with no normalised copy.  Holding the two-mic clean
-    spectrum instead of the source, as well as the |X|^2 scratch beside
-    a normalised output, came to about 6 spectra and 2 waveforms.
-
-    Every pass makes two runs at once, as it does whenever no draw is
-    running: a draw thread that counted as busy would leave the passes
-    one run, and the peak lower."""
+    that noise's spectrum (1), with its draw and its |X|^2 scratch (2
+    waveforms); the noise is normalised where the far-end sum reads it,
+    with no normalised copy.  Holding the two-mic clean spectrum instead
+    of the source, as well as the |X|^2 scratch beside a normalised
+    output, came to about 6 spectra and 2 waveforms.  Every pass makes
+    two runs at once."""
     monkeypatch.setattr(stft, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(scene._DrawAhead, "busy", lambda self: 0)
     cfg = short_cfg(duration=10.0, seed=4)
     synthesize_scene(cfg, PARAMS)  # first-call allocations stay out
     tracemalloc.start()
@@ -234,24 +165,47 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
 def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
     # 4000 samples make 17 frames, one chunk; 57344 make 225 frames,
-    # 8 analysis chunks and 4 of the normalisation's, dealt out in
+    # 4 chunks of the analysis and of the normalisation, dealt out in
     # 1, 2, 3 and 7 runs
     for n in (4000, 57344):
         spectra = []
         for runs in (1, 2, 3, 7):
             monkeypatch.setattr(stft, "_usable_cpus", lambda: runs)
             spectra.append(make_source(kind, n, PARAMS,
-                                       np.random.default_rng(9)))
+                                       np.random.SeedSequence(9)))
         for data in spectra[1:]:
             assert data.tobytes() == spectra[0].tobytes()
 
 
-@pytest.mark.parametrize("n", [512, 4001, 960000])
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_one_seed_makes_one_source(kind):
+    """make_source derives its streams from the seed's spawn key alone:
+    a second call with the same SeedSequence, after it has spawned
+    children of its own, gives the same bytes."""
+    seq = np.random.SeedSequence(9)
+    first = make_source(kind, 4000, PARAMS, seq)
+    seq.spawn(3)
+    assert make_source(kind, 4000, PARAMS, seq).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("n", [4000, DRAW_CHUNK, DRAW_CHUNK + 1, 960000])
+def test_draw_is_the_oracles_chunk_loop_bit_for_bit(monkeypatch, n):
+    """A normal draw is the oracle's serial loop over spawned chunk
+    streams bit for bit, at 1, 2, 3 and 7 runs."""
+    seq = np.random.SeedSequence(8, spawn_key=(2, 1))
+    ref = normal_draw(n, seq).tobytes()
+    for runs in (1, 2, 3, 7):
+        monkeypatch.setattr(stft, "_usable_cpus", lambda: runs)
+        assert scene._normal(n, seq).tobytes() == ref
+
+
+@pytest.mark.parametrize("n", [512, 4001, DRAW_CHUNK + 1, 960000])
 def test_pulse_train_is_one_pass_bit_for_bit(n):
-    """The speech draw is the oracle's one-pass expression bit for bit."""
-    draw = scene._pulse_train(n, PARAMS, np.random.default_rng(8))
-    assert draw.tobytes() == pulse_train(n, 16000,
-                                         np.random.default_rng(8)).tobytes()
+    """The speech draw, made a chunk at a time, is the oracle's one-pass
+    expression bit for bit."""
+    seq = np.random.SeedSequence(8)
+    draw = scene._pulse_train(n, PARAMS, seq)
+    assert draw.tobytes() == pulse_train(n, 16000, seq).tobytes()
 
 
 def scene_digest(cfg):
@@ -268,6 +222,17 @@ def send_scene_digest(conn, cfg):
         conn.send(scene_digest(cfg))
     finally:
         conn.close()
+
+
+def test_scene_is_the_same_at_any_cpu_count(monkeypatch):
+    """The scene depends on its seed alone: 30 s make 8 chunks of each
+    draw and 30 of each analysis, dealt out in 1, 2, 3 and 7 runs."""
+    cfg = short_cfg(seed=6, duration=30.0)
+    digests = set()
+    for runs in (1, 2, 3, 7):
+        monkeypatch.setattr(stft, "_usable_cpus", lambda: runs)
+        digests.add(scene_digest(cfg))
+    assert len(digests) == 1
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -315,7 +280,7 @@ def test_every_spectrum_is_c_contiguous(mics):
     checks independently that the layout moves no bit.)"""
     m = len(mics)
     rng = np.random.default_rng(6)
-    sources = [make_source(kind, 16000, PARAMS, rng)
+    sources = [make_source(kind, 16000, PARAMS, np.random.SeedSequence(6))
                for kind in ("speech", "babble_like", "car_like", "white")]
     signals, _ = synthesize_scene(short_cfg(duration=1.0, seed=6,
                                             mic_positions=mics), PARAMS)
@@ -452,7 +417,7 @@ def test_noise_covariance_monte_carlo():
 def _source_psd(kind, seed, n_frames=10_000):
     """Long-term PSD of one source spectrum over n_frames frames."""
     n = (n_frames - 1) * PARAMS.hop
-    spec = make_source(kind, n, PARAMS, np.random.default_rng(seed))
+    spec = make_source(kind, n, PARAMS, np.random.SeedSequence(seed))
     return long_term_psd(spec)[:, 0, 0].real
 
 
@@ -516,24 +481,24 @@ def test_lowpass_cutoff_at_nyquist_passes_everything():
 def test_sources_unit_rms(kind):
     """Every source spectrum has unit power: mean |X|^2 over frames and
     bins is 1."""
-    rng = np.random.default_rng(17)
-    x = make_source(kind, 32000, PARAMS, rng)
+    x = make_source(kind, 32000, PARAMS, np.random.SeedSequence(17))
     assert x.shape == (1, 126, PARAMS.bins)
     assert np.isclose(np.mean(np.abs(x) ** 2), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (12, 48001)])
 def test_babble_is_speech_shaped_under_oracle_envelope(seed, n):
-    """Babble is the speech-shaped draw times the eight-talker envelope
-    the oracle builds talker by talker, and draws nothing more."""
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x = make_source("babble_like", n, PARAMS, rng)
-    shaped = make_source("speech_shaped", n, PARAMS, ref_rng)
-    env = babble_envelope(shaped.shape[1], 16000 / PARAMS.hop, ref_rng)
+    """Babble is the speech-shaped draw of the same seed times the
+    eight-talker envelope the oracle builds talker by talker from the
+    seed's second child."""
+    seq = np.random.SeedSequence(seed)
+    x = make_source("babble_like", n, PARAMS, seq)
+    shaped = make_source("speech_shaped", n, PARAMS, seq)
+    env = babble_envelope(shaped.shape[1], 16000 / PARAMS.hop,
+                          np.random.default_rng(seq.spawn(2)[1]))
     ref = shaped * env[:, None]
     ref /= np.sqrt(np.mean(np.abs(ref) ** 2))
     assert np.allclose(x, ref, rtol=1e-9, atol=1e-12)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_car_like_is_lowpass():

@@ -21,10 +21,10 @@ PARAMS = FrameParams.from_ms(16000, 32.0)
 # run counts: one on the calling thread, and two, three and seven runs
 BLOCKS = (1, 2, 3, 7)
 
-# frame counts around the analysis's 32-frame chunks (63 to 65 around
-# the end of its second); the last is 8 chunks, so that 3 and 7 runs
-# split
-ANALYSIS_EDGES = (31, 32, 33, 63, 64, 65, 129, 225)
+# frame counts inside the analysis's first 64-frame chunk (31 to 33),
+# around the end of its first (63 to 65) and of its second (127 to
+# 129); 225 is 4 chunks, and 449 is 8, so that 3 and 7 runs split
+ANALYSIS_EDGES = (31, 32, 33, 63, 64, 65, 127, 128, 129, 225, 449)
 
 # frame counts around the overlap-add's 63 hop-blocks per chunk, each
 # chunk reading one frame more; the last is 8 chunks
@@ -172,8 +172,8 @@ def traced_peak(fn, *args):
 
 
 # 2 channels of 1001 frames: a scratch array of every frame would take
-# (2 * 1001 * 512) floats, 8.2 MB, and two runs' 32-frame chunks take
-# 6% of that; the signal is read in place, with no zero-padded copy of
+# (2 * 1001 * 512) floats, 8.2 MB, and two runs' 64-frame chunks take
+# 13% of that; the signal is read in place, with no zero-padded copy of
 # it (4.1 MB)
 def test_analysis_holds_no_full_size_scratch(monkeypatch):
     split_frames(monkeypatch, 2)
@@ -236,12 +236,16 @@ def test_worker_block_warnings_reach_the_caller(monkeypatch):
 
 
 def test_blocks_cover_every_frame_once_under_contention(monkeypatch):
-    # eight runs on fewer cores, switching threads as often as they can
+    # eight runs on fewer cores, switching threads as often as they can;
+    # each run is on a thread of its own, and the Thread objects kept
+    # here stay distinct where a finished thread's id is reused
     split_frames(monkeypatch, 8)
     runs = np.zeros(5000, dtype=int)
+    threads = set()
 
     def chunk(c, e):
         runs[c:e] += 1
+        threads.add(threading.current_thread())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -250,25 +254,7 @@ def test_blocks_cover_every_frame_once_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.all(runs == 1)
-
-
-def test_a_busy_cpu_takes_a_block(monkeypatch):
-    # a thread running beside the passes takes a CPU: a pass started
-    # meanwhile makes one run fewer, and never fewer than one; each run
-    # is on a thread of its own, and the Thread objects kept here stay
-    # distinct where a finished thread's id is reused
-    split_frames(monkeypatch, 3)
-    for busy, runs in ((0, 3), (1, 2), (3, 1)):
-        seen = []
-        token = stft._busy_cpus.set(lambda: busy)
-        try:
-            stft._by_chunks(30, lambda c, e: seen.append(
-                (threading.current_thread(), c, e)), 1)
-        finally:
-            stft._busy_cpus.reset(token)
-        assert len({thread for thread, _, _ in seen}) == runs
-        assert sorted((c, e) for _, c, e in seen) \
-            == [(c, c + 1) for c in range(30)]
+    assert len(threads) == 8
 
 
 def test_insufficient_samples():

@@ -78,8 +78,6 @@ class RunConfig:
                 or abs(self.delta_u_db) <= DB_LIMIT):
             raise ValueError(f"delta_u_db must lie within +-{DB_LIMIT:g} dB")
         boost_fraction(self.delta_n_db)  # ValueError unless positive
-        if type(self.scene.seed) is not int or self.scene.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
         self.scene.validate()
         # band layout, importance and target errors surface here, before
         # any write

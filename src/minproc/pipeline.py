@@ -76,7 +76,8 @@ class EnhancementResult:
 
     table holds every band's terms as one SolverTerms of (n_bands,)
     arrays; alphas, gains and statuses (an object array of BandStatus)
-    hold the decisions, one entry per band.
+    hold the decisions, one entry per band.  render fills in y and z; a
+    mic-0 passthrough's y is a read-only view of the scene's signals.x.
     """
 
     method: Method
@@ -238,7 +239,7 @@ def render(signals, result, params):
 
     * where w_mp selects mic 0 on every bin, Y is the scene's mic-0
       mixture spectrum, which the scene already synthesized, so y is a
-      copy of signals.x;
+      read-only view of signals.x;
     * where g_mp is 1 on every bin, gY is Y, so z = y + N.
 
     The unprocessed method meets both rules and renders without an STFT.
@@ -260,7 +261,9 @@ def render(signals, result, params):
     n = signals.x.shape[-1]
     if channels:
         waves = _overlap_add(rows, channels, data.shape[1], params, n)
-    y = signals.x.copy() if mic0 else waves[0]
+    y = signals.x.view() if mic0 else waves[0]
+    if mic0:  # read-only, so writing into a result cannot change the scene
+        y.flags.writeable = False
     if unit:
         z = y + signals.ne_noise
     else:

@@ -73,6 +73,9 @@ class SceneConfig:
     speed_of_sound: float = 343.0
 
     def validate(self):
+        if isinstance(self.seed, bool) or not isinstance(
+                self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if not isinstance(self.sample_rate, (int, np.integer)) \
                 or self.sample_rate <= 0:
             raise ValueError("sample rate must be a positive integer")
@@ -345,10 +348,16 @@ def _pulse_train(n_samples, params, seed):
         # sample i > 0 has a pulse where the cycle count rises from
         # sample i - 1, so the chunk's counts start one sample early
         lo = max(c - 1, 0)
-        t = np.arange(lo, e) / fs
-        cycles = np.floor(110.0 * t + 11.0 / (0.8 * np.pi) * (
-            np.cos(phase) - np.cos(2.0 * np.pi * 0.4 * t + phase)))
-        part[lo + 1 - c:] += cycles[1:] > cycles[:-1]
+        # in place: each worker's malloc arena keeps what a chunk frees
+        t = np.arange(lo, e, dtype=float)
+        t /= fs
+        arg = np.multiply(t, 2.0 * np.pi * 0.4)
+        np.cos(np.add(arg, phase, out=arg), out=arg)
+        np.subtract(np.cos(phase), arg, out=arg)
+        arg *= 11.0 / (0.8 * np.pi)
+        t *= 110.0
+        np.floor(np.add(t, arg, out=t), out=t)
+        part[lo + 1 - c:] += t[1:] > t[:-1]
 
     return _normal(n_samples, _child(seed, 0), pulses)
 

@@ -170,6 +170,9 @@ def test_unprocessed_renders_mic_plus_near_noise(stft_calls):
     y, z = render(signals, res, PARAMS)
     assert stft_calls == {"apply_beamformer": 0, "synthesize": 0}
     assert np.array_equal(y, signals.x) and y is not signals.x
+    # y is the scene's own waveform, read-only so that writing into the
+    # result cannot change the scene
+    assert np.shares_memory(y, signals.x) and not y.flags.writeable
     assert np.array_equal(z, signals.x + signals.ne_noise)
 
 
@@ -507,3 +510,20 @@ def test_array_xi_is_per_band_subband_snr(name):
         assert res.statuses.tolist() == [s.status for s in solutions]
         assert [t.target_snr for t in res.terms] \
             == res.table.target_snr.tolist()
+
+
+def test_unprocessed_render_holds_one_full_size_waveform():
+    signals, stats, _, fb = make_scene(0.0, -30.0, duration=10.0)
+    res = run_unprocessed(stats, fb)
+    render(signals, res, PARAMS)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y, z = render(signals, res, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # z is the one new waveform; the selector and gain checks make
+    # per-bin arrays, which a per-bin filter's size (8 kB here) covers.
+    # A copy of y would be one waveform (1.3 MB) more
+    assert peak - before <= z.nbytes + res.w_mp.nbytes

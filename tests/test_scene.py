@@ -381,6 +381,12 @@ def test_config_validation():
     for duration in (67109.0, 1e12, 1e300):
         with pytest.raises(ValueError, match="duration"):
             short_cfg(duration=duration).validate()
+    # the seed is checked before any draw, whose numpy errors would not
+    # name it; a numpy integer is a seed, a bool is not
+    for seed in (1.5, -1, True):
+        with pytest.raises(ValueError, match="seed must be a nonnegative"):
+            synthesize_scene(short_cfg(seed=seed), PARAMS)
+    short_cfg(seed=np.uint32(3)).validate()
 
 
 def _fit_scale(emp, model):

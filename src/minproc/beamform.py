@@ -74,7 +74,10 @@ def apply_beamformer(spec, weights):
     """Apply per-bin filters to a (channels, frames, bins) spectrum.
 
     weights has shape (bins, channels); the output is the one-channel
-    spectrum y[t, k] = w[k]^H x[t, k], shaped (1, frames, bins).
+    spectrum y[t, k] = w[k]^H x[t, k], shaped (1, frames, bins).  This is
+    the library form of the expression that render applies a chunk of
+    frames at a time through _beamform.  The package does not call it,
+    but the benchmark's tracer looks it up through pipeline.
     """
     data = _spectrum(spec)
     if data.shape[0] != weights.shape[1] or data.shape[2] != weights.shape[0]:
@@ -84,6 +87,5 @@ def apply_beamformer(spec, weights):
 
 def _beamform(weights, data, out=None):
     """y[t, k] = w[k]^H x[:, t, k] of (channels, frames, bins) data, as
-    (frames, bins), into ``out`` if given: apply_beamformer's expression,
-    which render applies a chunk of frames at a time."""
+    (frames, bins), into ``out`` if given."""
     return np.einsum("km,mtk->tk", np.conj(weights), data, out=out)

@@ -27,8 +27,9 @@ from .metrics import evaluate
 from .pipeline import (Method, render, run_blind_concat, run_joint,
                        run_unprocessed)
 from .scene import DB_LIMIT, SceneConfig, synthesize_scene
-from .solver import BandStatus, boost_fraction, snr_margin
-from .stft import FrameParams, write_wav
+from .solver import (DELTA_N_DB, DELTA_U_DB, BandStatus, band_rows,
+                     boost_fraction, constraint_bounds, snr_margin)
+from .stft import FrameParams, _frame_count, write_wav
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -49,8 +50,8 @@ class RunConfig:
     mu_ref: float = 0.0
     mu_nr: float = 5.0
     a_star: float = 0.7
-    delta_u_db: float = 12.0
-    delta_n_db: float = 10.0
+    delta_u_db: float = DELTA_U_DB
+    delta_n_db: float = DELTA_N_DB
     n_bands: int = 30
     f_lo: float = 150.0
     f_hi: float = 8000.0
@@ -73,7 +74,7 @@ class RunConfig:
             raise ValueError("methods must not repeat a name")
         if type(self.n_bands) is not int:
             raise ValueError("n_bands must be an integer")
-        # the C2 cap is sigma_n2 * 10^(delta_u_db/10); +-inf stay meaningful
+        # delta_u_db sets constraint_bounds's C2 cap; +-inf stay meaningful
         if not (math.isinf(self.delta_u_db)
                 or abs(self.delta_u_db) <= DB_LIMIT):
             raise ValueError(f"delta_u_db must lie within +-{DB_LIMIT:g} dB")
@@ -82,10 +83,8 @@ class RunConfig:
         # band layout, importance and target errors surface here, before
         # any write
         params = FrameParams.from_ms(self.scene.sample_rate, self.frame_ms)
-        if round(self.scene.duration * self.scene.sample_rate) \
-                < params.frame_len:
-            raise ValueError("insufficient samples: duration is shorter "
-                             "than one frame")
+        _frame_count(round(self.scene.duration * self.scene.sample_rate),
+                     params)  # ValueError if shorter than one frame
         if not isinstance(self.importance_file, str):
             raise ValueError("importance_file must be a path")
         importance = None
@@ -200,17 +199,11 @@ def config_echo(cfg):
 
 def _constraint_ratios(result, delta_u_db):
     """How close each band's delivered point sits to C1 and C2 (1.0 =
-    tight); inf where the bound is zero.  The bounds are those of
-    solver.constraint_bounds, taken over the table's columns."""
+    tight); inf where the bound is zero.  Each band's bounds are
+    solver.constraint_bounds's, taken in Python floats."""
     table, g2 = result.table, result.gains**2
-    sigma_n2 = table.sigma_n2
-    factor = 10.0 ** (delta_u_db / 10.0)
-    # as in constraint_bounds's float products, an overflow is inf and
-    # 0 * inf is NaN, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = sigma_n2 * table.target_snr
-        cap = np.multiply(sigma_n2, factor, out=np.full_like(rhs, np.inf),
-                          where=sigma_n2 != 0.0)
+    rhs, cap = np.array([constraint_bounds(t, delta_u_db)
+                         for t in band_rows(table)]).T
     c1 = np.divide(g2 * snr_margin(table, result.alphas), rhs,
                    out=np.full_like(rhs, np.inf), where=rhs > 0.0)
     c2 = np.divide(g2 * table.noise_power(result.alphas), cap,

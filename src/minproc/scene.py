@@ -203,21 +203,22 @@ def steering_matrix(src_pos, mic_positions, freqs, speed_of_sound=343.0):
     return np.stack(cols, axis=1)
 
 
-def _add_at_mics(acc, steer, source, scale=None):
-    """acc += steer.T[:, None, :] * (source / scale), a (1, frames, bins)
-    source through its (bins, mics) steering matrix, with no full-size
-    product or normalised copy: each chunk of _CHUNK frames of the
-    source is divided by scale (unless it is None), multiplied and added
-    in turn."""
+def _add_at_mics(acc, steer, rows):
+    """acc += steer.T[:, None, :] * X through the (bins, mics) steering
+    matrix, a chunk at a time: rows(c, e) returns frames [c, e) of the
+    (1, frames, bins) source X, so no full-size product is made."""
     steer = np.ascontiguousarray(steer.T)[:, None, :]
 
     def add(c, e):
-        part = source[:, c:e]
-        if scale is not None:
-            part = np.divide(part, scale)
-        acc[:, c:e] += steer * part
+        acc[:, c:e] += steer * rows(c, e)
 
     _by_chunks(acc.shape[1], add)
+
+
+def _levelled(data, scale):
+    """rows(c, e) of _raw_source's (data, scale): frames [c, e) of the
+    unit-power source data / scale, divided where read, never copied."""
+    return lambda c, e: np.divide(data[:, c:e], scale)
 
 
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
@@ -291,8 +292,6 @@ def make_source(kind, n_samples, params, seed):
     ``seed``, a numpy SeedSequence, alone decides the spectrum: the draw
     comes from its child 0, the pitch phase or babble envelope from 1."""
     data, scale = _raw_source(kind, n_samples, params, seed)
-    if scale is None:
-        return data
     # into a new array: normalising in place left the heap in a state
     # that gave a 10 s CLI sweep 3.6 times the page faults
     out = np.empty_like(data)
@@ -303,8 +302,8 @@ def make_source(kind, n_samples, params, seed):
 
 def _raw_source(kind, n_samples, params, seed):
     """make_source's spectrum before its normalisation, and the scale
-    that normalises it: the root of its mean |X|^2, or None where that
-    is not positive.  The shaping and the |X|^2 scratch are applied to
+    that normalises it: the root of its mean |X|^2, which every draw
+    makes positive.  The shaping and the |X|^2 scratch are applied to
     each chunk of the analysis as soon as it is made."""
     if kind not in SOURCE_KINDS:
         raise ValueError(f"unknown source kind: {kind}")
@@ -331,8 +330,7 @@ def _raw_source(kind, n_samples, params, seed):
     _analysis(draw[None], params, data, shape)
     del draw  # read by the analysis only
     # one mean over the whole array, so its pairwise sum is unchanged
-    power = np.mean(sq)
-    return data, None if power <= 0 else math.sqrt(power)
+    return data, math.sqrt(np.mean(sq))
 
 
 def _pulse_train(n_samples, params, seed):
@@ -428,8 +426,8 @@ def synthesize_scene(cfg, params):
     fe_data = np.zeros((len(mics), n_frames, params.bins), complex)
     for i, pos in enumerate(noises):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        _add_at_mics(fe_data, a_i, *_raw_source(cfg.fe_noise_kind, n, params,
-                                                _child(root, 1, i)))
+        _add_at_mics(fe_data, a_i, _levelled(*_raw_source(
+            cfg.fe_noise_kind, n, params, _child(root, 1, i))))
     fe_0 = synthesize(fe_data[:1], params, n)[0]
     gain = _snr_gain(p_clean[0], np.mean(np.square(fe_0, out=fe_0)),
                      cfg.fe_snr_db)
@@ -455,20 +453,15 @@ def synthesize_scene(cfg, params):
     # C_U is taken before the clean speech joins the far-end noise in
     # place, making the mixture: fe + clean equals clean + fe bit for bit
     c_u = long_term_psd(fe_data)
-    _add_at_mics(fe_data, d_abs, speech)
+    _add_at_mics(fe_data, d_abs, lambda c, e: speech[:, c:e])
     del speech
     # only the reference mic's mixture waveform is read
     x = synthesize(fe_data[:1], params, n)[0]
 
-    # the near-end noise is normalised a chunk at a time wherever its
-    # spectrum is read, and scaled by gamma in the pass that takes its
-    # power per bin
-    ne, ne_scale = _raw_source(cfg.ne_noise_kind, n, params, _child(root, 3))
-
-    def ne_rows(c, e):
-        return ne[:, c:e] if ne_scale is None \
-            else np.divide(ne[:, c:e], ne_scale)
-
+    # the near-end noise is levelled where its spectrum is read, and
+    # scaled by gamma in the pass that takes its power per bin
+    ne_rows = _levelled(*_raw_source(cfg.ne_noise_kind, n, params,
+                                     _child(root, 3)))
     ne_noise = _overlap_add(ne_rows, 1, n_frames, params, n)[0]
     gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
     ne_noise *= gamma

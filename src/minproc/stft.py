@@ -177,9 +177,9 @@ def analyze(signal, params):
 
 def _frame_count(n, params):
     """Frames of an n-sample signal: one hop of zeros in front, and
-    zeros to the end of the last frame."""
+    zeros to the end of the last frame; ValueError if under one frame."""
     if n < params.frame_len:
-        raise ValueError("insufficient samples")
+        raise ValueError("insufficient samples: shorter than one frame")
     return int(np.ceil(n / params.hop)) + 1
 
 

@@ -492,6 +492,22 @@ def test_sources_unit_rms(kind):
     assert np.isclose(np.mean(np.abs(x) ** 2), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    FrameParams(16000, 512), FrameParams(800, 8), FrameParams(16000, 2)],
+    ids=["512", "cutoff-above-nyquist", "2"])
+def test_every_source_scale_is_positive(params):
+    """The scale that levels a source, the root of its raw mean |X|^2,
+    is finite and positive for every kind, from one frame of samples up:
+    so the scene has no zero-power branch to take."""
+    lengths = (params.frame_len, params.frame_len + 1, 4 * params.sample_rate)
+    for kind in SOURCE_KINDS:
+        for n in lengths:
+            for seed in range(4):
+                _, scale = scene._raw_source(kind, n, params,
+                                             np.random.SeedSequence(seed))
+                assert math.isfinite(scale) and scale > 0.0, (kind, n, seed)
+
+
 @pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (12, 48001)])
 def test_babble_is_speech_shaped_under_oracle_envelope(seed, n):
     """Babble is the speech-shaped draw of the same seed times the

@@ -174,8 +174,8 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
 
     def decide(t):
         clean = fb.weight @ stats.sigma_s2
-        eps = _on_grid(*_distortion_table(stats, bset, fb).T)
-        eps += _on_grid(t.du_ref, t.du_nr, t.du_cross)
+        eps = _on_grid(_distortion_table(stats, bset, fb))
+        eps += _on_grid(np.column_stack((t.du_ref, t.du_nr, t.du_cross)))
         ratio = np.divide(clean[:, None], eps, out=np.full_like(eps, np.inf),
                           where=eps > 0.0)
         ok = ratio >= (t.target_snr * (1.0 - REL_TOL))[:, None]

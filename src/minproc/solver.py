@@ -27,11 +27,14 @@ The search is skipped where the do-nothing point is admissible: its
 penalty 0 is the minimum and ties go to the larger alpha, so for finite
 terms the search would return the same (1, 1).  The quadratic basis
 alpha^2, (1-alpha)^2, alpha*(1-alpha) on ALPHAS is formed once at
-import, with the operations applied to any other alpha, so every power
-on the grid is the same to the bit as one evaluated at a single alpha;
-so are the noise power and margin the search forms together, as two
-stacked rows of one pass (_on_grid), and the speech power it forms only
-when no alpha is admissible.
+import as three stacked read-only rows, and every evaluation on the
+grid is one contraction of an (n, 3) coefficient table against it
+(_on_grid): the noise power and margin the search forms together, and
+the speech power it forms only when no alpha is admissible.  The
+contraction multiplies and then adds in the single-alpha order, so
+every grid value equals the one evaluated at a single alpha; an exact
+zero may lose its sign (the sum starts from +0), and no decision reads
+that sign.
 
 When no (alpha, g) is admissible the solver degrades deliberately:
 
@@ -86,10 +89,10 @@ def _basis(a):
 
 # the alpha grid of every search; it holds 0.0 and 1.0 exactly
 ALPHAS = np.linspace(0.0, 1.0, 2001)
-# its basis, formed once, and unit gain over it
-_BASIS = _basis(ALPHAS)
+# its basis, formed once as (3, 2001) stacked rows, and unit gain over it
+_BASIS = np.array(_basis(ALPHAS))
 _ONES = np.ones_like(ALPHAS)
-for _read_only in (ALPHAS, *_BASIS, _ONES):
+for _read_only in (ALPHAS, _BASIS, _ONES):
     _read_only.flags.writeable = False
 
 
@@ -103,10 +106,17 @@ class BandStatus(Enum):
         return self.value
 
 
+def _contract(coefs):
+    """Each (at_one, at_zero, cross) row's quadratic over ALPHAS: (n, 3)
+    coefficients, (n, 2001) values, summed in _quad's order."""
+    return np.einsum("ij,jk->ik", coefs, _BASIS)
+
+
 def _quad(alpha, at_one, at_zero, cross):
     """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross."""
-    a2, b2, ab = _BASIS if alpha is ALPHAS \
-        else _basis(np.asarray(alpha, dtype=float))
+    if alpha is ALPHAS:
+        return _contract(np.array([(at_one, at_zero, cross)], dtype=float))[0]
+    a2, b2, ab = _basis(np.asarray(alpha, dtype=float))
     # in place, fewer temporaries; the sum keeps its left-to-right order
     out = a2 * at_one
     out += b2 * at_zero
@@ -114,9 +124,10 @@ def _quad(alpha, at_one, at_zero, cross):
     return out
 
 
-def _on_grid(at_one, at_zero, cross):
-    """Every row's quadratic over ALPHAS: (n,) coefficients, (n, 2001)."""
-    return _quad(ALPHAS, at_one[:, None], at_zero[:, None], cross[:, None])
+def _on_grid(coefs):
+    """_contract as grid_solve and the blind stage call it, once per
+    searched band; _quad's speech power bypasses this name."""
+    return _contract(coefs)
 
 
 @dataclass(frozen=True)
@@ -309,6 +320,12 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     alpha, so the search would return it too.  Dispatches to the
     matching fallback when no point is admissible.  Every band checks
     delta_n_db (boost_fraction), whichever route it takes.
+
+    A dead constraint skips the gain search, which could admit nothing:
+    C2 is dead where the noise power exceeds the cap at every alpha,
+    since every gain is at least 1 and so, in floats too, g^2 * du >= du;
+    C1 is dead where rhs > 0 and the margin is nowhere positive, since no
+    gain lifts it.
     """
     theta = boost_fraction(delta_n_db)
     rhs, cap = constraint_bounds(terms, delta_u_db)
@@ -316,36 +333,38 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     if _unit_gain_ok(margin[0], terms.du_ref, rhs, cap):
         return _solution(1.0, 1.0, BandStatus.FEASIBLE)
 
-    du, p = _on_grid(*np.array(
-        [(terms.du_ref, terms.du_nr, terms.du_cross), margin]).T)
+    du, p = _on_grid(np.array(
+        [(terms.du_ref, terms.du_nr, terms.du_cross), margin]))
     cap_hi = cap * (1.0 + REL_TOL)
-
-    # smallest gain meeting C1 at each alpha: 1 where the margin already
-    # covers the target, sqrt(rhs/p) where it is positive but short
-    # (pos > at_unit)
-    at_unit = p >= rhs * (1.0 - REL_TOL)
     pos = p > 0.0
-    g = _ONES.copy()
-    np.divide(rhs, p, out=g, where=pos > at_unit)
-    np.sqrt(g, out=g)
-    load = g * g
-    load *= du
-    feasible = (load <= cap_hi) & (at_unit | pos)
+    c2_gone = du.min() > cap_hi
+    c1_gone = rhs > 0.0 and not pos[pos.argmax()]
 
-    if feasible[feasible.argmax()]:
-        # (1-alpha)^2 + (1-g)^2, NaN leaving inadmissible points out
-        penalty = np.square(1.0 - g, out=load)
-        penalty += _BASIS[1]
-        np.copyto(penalty, np.nan, where=~feasible)
-        best = _pick_last(penalty)
-        return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
+    if not (c1_gone or c2_gone):
+        # smallest gain meeting C1 at each alpha: 1 where the margin
+        # already covers the target, sqrt(rhs/p) where it is positive
+        # but short (pos > at_unit)
+        at_unit = p >= rhs * (1.0 - REL_TOL)
+        g = _ONES.copy()
+        np.divide(rhs, p, out=g, where=pos > at_unit)
+        np.sqrt(g, out=g)
+        load = g * g
+        load *= du
+        # at_unit | pos: a margin covering rhs <= 0 includes every
+        # positive one, and a margin covering rhs > 0 is positive
+        feasible = load <= cap_hi
+        feasible &= at_unit if rhs <= 0.0 else pos
+        if feasible[feasible.argmax()]:
+            # (1-alpha)^2 + (1-g)^2, NaN leaving inadmissible points out
+            penalty = np.full_like(load, np.nan)
+            np.add(np.square(1.0 - g, out=load), _BASIS[1], out=penalty,
+                   where=feasible)
+            best = _pick_last(penalty)
+            return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
     ds = terms.speech_power(ALPHAS)
-    c2_gone = du.min() > cap_hi
-    if rhs > 0.0 and not pos[pos.argmax()]:
-        c1_gone = True  # no gain lifts a margin that is nowhere positive
-    else:
+    if not c1_gone:
         # the largest C1 left-hand side the cap admits, p*cap/du: a
         # positive margin without far-end noise reaches any target, a
         # zero margin nothing, even under an infinite cap

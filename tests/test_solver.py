@@ -340,6 +340,54 @@ def test_pinned_draw_reaches_every_route(monkeypatch):
         assert routes[route] > 0, route
 
 
+def test_pinned_draw_reaches_every_search_shortcut():
+    # the digest guards the dead-constraint shortcut of grid_solve only
+    # on the bands its draw holds: bands that C2 alone sends past the
+    # gain search, bands that C1 alone sends past it, and fallback bands
+    # that run the whole search.  A dead band never passes through: at
+    # alpha = 1 the grid holds du_ref and the unit-gain margin.
+    routes = Counter()
+    terms = _pinned_terms()
+    for delta_u_db in (12.0, 0.0, -6.0, np.inf):
+        for t in terms:
+            rhs, cap = constraint_bounds(t, delta_u_db)
+            du, p = t.noise_power(ALPHAS), snr_margin(t, ALPHAS)
+            c2_dead = du.min() > cap * (1.0 + REL_TOL)
+            c1_dead = rhs > 0.0 and not (p > 0.0).any()
+            feasible = solve_band(t, delta_u_db).status is BandStatus.FEASIBLE
+            if c2_dead or c1_dead:
+                assert not feasible
+                routes[c2_dead, c1_dead] += 1
+            elif not feasible:
+                routes["searched fallback"] += 1
+    assert routes[True, False] > 0  # C2 alone
+    assert routes[False, True] > 0  # C1 alone
+    assert routes["searched fallback"] > 0
+
+
+def test_edge_rows_on_grid_equal_single_alpha_values():
+    # the grid is one einsum contraction, which sums from +0: a value
+    # whose terms are all -0 comes out +0, the only bits allowed to
+    # differ from the single-alpha value
+    edge = list(_edge_terms())
+    table = SolverTerms(*(np.array([getattr(t, f.name) for t in edge])
+                          for f in dataclasses.fields(SolverTerms)))
+    coefs = np.concatenate([
+        np.column_stack((table.du_ref, table.du_nr, table.du_cross)),
+        np.column_stack((table.ds_ref, table.ds_nr, table.ds_cross)),
+        np.column_stack(solver._margin_coefs(table)),
+        [(-1.0, -0.0, -1.0)],  # all terms -0 at alpha = 0
+    ])
+    # distinct rows by their bits, so that -0 and +0 stay apart
+    rows = np.unique(coefs.view(np.uint64), axis=0).view(float)
+    grid = solver._on_grid(rows)
+    for k in range(0, ALPHAS.size, 7):
+        single = solver._quad(float(ALPHAS[k]), *rows.T)
+        assert np.array_equal(grid[:, k], single), float(ALPHAS[k])
+        differ = grid[:, k].view(np.uint64) != single.view(np.uint64)
+        assert not single[differ].any(), float(ALPHAS[k])
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),

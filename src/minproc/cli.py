@@ -78,7 +78,7 @@ class RunConfig:
         if not (math.isinf(self.delta_u_db)
                 or abs(self.delta_u_db) <= DB_LIMIT):
             raise ValueError(f"delta_u_db must lie within +-{DB_LIMIT:g} dB")
-        boost_fraction(self.delta_n_db)  # ValueError unless positive
+        boost_fraction(self.delta_n_db)  # ValueError outside its range
         self.scene.validate()
         # band layout, importance and target errors surface here, before
         # any write

@@ -45,6 +45,16 @@ When no (alpha, g) is admissible the solver degrades deliberately:
   choose alpha whose SNR lands closest to the target.
 * fallback_both: run the gain at the C2 cap (dropping C4 if the cap
   sits below one; the cap wins) and choose alpha as above.
+
+fallback_c1, fallback_both and the C1-reach test that routes between
+the fallbacks divide by the far-end noise power du directly, decided
+once per band from du.min().  Their guards apply only where du has a
+zero on the grid, for fallback_both's SNR also where sigma_n2 = 0, and
+for the reach test also where cap/du overflows (an infinite cap
+included), since inf * 0 is NaN where the guarded form reads 0.  The
+guards only ever kept those points out, so both forms give the same
+solution.  C2-dead bands never need them: du > cap >= 0 at every alpha
+under a finite cap, and fallback_c2, which only they reach, has none.
 """
 
 import math
@@ -225,12 +235,16 @@ def snr_margin(terms, alpha):
     return _quad(alpha, *_margin_coefs(terms))
 
 
-def _snr(g2, speech, noise, sigma_n2):
-    """subband_snr from the squared gain and the two processed powers."""
-    num = g2 * speech
-    den = g2 * noise + sigma_n2
+def _ratio(num, den):
+    """num / den where den > 0; elsewhere inf where num > 0 and 0 where
+    not."""
     return np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
                      where=den > 0.0)
+
+
+def _snr(g2, speech, noise, sigma_n2):
+    """subband_snr from the squared gain and the two processed powers."""
+    return _ratio(g2 * speech, g2 * noise + sigma_n2)
 
 
 def subband_snr(terms, alpha, g):
@@ -278,10 +292,14 @@ def constraint_bounds(terms, delta_u_db=DELTA_U_DB):
 
 def boost_fraction(delta_n_db):
     """fallback_c1's theta = 10^(-delta_n_db / 10); ValueError unless
-    delta_n_db > 0."""
+    delta_n_db is finite with 0 < theta < 1 in floats.  That rejects
+    delta_n_db <= 0, NaN and inf, values above about 3236, whose theta
+    underflows to 0, and positive values below about 1e-16, such as
+    1e-320, whose theta rounds to 1."""
     theta = 10.0 ** (-max(delta_n_db, 0.0) / 10.0)  # max(): no overflow
     if not 0.0 < theta < 1.0:
-        raise ValueError("delta_n_db must be positive")
+        raise ValueError("delta_n_db must be finite, with "
+                         "0 < 10^(-delta_n_db / 10) < 1")
     return theta
 
 
@@ -337,7 +355,8 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
         [(terms.du_ref, terms.du_nr, terms.du_cross), margin]))
     cap_hi = cap * (1.0 + REL_TOL)
     pos = p > 0.0
-    c2_gone = du.min() > cap_hi
+    du_min = du.min()
+    c2_gone = du_min > cap_hi
     c1_gone = rhs > 0.0 and not pos[pos.argmax()]
 
     if not (c1_gone or c2_gone):
@@ -365,13 +384,18 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     # classify which constraint is empty; the handlers re-search alpha
     ds = terms.speech_power(ALPHAS)
     if not c1_gone:
-        # the largest C1 left-hand side the cap admits, p*cap/du: a
+        # the largest C1 left-hand side the cap admits, p*cap/du; where
+        # du has a zero or cap/du overflows (an infinite cap included), a
         # positive margin without far-end noise reaches any target, a
-        # zero margin nothing, even under an infinite cap
-        reach = np.where(pos, np.inf, 0.0)
-        live = du > 0.0
-        np.multiply(p, np.divide(cap, du, out=_ONES.copy(), where=live),
-                    out=reach, where=live & (p != 0.0))
+        # zero margin nothing.  du >= du_min bounds cap/du at every alpha.
+        if du_min > 0.0 and cap / du_min < np.inf:
+            reach = cap / du
+            reach *= p
+        else:
+            reach = np.where(pos, np.inf, 0.0)
+            live = du > 0.0
+            np.multiply(p, np.divide(cap, du, out=_ONES.copy(), where=live),
+                        out=reach, where=live & (p != 0.0))
         c1_gone = reach.max() < (rhs * (1.0 - REL_TOL) if rhs > 0.0
                                  else 0.0)
 
@@ -397,9 +421,11 @@ def fallback_c1(terms, ds, du, cap, theta):
     for g.  The gain is then clipped into [1, C2 cap]; when the cap
     itself sits below one it wins and the status reports both
     constraints lost.
+
+    The ratio is guarded only where du has a zero on the grid: there it
+    is inf if speech still arrives and 0 if not.
     """
-    ratio = np.divide(ds, du, out=np.where(ds > 0.0, np.inf, 0.0),
-                      where=du > 0.0)
+    ratio = ds / du if du.min() > 0.0 else _ratio(ds, du)
     best = _pick_last(np.negative(ratio, out=ratio))
     alpha = ALPHAS[best]
     du_best = du[best]
@@ -426,18 +452,35 @@ def _steer(terms, xi, g, status):
 
 def fallback_c2(terms, ds, du):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
-    SNR as close to the target as the combination allows."""
-    return _steer(terms, _snr(1.0, ds, du, terms.sigma_n2), _ONES,
+    SNR as close to the target as the combination allows.
+
+    Needs what grid_solve's C2-dead bands have: du > cap >= 0 at every
+    alpha under a finite cap, so du > 0 and sigma_n2 > 0, and the SNR
+    ds / (du + sigma_n2) divides directly.
+    """
+    return _steer(terms, ds / (du + terms.sigma_n2), _ONES,
                   BandStatus.C2_INFEASIBLE)
 
 
 def fallback_both(terms, ds, du, cap):
     """Both constraints lost: run the gain at the C2 cap and steer the
     SNR toward the target; the cap wins over g >= 1.  Where no far-end
-    noise passes (du = 0) there is nothing to cap and the gain is 1."""
-    g = np.sqrt(np.divide(cap, du, out=_ONES.copy(), where=du > 0.0))
-    return _steer(terms, _snr(g * g, ds, du, terms.sigma_n2), g,
-                  BandStatus.BOTH_INFEASIBLE)
+    noise passes (du = 0) there is nothing to cap and the gain is 1.
+    That guard applies only where du has a zero on the grid, the SNR's
+    also where sigma_n2 = 0; a C2-dead band needs neither."""
+    direct = du.min() > 0.0
+    if direct:
+        g = cap / du
+    else:
+        g = np.divide(cap, du, out=_ONES.copy(), where=du > 0.0)
+    np.sqrt(g, out=g)
+    g2 = g * g
+    if direct and terms.sigma_n2 > 0.0:
+        xi = g2 * ds
+        xi /= g2 * du + terms.sigma_n2
+    else:
+        xi = _snr(g2, ds, du, terms.sigma_n2)
+    return _steer(terms, xi, g, BandStatus.BOTH_INFEASIBLE)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -85,7 +85,8 @@ def test_config_parsing_round_trip(tmp_path):
 
 
 # (config text, the key its error names): geometry, physics, mu_ref,
-# mu_nr, frame_ms and methods errors that must exit 2 before any write
+# mu_nr, frame_ms, methods and delta_n_db errors that must exit 2
+# before any write
 REJECTED_KEYS = (
     ("talker_pos = [1.5, 2.0, 1.0]", "talker_pos"),
     ("noise_positions = [[1.5, 2.02, 1.0]]", "noise_positions"),
@@ -109,6 +110,9 @@ REJECTED_KEYS = (
     ("frame_ms = 1e305", "frame_ms"),
     ("methods = joint", "methods"),
     ("methods = [joint, joint]", "methods"),
+    ("delta_n_db = -1", "delta_n_db"),
+    # 10^(-inf / 10) = 0 leaves no boost fraction
+    ("delta_n_db = inf", "delta_n_db"),
     ("mic_positions = [[0, 0, 0], [0.02, 0, 0]]\n"
      "talker_pos = [1e-160, 0, 0]", "talker_pos"),
     ("noise_positions = [[1e300, 0, 1]]", "noise_positions"),
@@ -151,7 +155,6 @@ def test_config_rejects_bad_input():
                         ("seed = -1", "seed"), ("seed = 1.5", "seed"),
                         ("n_bands = 200", "empty band"),
                         ("a_star = 1.5", "target"),
-                        ("delta_n_db = -1", "delta_n_db"),
                         ("fe_snr_db = -inf", "fe_snr_db"),
                         ("ne_snr_db = -inf", "ne_snr_db"),
                         ("mic_selfnoise_snr_db = -inf", "mic_selfnoise"),

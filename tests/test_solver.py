@@ -246,6 +246,16 @@ def test_zero_margin_under_infinite_cap_is_c1_infeasible():
             == (1.0, 1.0, BandStatus.C1_INFEASIBLE)
 
 
+def test_zero_margin_where_cap_over_du_overflows_is_c1_infeasible():
+    # du is 5e-324 at alpha = 1, where the margin is exactly 0: cap/du
+    # overflows there, and inf * 0 must not hide that every other alpha
+    # reaches about 1.6e-11, below the target 0.1
+    terms = SolverTerms(0.0, 0.1 + 1e-12, 0.0, 5e-324, 1.0, 0.0, 1.0, 0.1)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        sol = solve_band(terms, 12.0)
+    assert (sol.alpha, sol.status) == (0.9995, BandStatus.C1_INFEASIBLE)
+
+
 def test_infinite_best_ratio_picks_its_last_alpha_quietly():
     # du = (1 - 2 alpha)^2 * 1e-6 vanishes only at alpha = 0.5, where
     # speech still arrives: the best far-end ratio is inf there alone,
@@ -318,12 +328,17 @@ def _counting(routes, name, fn):
         routes[name] += 1
         if name == "fallback_c1":
             routes[f"fallback_c1 {out.status}"] += 1
+        if name.startswith("fallback"):
+            # the far-end noise power over ALPHAS: positive on the whole
+            # grid (direct divisions) or zero somewhere (guarded ones)
+            du = args[2]
+            routes[f"{name} du {'> 0' if du.min() > 0.0 else 'has 0'}"] += 1
         return out
     return counted
 
 
 def test_pinned_draw_reaches_every_route(monkeypatch):
-    # the digest above only guards the routes its draw takes
+    # the digests above only guard the routes their draws take
     routes = Counter()
     for name in ("_on_grid", "fallback_c1", "fallback_c2", "fallback_both"):
         monkeypatch.setattr(solver, name,
@@ -337,6 +352,13 @@ def test_pinned_draw_reaches_every_route(monkeypatch):
     assert routes["_on_grid"] - fallbacks > 0  # grid Feasible
     for route in ("fallback_c1 C1Infeasible", "fallback_c1 BothInfeasible",
                   "fallback_c2", "fallback_both"):
+        assert routes[route] > 0, route
+    # the edge draw adds the bands whose du has a zero on the grid
+    for delta_u_db in (12.0, 0.0, -300.0, np.inf):
+        for t in _edge_terms():
+            solve_band(t, delta_u_db)
+    for route in ("fallback_c1 du > 0", "fallback_c1 du has 0",
+                  "fallback_c2 du > 0", "fallback_both du > 0"):
         assert routes[route] > 0, route
 
 
@@ -424,13 +446,14 @@ def test_grid_powers_equal_single_alpha_values_bit_for_bit(monkeypatch):
 
 def test_nonpositive_delta_n_db_is_rejected_on_every_band():
     # validated once per solve, not only on the bands that reach
-    # fallback_c1; -1e4 would overflow 10^(-delta_n_db / 10)
+    # fallback_c1; -1e4 would overflow 10^(-delta_n_db / 10), and the
+    # positive subnormal 1e-320 rounds it to 1
     passthrough = SolverTerms(1.0, 0.9, 1.8, 0.05, 0.01, 0.04, 0.5, 1.0)
     c1_lost = SolverTerms(0.1, 0.1, 0.2, 1.0, 1.0, 2.0, 1.0, 1.0)
     sol = solve_band(passthrough)
     assert (sol.alpha, sol.gain, sol.status) == (1.0, 1.0, BandStatus.FEASIBLE)
     assert solve_band(c1_lost).status is BandStatus.C1_INFEASIBLE
-    for delta_n_db in (-5.0, 0.0, -1e4, np.inf, np.nan):
+    for delta_n_db in (-5.0, 0.0, -1e4, np.inf, np.nan, 1e-320):
         for terms in (passthrough, c1_lost):
             with pytest.raises(ValueError, match="delta_n_db"):
                 solve_band(terms, delta_n_db=delta_n_db)

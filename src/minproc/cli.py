@@ -1,8 +1,8 @@
 """Batch driver: run scenarios from flat config files, sweep parameters,
 emit WAV/CSV/JSON artifacts, and explain band-solution tables.
 
-Config files are flat ``key = value`` text: numbers, ``true``/``false``,
-``inf``, bare strings, and bracketed arrays (nested once for positions).
+Config files are flat ``key = value`` text: numbers, ``inf``, bare
+strings, and bracketed arrays (nested once for positions).
 Every key has a default, so an empty file is a valid scenario.  Exit
 codes: 0 success, 2 usage or config error, 3 I/O error while writing.
 """
@@ -107,7 +107,7 @@ _INT_KEYS = {f.name for f in dataclasses.fields(RunConfig)
 
 
 def _parse_value(text):
-    """One config value: number, bool, inf, bracketed array, bare string."""
+    """One config value: number, inf, bracketed array, bare string."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()
@@ -124,11 +124,6 @@ def _parse_value(text):
                 start = i + 1
         parts.append(inner[start:])
         return [_parse_value(p) for p in parts]
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
     try:
         return int(text)
     except ValueError:

@@ -15,46 +15,22 @@ subject to
     C4: g >= 1.
 
 alpha = 1, g = 1 is the do-nothing point: the reference beamformer at
-unit gain.  Both processed powers are quadratics in alpha because the
-filter is a convex combination of two fixed filters, so for each alpha
-the smallest admissible gain is closed form and a search over the
-fixed alpha grid ALPHAS solves the problem.  The grid holds alpha = 0
-and alpha = 1 exactly and applies the same C1/C2 tests there as the
-closed-form boundary cases of boundary_solution, so whenever a boundary
-candidate exists the grid answer is feasible and at least as good.
+unit gain.  Both processed powers are quadratics in alpha, so for each
+alpha the smallest admissible gain is closed form, and a search over
+the fixed grid ALPHAS, which holds 0 and 1 exactly, solves the problem;
+the fallbacks take the bands where no point is admissible.
 
-The search is skipped where the do-nothing point is admissible: its
-penalty 0 is the minimum and ties go to the larger alpha, so for finite
-terms the search would return the same (1, 1).  The quadratic basis
-alpha^2, (1-alpha)^2, alpha*(1-alpha) on ALPHAS is formed once at
-import as three stacked read-only rows, and every evaluation on the
-grid is one contraction of an (n, 3) coefficient table against it
-(_on_grid): the noise power and margin the search forms together, and
-the speech power it forms only when no alpha is admissible.  The
-contraction multiplies and then adds in the single-alpha order, so
-every grid value equals the one evaluated at a single alpha; an exact
-zero may lose its sign (the sum starts from +0), and no decision reads
-that sign.
+Every grid value is one einsum contraction (_on_grid) that multiplies
+and then adds in _quad's single-alpha order, so it equals the value at
+a single alpha; an exact zero may lose its sign (the sum starts from
++0), and no decision reads that sign.
 
-When no (alpha, g) is admissible the solver degrades deliberately:
-
-* fallback_c1 (target unreachable): maximize the far-end SNR over
-  alpha, then raise the gain just enough that the near-end noise costs
-  at most delta_n_db of that SNR, clipped into [1, C2 cap].
-* fallback_c2 (noise cap unreachable even at g = 1): keep g = 1 and
-  choose alpha whose SNR lands closest to the target.
-* fallback_both: run the gain at the C2 cap (dropping C4 if the cap
-  sits below one; the cap wins) and choose alpha as above.
-
-fallback_c1, fallback_both and the C1-reach test that routes between
-the fallbacks divide by the far-end noise power du directly, decided
-once per band from du.min().  Their guards apply only where du has a
-zero on the grid, for fallback_both's SNR also where sigma_n2 = 0, and
-for the reach test also where cap/du overflows (an infinite cap
-included), since inf * 0 is NaN where the guarded form reads 0.  The
-guards only ever kept those points out, so both forms give the same
-solution.  C2-dead bands never need them: du > cap >= 0 at every alpha
-under a finite cap, and fallback_c2, which only they reach, has none.
+The fallbacks and the C1-reach test divide by the far-end noise power
+du directly.  Their guards apply only where du has a zero on the grid,
+for fallback_both's SNR also where sigma_n2 = 0, and for the reach test
+also where cap/du overflows (an infinite cap included).  C2-dead bands,
+the only ones fallback_c2 gets, never need them: du > cap >= 0 at every
+alpha under a finite cap.
 """
 
 import math
@@ -116,7 +92,7 @@ class BandStatus(Enum):
         return self.value
 
 
-def _contract(coefs):
+def _on_grid(coefs):
     """Each (at_one, at_zero, cross) row's quadratic over ALPHAS: (n, 3)
     coefficients, (n, 2001) values, summed in _quad's order."""
     return np.einsum("ij,jk->ik", coefs, _BASIS)
@@ -124,20 +100,12 @@ def _contract(coefs):
 
 def _quad(alpha, at_one, at_zero, cross):
     """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross."""
-    if alpha is ALPHAS:
-        return _contract(np.array([(at_one, at_zero, cross)], dtype=float))[0]
     a2, b2, ab = _basis(np.asarray(alpha, dtype=float))
     # in place, fewer temporaries; the sum keeps its left-to-right order
     out = a2 * at_one
     out += b2 * at_zero
     out += ab * cross
     return out
-
-
-def _on_grid(coefs):
-    """_contract as grid_solve and the blind stage call it, once per
-    searched band; _quad's speech power bypasses this name."""
-    return _contract(coefs)
 
 
 @dataclass(frozen=True)
@@ -382,7 +350,8 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
             return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
 
     # classify which constraint is empty; the handlers re-search alpha
-    ds = terms.speech_power(ALPHAS)
+    ds = _on_grid(np.array([(terms.ds_ref, terms.ds_nr, terms.ds_cross)],
+                           dtype=float))[0]
     if not c1_gone:
         # the largest C1 left-hand side the cap admits, p*cap/du; where
         # du has a zero or cap/du overflows (an infinite cap included), a

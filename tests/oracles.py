@@ -144,8 +144,21 @@ def dense_brute_force_band(terms, delta_u_db, n_alpha=2001, n_g=2001):
 
 def random_terms(rng, target_span=(-2.0, 1.0)):
     """Random band terms with valid (positive-semidefinite) power
-    quadratics: cross terms are 2*rho*sqrt(product), |rho| < 1."""
-    ds_ref, ds_nr, du_ref, du_nr = 10.0 ** rng.uniform(-4.0, 2.0, size=4)
+    quadratics: cross terms are 2*rho*sqrt(product), |rho| < 1.
+
+    Each power is a mantissa uniform in [1, 2) times a uniform integer
+    power of two spanning the decades of [-4, 2] and, for target_snr,
+    target_span (np.ldexp).  Every operation of the draw is exactly
+    rounded, so it draws the same bits on every host; numpy's float64
+    power, as in 10.0 ** x, rounds differently in its AVX512 and its
+    AVX2 or baseline code."""
+    def log_uniform(lo, hi, size=None):
+        octaves = (math.floor(lo * math.log2(10.0)),
+                   math.ceil(hi * math.log2(10.0)))
+        return np.ldexp(rng.uniform(1.0, 2.0, size),
+                        rng.integers(*octaves, size=size))
+
+    ds_ref, ds_nr, du_ref, du_nr = log_uniform(-4.0, 2.0, size=4)
     rho_s, rho_u = rng.uniform(-0.95, 0.95, size=2)
     return SolverTerms(
         ds_ref=ds_ref,
@@ -154,8 +167,8 @@ def random_terms(rng, target_span=(-2.0, 1.0)):
         du_ref=du_ref,
         du_nr=du_nr,
         du_cross=2.0 * rho_u * np.sqrt(du_ref * du_nr),
-        sigma_n2=10.0 ** rng.uniform(-4.0, 2.0),
-        target_snr=10.0 ** rng.uniform(*target_span),
+        sigma_n2=log_uniform(-4.0, 2.0),
+        target_snr=log_uniform(*target_span),
     )
 
 

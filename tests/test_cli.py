@@ -85,8 +85,8 @@ def test_config_parsing_round_trip(tmp_path):
 
 
 # (config text, the key its error names): geometry, physics, mu_ref,
-# mu_nr, frame_ms, methods and delta_n_db errors that must exit 2
-# before any write
+# mu_nr, frame_ms, methods, importance_file and delta_n_db errors that
+# must exit 2 before any write
 REJECTED_KEYS = (
     ("talker_pos = [1.5, 2.0, 1.0]", "talker_pos"),
     ("noise_positions = [[1.5, 2.02, 1.0]]", "noise_positions"),
@@ -110,6 +110,7 @@ REJECTED_KEYS = (
     ("frame_ms = 1e305", "frame_ms"),
     ("methods = joint", "methods"),
     ("methods = [joint, joint]", "methods"),
+    ("importance_file = 3", "importance_file"),
     ("delta_n_db = -1", "delta_n_db"),
     # 10^(-inf / 10) = 0 leaves no boost fraction
     ("delta_n_db = inf", "delta_n_db"),
@@ -125,6 +126,10 @@ REJECTED_KEYS = (
     ("duration = 0.0002\nsample_rate = 1073741824\nframe_ms = 0.1\n"
      "f_lo = 100000\nf_hi = 500000000", "sample_rate"),
 )
+
+# true and false are bare strings, which no numeric key takes
+BOOLEANS = ("duration = true", "fe_snr_db = false", "ne_snr_db = true",
+            "a_star = false", "mu_nr = true", "talker_pos = [1.5, 3.0, true]")
 
 # integer literals beyond float range, one in each kind of float key
 HUGE = "1" + "0" * 400
@@ -154,6 +159,9 @@ def test_config_rejects_bad_input():
                         ("n_bands = 2.0", "n_bands"),
                         ("seed = -1", "seed"), ("seed = 1.5", "seed"),
                         ("n_bands = 200", "empty band"),
+                        ("n_bands = 1", "at least two bands"),
+                        ("talker_pos = [1.5, 3.0]", "talker position"),
+                        ("noise_positions = [[1.5, 2.0]]", "noise position"),
                         ("a_star = 1.5", "target"),
                         ("fe_snr_db = -inf", "fe_snr_db"),
                         ("ne_snr_db = -inf", "ne_snr_db"),
@@ -422,6 +430,8 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
     negative = tmp_path / "negative.txt"
     negative.write_text("200 1\n1000 -1\n4000 1\n")
+    one_column = tmp_path / "one_column.txt"
+    one_column.write_text("1\n2\n")
     for key, text in (("grid_n", "grid_n = 2001"),
                       ("room_dims", "room_dims = [3.0, 4.0, 3.0]")):
         capsys.readouterr()
@@ -430,13 +440,15 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["run", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
         assert f"unknown config key: {key}" in capsys.readouterr().err
-    for text in ("n_bands = 2.0", "seed = -1",
+    for text in ("n_bands = 2.0", "seed = -1", "n_bands = 1",
                  "n_bands = 200", "fe_snr_db = -inf", "ne_snr_db = -inf",
                  "mic_selfnoise_snr_db = -inf", "a_star = 1.5",
                  "fe_snr_db = 4000", "delta_u_db = 4000",
                  "duration = nan", "duration = 0.01", "sample_rate = nan",
                  f"importance_file = {tmp_path / 'missing.txt'}",
-                 f"importance_file = {negative}", *OVERFLOWING):
+                 f"importance_file = {negative}",
+                 f"importance_file = {one_column}", *BOOLEANS,
+                 *OVERFLOWING):
         if not text.startswith("duration"):
             text = "duration = 1.0\n" + text
         bad = write_cfg(tmp_path, text, name="bad.cfg")
@@ -458,10 +470,11 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
     assert "methods" in capsys.readouterr().err
     assert main(["run", str(ok), "--sweep", "n_bands=20:2.5:25"]) == 2
-    # grids that are not finite, or whose step is too small to move a
-    # point and so would never reach hi
+    # grids that are not finite, that do not advance from lo to hi, or
+    # whose step is too small to move a point and so would never reach hi
     for grid in ("nan:0.1:0.9", "-inf:0.1:0.9", "0.5:inf:0.9",
-                 "0.5:0.1:inf", "0.5:1e-20:0.9"):
+                 "0.5:0.1:inf", "0.9:0.1:0.5", "0.5:0:0.9",
+                 "0.5:1e-20:0.9"):
         capsys.readouterr()
         out = tmp_path / "never"
         assert main(["run", str(ok), "--out", str(out),
@@ -752,6 +765,22 @@ def test_explain_notes_only_steps_the_method_took(tmp_path, capsys):
     assert "fallback" not in text and "boost" not in text
     assert main(["explain", str(out / "bands_joint.csv")]) == 0
     assert "best-SNR fallback with bounded boost" in capsys.readouterr().out
+
+
+def test_explain_notes_the_noise_cap_fallbacks(tmp_path, capsys):
+    # a cap 10 dB under the near-end noise sends every band past it:
+    # C2Infeasible where gain alone would reach the target, and
+    # BothInfeasible where it would not
+    text = BASE.replace("fe_snr_db = 0", "fe_snr_db = 10").replace(
+        "ne_snr_db = -30", "ne_snr_db = 30") + "delta_u_db = -10\n"
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out),
+                 "--methods", "joint"]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(out / "bands_joint.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "noise cap unreachable: unit gain, closest SNR" in text
+    assert "degraded at the noise cap" in text
 
 
 @pytest.mark.parametrize("action", ["always", "error"])

@@ -84,6 +84,9 @@ def test_importance_from_table(tmp_path):
     assert np.isclose(fb.importance.sum(), 1.0)
     # interpolated weights grow with frequency for this table
     assert fb.importance[-1] > fb.importance[0]
+    path.write_text("100\n1000\n")
+    with pytest.raises(ValueError, match="two columns"):
+        load_band_importance(path)
 
 
 def test_importance_vector_and_errors():

@@ -14,8 +14,9 @@ from scipy import signal as sig
 from minproc import scene, stft
 from minproc.beamform import apply_beamformer
 from minproc.scene import (SOURCE_KINDS, SceneConfig, SceneSignals,
-                           lowpass_response, make_source, steering_matrix,
-                           synthesize_scene, transfer_function)
+                           SpectralStats, lowpass_response, make_source,
+                           steering_matrix, synthesize_scene,
+                           transfer_function)
 from minproc.stft import FrameParams, analyze, long_term_psd, synthesize
 from oracles import (DRAW_CHUNK, babble_envelope, design_response,
                      normal_draw, pulse_train, scene_components)
@@ -365,6 +366,8 @@ def test_sample_rate_mismatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         short_cfg(fe_noise_kind="pink").validate()
+    with pytest.raises(ValueError, match="unknown source kind"):
+        make_source("pink", 4000, PARAMS, np.random.SeedSequence(0))
     with pytest.raises(ValueError):
         short_cfg(ne_snr_db=float("nan")).validate()
     with pytest.raises(ValueError):
@@ -387,6 +390,22 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed must be a nonnegative"):
             synthesize_scene(short_cfg(seed=seed), PARAMS)
     short_cfg(seed=np.uint32(3)).validate()
+
+
+def test_spectral_stats_validation():
+    k, m = 4, 2
+    c_u = np.tile(np.eye(m, dtype=complex), (k, 1, 1))
+    good = dict(sigma_s2=np.ones(k), d=np.ones((k, m), dtype=complex),
+                c_u=c_u, sigma_n2=np.ones(k))
+    SpectralStats(**good).validate()
+    skewed = c_u.copy()
+    skewed[:, 0, 1] = skewed[:, 1, 0] = 1j
+    for change, match in ((dict(sigma_n2=np.ones(k + 1)), "shapes disagree"),
+                          (dict(c_u=c_u[:, :, :1]), "shapes disagree"),
+                          (dict(sigma_s2=-np.ones(k)), "nonnegative"),
+                          (dict(c_u=skewed), "Hermitian")):
+        with pytest.raises(ValueError, match=match):
+            SpectralStats(**{**good, **change}).validate()
 
 
 def _fit_scale(emp, model):

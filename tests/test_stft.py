@@ -51,6 +51,8 @@ def test_frame_params_defaults():
     assert PARAMS.bins == 257
     assert PARAMS.freqs[0] == 0.0
     assert PARAMS.freqs[-1] == 8000.0
+    # a frame that rounds to an odd length grows by one sample
+    assert FrameParams.from_ms(16000, 31.9375).frame_len == 512
 
 
 @pytest.mark.parametrize("frame_len", [511, 0, -2])
@@ -412,6 +414,14 @@ def test_spectrum_shape_checks():
                      lambda: apply_beamformer(spec, np.ones((257, 4)))):
             with pytest.raises(ValueError, match="channels, frames, bins"):
                 take()
+    # a spectrum of another frame length
+    with pytest.raises(ValueError, match="bin count"):
+        synthesize(np.zeros((1, 4, 129), dtype=complex), PARAMS, 600)
+
+
+def test_analysis_needs_a_1d_or_2d_signal():
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        analyze(np.zeros((1, 2, 600)), PARAMS)
 
 
 @pytest.mark.parametrize("num_samples", [-5, -1, 2.5, 4000.0, None, "4000"])

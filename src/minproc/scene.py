@@ -2,10 +2,11 @@
 
 A single talker and a set of point noise sources are placed in free space
 and propagated to the microphones with anechoic direct-path transfer
-functions.  Each source is drawn once in the time domain and shaped per
-STFT bin (``make_source``), and mixing happens in the STFT domain, so the
-multichannel mixture decomposes per bin exactly as x = d*s + u; the
-matching waveforms are overlap-add syntheses of those spectra.
+functions.  Each source is drawn once in the time domain, shaped per STFT
+bin and levelled where its spectrum is read (``make_source``), and mixing
+happens in the STFT domain, so the multichannel mixture decomposes per bin
+exactly as x = d*s + u; the matching waveforms are overlap-add syntheses
+of those spectra.
 
 Statistics use the reference microphone (index 0) as the level anchor:
 the steering vector is normalized to mic 0 and the speech power is the
@@ -215,12 +216,6 @@ def _add_at_mics(acc, steer, rows):
     _by_chunks(acc.shape[1], add)
 
 
-def _levelled(data, scale):
-    """rows(c, e) of _raw_source's (data, scale): frames [c, e) of the
-    unit-power source data / scale, divided where read, never copied."""
-    return lambda c, e: np.divide(data[:, c:e], scale)
-
-
 # first-order Butterworth low-pass cutoff (Hz) of each shaped source kind
 _CUTOFF_HZ = {"speech": 500.0, "speech_shaped": 500.0, "babble_like": 500.0,
               "car_like": 200.0}
@@ -287,24 +282,20 @@ def _normal(n, seq, each_chunk=None):
 def make_source(kind, n_samples, params, seed):
     """One unit-power (mean |X|^2 = 1) source spectrum, (1, frames, bins):
     one time-domain draw, analysed once and shaped per bin by its low-pass
-    response; babble is also scaled by its per-frame envelope.
+    response; babble is also scaled by its per-frame envelope.  Its rows
+    are _source's, read whole.
 
     ``seed``, a numpy SeedSequence, alone decides the spectrum: the draw
     comes from its child 0, the pitch phase or babble envelope from 1."""
-    data, scale = _raw_source(kind, n_samples, params, seed)
-    # into a new array: normalising in place left the heap in a state
-    # that gave a 10 s CLI sweep 3.6 times the page faults
-    out = np.empty_like(data)
-    _by_chunks(data.shape[1], lambda c, e: np.divide(
-        data[:, c:e], scale, out=out[:, c:e]))
-    return out
+    return _source(kind, n_samples, params, seed)(0, None)
 
 
-def _raw_source(kind, n_samples, params, seed):
-    """make_source's spectrum before its normalisation, and the scale
-    that normalises it: the root of its mean |X|^2, which every draw
-    makes positive.  The shaping and the |X|^2 scratch are applied to
-    each chunk of the analysis as soon as it is made."""
+def _source(kind, n_samples, params, seed):
+    """rows(c, e): frames [c, e) of make_source's spectrum, levelled where
+    read, so no levelled copy is made.  The shaping and the |X|^2 scratch
+    are applied to each chunk of the analysis as soon as it is made; the
+    level is the root of the mean |X|^2, which every draw makes
+    positive."""
     if kind not in SOURCE_KINDS:
         raise ValueError(f"unknown source kind: {kind}")
     draw = (_pulse_train(n_samples, params, seed) if kind == "speech"
@@ -330,7 +321,8 @@ def _raw_source(kind, n_samples, params, seed):
     _analysis(draw[None], params, data, shape)
     del draw  # read by the analysis only
     # one mean over the whole array, so its pairwise sum is unchanged
-    return data, math.sqrt(np.mean(sq))
+    scale = math.sqrt(np.mean(sq))
+    return lambda c, e: np.divide(data[:, c:e], scale)
 
 
 def _pulse_train(n_samples, params, seed):
@@ -388,11 +380,11 @@ def synthesize_scene(cfg, params):
     Returns (signals, stats).  The mixture spectrum is the clean speech
     plus the far-end noise at every mic, and the broadband SNRs at mic 0
     match the configured values.  An infinite SNR disables the
-    corresponding noise entirely.  The clean speech at the mics and each
-    normalised noise are formed a chunk of frames at a time where they
-    are read, never whole; each source's spectrum is kept only until it
-    is read, and the talker's one-channel source until it joins the
-    far-end noise; the mixture spectrum is the one kept.
+    corresponding noise entirely.  Every source is levelled (_source),
+    and the clean speech at the mics formed, a chunk of frames at a time
+    where it is read, never whole; each source's spectrum is kept only
+    until it is read, the talker's until it joins the far-end noise; the
+    mixture spectrum is the one kept.
     """
     cfg.validate()
     if params.sample_rate != cfg.sample_rate:
@@ -404,19 +396,18 @@ def synthesize_scene(cfg, params):
     # point noise i's, (2, m) mic m's self noise's, 3 the near-end noise's
     root = np.random.SeedSequence(cfg.seed)
 
-    # the talker's one-channel source is kept; its product through the
-    # steering vector, the clean speech at the mics, is formed a chunk at
-    # a time, for the speech power at the reference mic and the clean
-    # power per mic
+    # the talker's product through the steering vector, the clean speech
+    # at the mics, is formed a chunk at a time, for the speech power at
+    # the reference mic and the clean power per mic
     d_abs = steering_matrix(cfg.talker_pos, mics, params.freqs,
                             cfg.speed_of_sound)
     steer = np.ascontiguousarray(d_abs.T)[:, None, :]
-    speech = make_source("speech", n, params, _child(root, 0))
-    n_frames = speech.shape[1]
-    sigma_s2 = _power_per_bin(lambda c, e: steer[0] * speech[0, c:e],
+    speech = _source("speech", n, params, _child(root, 0))
+    n_frames = _frame_count(n, params)
+    sigma_s2 = _power_per_bin(lambda c, e: steer[0] * speech(c, e)[0],
                               n_frames, params.bins)
     # clean speech power at each mic, the level reference
-    clean = _overlap_add(lambda c, e: steer * speech[:, c:e], len(mics),
+    clean = _overlap_add(lambda c, e: steer * speech(c, e), len(mics),
                          n_frames, params, n)
     p_clean = [np.mean(np.square(row, out=row)) for row in clean]
     del clean
@@ -426,8 +417,8 @@ def synthesize_scene(cfg, params):
     fe_data = np.zeros((len(mics), n_frames, params.bins), complex)
     for i, pos in enumerate(noises):
         a_i = steering_matrix(pos, mics, params.freqs, cfg.speed_of_sound)
-        _add_at_mics(fe_data, a_i, _levelled(*_raw_source(
-            cfg.fe_noise_kind, n, params, _child(root, 1, i))))
+        _add_at_mics(fe_data, a_i, _source(cfg.fe_noise_kind, n, params,
+                                           _child(root, 1, i)))
     fe_0 = synthesize(fe_data[:1], params, n)[0]
     gain = _snr_gain(p_clean[0], np.mean(np.square(fe_0, out=fe_0)),
                      cfg.fe_snr_db)
@@ -453,15 +444,14 @@ def synthesize_scene(cfg, params):
     # C_U is taken before the clean speech joins the far-end noise in
     # place, making the mixture: fe + clean equals clean + fe bit for bit
     c_u = long_term_psd(fe_data)
-    _add_at_mics(fe_data, d_abs, lambda c, e: speech[:, c:e])
+    _add_at_mics(fe_data, d_abs, speech)
     del speech
     # only the reference mic's mixture waveform is read
     x = synthesize(fe_data[:1], params, n)[0]
 
-    # the near-end noise is levelled where its spectrum is read, and
-    # scaled by gamma in the pass that takes its power per bin
-    ne_rows = _levelled(*_raw_source(cfg.ne_noise_kind, n, params,
-                                     _child(root, 3)))
+    # the near-end noise is scaled by gamma in the pass that takes its
+    # power per bin
+    ne_rows = _source(cfg.ne_noise_kind, n, params, _child(root, 3))
     ne_noise = _overlap_add(ne_rows, 1, n_frames, params, n)[0]
     gamma = _snr_gain(p_clean[0], np.mean(ne_noise ** 2), cfg.ne_snr_db)
     ne_noise *= gamma

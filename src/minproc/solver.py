@@ -354,17 +354,19 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
                            dtype=float))[0]
     if not c1_gone:
         # the largest C1 left-hand side the cap admits, p*cap/du; where
-        # du has a zero or cap/du overflows (an infinite cap included), a
-        # positive margin without far-end noise reaches any target, a
-        # zero margin nothing.  du >= du_min bounds cap/du at every alpha.
-        if du_min > 0.0 and cap / du_min < np.inf:
+        # du has a zero or cap/du may overflow (an infinite cap included),
+        # a positive margin without far-end noise reaches any target, a
+        # zero margin nothing.  du >= du_min bounds cap/du at every alpha:
+        # below 2^1020 where du_min > cap * 2^-1020, checked undivided.
+        if du_min > cap * 2.0 ** -1020:
             reach = cap / du
             reach *= p
         else:
             reach = np.where(pos, np.inf, 0.0)
             live = du > 0.0
-            np.multiply(p, np.divide(cap, du, out=_ONES.copy(), where=live),
-                        out=reach, where=live & (p != 0.0))
+            with np.errstate(over="ignore"):
+                ratio = np.divide(cap, du, out=_ONES.copy(), where=live)
+            np.multiply(p, ratio, out=reach, where=live & (p != 0.0))
         c1_gone = reach.max() < (rhs * (1.0 - REL_TOL) if rhs > 0.0
                                  else 0.0)
 

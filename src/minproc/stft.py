@@ -16,7 +16,7 @@ each chunk is computed by the same operations whatever the runs, the
 results do not depend on the CPU count.  The analysis pass windows the
 frames straight from the signal, with no zero-padded copy, and can hand
 each chunk's spectrum to a function as soon as it is made, so a
-spectrum that is shaped or summed per chunk (scene.make_source's, the
+spectrum that is shaped or summed per chunk (each scene source's, the
 scene's self noise) takes no pass of its own.  The overlap-add pass can
 likewise take its spectrum a chunk at a time from a function, so a
 spectrum made per chunk (pipeline.render's) is never held whole.

@@ -97,6 +97,30 @@ def test_scene_is_oracle_composition_bit_for_bit(kw):
                           np.mean(np.abs(parts.ne_spec[0]) ** 2, axis=0))
 
 
+@pytest.mark.parametrize("count", [3, 2])
+def test_every_source_is_read_through_one_rows_function(monkeypatch, count):
+    """The scene reads the talker, each point noise and the near-end
+    noise through scene._source's rows, once each and in that order, and
+    never makes a levelled copy through make_source."""
+    kinds = []
+    source = scene._source
+
+    def counted(kind, n_samples, params, seed):
+        kinds.append(kind)
+        return source(kind, n_samples, params, seed)
+
+    def copied(*args):
+        raise AssertionError("the scene made a levelled copy")
+
+    monkeypatch.setattr(scene, "_source", counted)
+    monkeypatch.setattr(scene, "make_source", copied)
+    cfg = short_cfg(duration=1.0,
+                    noise_positions=SceneConfig().noise_positions[:count],
+                    fe_noise_kind="white", ne_noise_kind="car_like")
+    synthesize_scene(cfg, PARAMS)
+    assert kinds == ["speech"] + ["white"] * count + ["car_like"]
+
+
 def test_failed_scene_leaves_no_draw_running(monkeypatch):
     """A scene whose third analysis fails raises, and leaves no thread
     running: every pass, its draws' among them, joins its runs."""
@@ -141,8 +165,8 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
     """While a point noise is analysed, the scene holds the two-mic
     far-end sum (2 spectra), the talker's one-channel source (1) and
     that noise's spectrum (1), with its draw and its |X|^2 scratch (2
-    waveforms); the noise is normalised where the far-end sum reads it,
-    with no normalised copy.  Holding the two-mic clean spectrum instead
+    waveforms); each source is levelled where it is read, with no
+    levelled copy.  Holding the two-mic clean spectrum instead
     of the source, as well as the |X|^2 scratch beside a normalised
     output, came to about 6 spectra and 2 waveforms.  Every pass makes
     two runs at once."""
@@ -166,8 +190,8 @@ def test_scene_holds_one_full_size_copy_at_a_time(monkeypatch):
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
 def test_make_source_is_the_same_at_any_block_count(monkeypatch, kind):
     # 4000 samples make 17 frames, one chunk; 57344 make 225 frames,
-    # 4 chunks of the analysis and of the normalisation, dealt out in
-    # 1, 2, 3 and 7 runs
+    # 4 chunks of the analysis, dealt out in 1, 2, 3 and 7 runs; the
+    # levelling reads the rows whole on the calling thread
     for n in (4000, 57344):
         spectra = []
         for runs in (1, 2, 3, 7):
@@ -517,14 +541,17 @@ def test_sources_unit_rms(kind):
 def test_every_source_scale_is_positive(params):
     """The scale that levels a source, the root of its raw mean |X|^2,
     is finite and positive for every kind, from one frame of samples up:
-    so the scene has no zero-power branch to take."""
+    so the scene has no zero-power branch to take.  Only then is every
+    levelled spectrum finite at unit power; a zero scale would also warn
+    of a division by zero, which the suite makes an error."""
     lengths = (params.frame_len, params.frame_len + 1, 4 * params.sample_rate)
     for kind in SOURCE_KINDS:
         for n in lengths:
             for seed in range(4):
-                _, scale = scene._raw_source(kind, n, params,
-                                             np.random.SeedSequence(seed))
-                assert math.isfinite(scale) and scale > 0.0, (kind, n, seed)
+                x = make_source(kind, n, params, np.random.SeedSequence(seed))
+                assert np.all(np.isfinite(x)), (kind, n, seed)
+                assert np.isclose(np.mean(np.abs(x) ** 2), 1.0, rtol=1e-12,
+                                  atol=0.0), (kind, n, seed)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 32000), (1, 4001), (12, 48001)])

@@ -251,7 +251,8 @@ def test_zero_margin_where_cap_over_du_overflows_is_c1_infeasible():
     # overflows there, and inf * 0 must not hide that every other alpha
     # reaches about 1.6e-11, below the target 0.1
     terms = SolverTerms(0.0, 0.1 + 1e-12, 0.0, 5e-324, 1.0, 0.0, 1.0, 0.1)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         sol = solve_band(terms, 12.0)
     assert (sol.alpha, sol.status) == (0.9995, BandStatus.C1_INFEASIBLE)
 

@@ -1,6 +1,6 @@
 """Joint far- and near-end minimum-processing speech enhancement."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .beamform import BeamformerSet, build_beamformers
 from .filterbank import Filterbank, allocate_targets, build_filterbank

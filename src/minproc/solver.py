@@ -16,21 +16,39 @@ subject to
 
 alpha = 1, g = 1 is the do-nothing point: the reference beamformer at
 unit gain.  Both processed powers are quadratics in alpha, so for each
-alpha the smallest admissible gain is closed form, and a search over
-the fixed grid ALPHAS, which holds 0 and 1 exactly, solves the problem;
-the fallbacks take the bands where no point is admissible.
+alpha the smallest admissible gain is closed form, and grid_solve takes
+the optimum over alpha from closed-form candidates:
+  - alpha = 0 and alpha = 1;
+  - the roots in (0, 1) of p = rhs, p = 0, du = cap and rhs*du = cap*p,
+    which lie on the constraints, inside their REL_TOL tests, so that
+    arithmetic in another order admits them too, and the vertices of
+    those quadratics, which catch tangencies within REL_TOL;
+  - the minimum of f(alpha) = (1 - alpha)^2 + (1 - sqrt(rhs/p))^2 inside
+    each stretch where 0 < p < rhs and p falls; where p rises f falls.
+    f is convex where 2p'^2 + D >= 0 (D = B^2 - 4AC of p), always so
+    where p is concave or has real roots, and safeguarded Newton finds
+    its one stationary point.  Elsewhere f' runs - + - at most, and the
+    root of a sextic brackets the minimum (_Band.stationary).
+Each candidate is admitted by the REL_TOL tests of C1 and C2 at its own
+alpha, and ties go to the larger alpha.  The search runs on the band's
+powers divided by 2^e, e the frexp exponent of the largest: the problem
+is homogeneous of degree one in them, so that moves no rounding and
+keeps the root arithmetic far from overflow.  The search runs on Python
+floats, which overflow to inf without a warning and raise on a zero
+divisor; every divisor it forms is checked nonzero or positive first.
 
-Every grid value is one einsum contraction (_on_grid) that multiplies
-and then adds in _quad's single-alpha order, so it equals the value at
-a single alpha; an exact zero may lose its sign (the sum starts from
-+0), and no decision reads that sign.
+The fixed grid ALPHAS (2001 points, both ends exact) remains for the
+fallbacks, which take the bands where no point is admissible, and for
+the blind method's first stage.  Every grid value is one einsum
+contraction (_on_grid) that multiplies and then adds in _quad's
+single-alpha order, so it equals the value at a single alpha; an exact
+zero may lose its sign (the sum starts from +0), and no decision reads
+that sign.
 
-The fallbacks and the C1-reach test divide by the far-end noise power
-du directly.  Their guards apply only where du has a zero on the grid,
-for fallback_both's SNR also where sigma_n2 = 0, and for the reach test
-also where cap/du overflows (an infinite cap included).  C2-dead bands,
-the only ones fallback_c2 gets, never need them: du > cap >= 0 at every
-alpha under a finite cap.
+The fallbacks divide by the far-end noise power du directly.  Their
+guards apply only where du has a zero on the grid, for fallback_both's
+SNR also where sigma_n2 = 0.  C2-dead bands, the only ones fallback_c2
+gets, never need them: du > cap >= 0 at every alpha under a finite cap.
 """
 
 import math
@@ -298,20 +316,267 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     return None
 
 
+def _std(c):
+    """Power-basis coefficients (A, B, C) of A*alpha^2 + B*alpha + C from
+    an (at_one, at_zero, cross) triple."""
+    at_one, at_zero, cross = c
+    return at_one + at_zero - cross, cross - 2.0 * at_zero, at_zero
+
+
+def _at(alpha, c):
+    """The quadratic of an (at_one, at_zero, cross) triple at a float
+    alpha, in _quad's order and so with its bits."""
+    b = 1.0 - alpha
+    return alpha * alpha * c[0] + b * b * c[1] + alpha * b * c[2]
+
+
+def _roots(a, b, c):
+    """The vertex -b/(2a) of a*x^2 + b*x + c and its real roots, from the
+    form that never subtracts near-equal terms; where a = 0, the root of
+    b*x + c."""
+    if a == 0.0:
+        return (-c / b,) if b != 0.0 else ()
+    vertex = -b / (2.0 * a)
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return (vertex,)
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (vertex, q / a, c / q) if q != 0.0 else (vertex,)
+
+
+def _extreme(c, top):
+    """The largest (top) or the smallest value of a quadratic over
+    [0, 1]: at an end, or at its vertex where that lies inside."""
+    a, b, _ = _std(c)
+    values = [c[1], c[0]]
+    if a != 0.0 and 0.0 < -b / (2.0 * a) < 1.0:
+        values.append(_at(-b / (2.0 * a), c))
+    return max(values) if top else min(values)
+
+
+def _take(found, alpha, g):
+    """Append (penalty, alpha, g) to found and return the penalty,
+    summed as (1-g)^2 + (1-alpha)^2."""
+    pen = (1.0 - g) * (1.0 - g) + (1.0 - alpha) * (1.0 - alpha)
+    found.append((pen, alpha, g))
+    return pen
+
+
+def _zero(fn, lo, hi):
+    """The zero of fn in (lo, hi), given fn(lo) < 0 < fn(hi) and one sign
+    change between: Newton steps on fn(x) = (value, slope), bisecting
+    where a step would leave the bracket."""
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        s, ds = fn(x)
+        if s < 0.0:
+            lo = x
+        elif s > 0.0:
+            hi = x
+        else:
+            return x
+        nx = x - s / ds if ds > 0.0 else math.nan
+        if abs(nx - x) <= 4e-16 * abs(x):
+            return nx
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+            if nx == lo or nx == hi:
+                return nx
+        x = nx
+    return x
+
+
+class _Band:
+    """One band's search over alpha on its scaled powers: margin and
+    noise are (at_one, at_zero, cross) triples of p and du."""
+
+    __slots__ = ("margin", "noise", "rhs", "cap", "rhs_lo", "cap_hi", "pa",
+                 "pb", "pc")
+
+    def __init__(self, margin, noise, rhs, cap):
+        self.margin, self.noise, self.rhs, self.cap = margin, noise, rhs, cap
+        self.rhs_lo, self.cap_hi = rhs * (1.0 - REL_TOL), cap * (1.0 + REL_TOL)
+        self.pa, self.pb, self.pc = _std(margin)
+
+    def gain(self, alpha):
+        """The least gain meeting C1 at one alpha (1 where the margin
+        covers rhs to REL_TOL), or None where C1 or C2 fails its REL_TOL
+        test there.  p and du are _at's values, inlined."""
+        b = 1.0 - alpha
+        a2, b2, ab = alpha * alpha, b * b, alpha * b
+        m, u = self.margin, self.noise
+        p = a2 * m[0] + b2 * m[1] + ab * m[2]
+        if p >= self.rhs_lo:
+            g = 1.0
+        elif self.rhs > 0.0 and p > 0.0:
+            g = math.sqrt(self.rhs / p)
+        else:
+            return None
+        du = a2 * u[0] + b2 * u[1] + ab * u[2]
+        return g if g * g * du <= self.cap_hi else None
+
+    def inward(self, alpha, toward):
+        """(alpha, gain) of the first admissible float from alpha on the
+        way to the admissible toward, in doubling steps: a root of p = 0
+        (the C1 edge where rhs = 0) or a vertex at a tangency may round
+        to the wrong side of its test."""
+        step = math.copysign(math.ulp(alpha if alpha else toward),
+                             toward - alpha)
+        while True:
+            alpha += step
+            if (toward - alpha) * step <= 0.0:
+                return toward, self.gain(toward)
+            g = self.gain(alpha)
+            if g is not None:
+                return alpha, g
+            step *= 2.0
+
+    def slope(self, alpha):
+        """f'(alpha) of f = (1-alpha)^2 + (1-g)^2, g = sqrt(rhs/p), and
+        f''(alpha); f' is +inf where p has reached 0."""
+        p = _at(alpha, self.margin)
+        if p <= 0.0:
+            return math.inf, math.inf
+        g = math.sqrt(self.rhs / p)
+        dp = 2.0 * self.pa * alpha + self.pb
+        dg = -0.5 * g * dp / p
+        d2g = g * (0.75 * dp * dp / p - self.pa) / p
+        return (-2.0 * (1.0 - alpha) + 2.0 * (g - 1.0) * dg,
+                2.0 + 2.0 * dg * dg + 2.0 * (g - 1.0) * d2g)
+
+    def stationary(self, lo, hi):
+        """The minimum of f inside (lo, hi), where p falls and 0 < p <
+        rhs, or None.
+
+        (1 - sqrt(rhs/p))^2 is convex where sqrt(rhs/p) is, that is where
+        3p'^2 - 2p p'' = 2p'^2 + D >= 0 (D = B^2 - 4AC of p): wherever p
+        is concave or has real roots, and elsewhere where |p'| is large
+        enough; |p'| is least at hi.  Convex f has one stationary point.
+
+        Elsewhere p = A((m - alpha)^2 + k) with A, k > 0.  With R = rhs/A
+        and y = sqrt(rhs/p), which rises with alpha, f' has the sign of
+        Psi(y) - R(1 - m), Psi(y) = sqrt(R/y^2 - k) (y^4 - y^3 - R).  Psi
+        rises where y^4 - y^3 < R; beyond that, d ln Psi/dy has the sign
+        of zeta(y) = -4k y^6 + 3k y^5 + 3R y^4 - 2R y^3 + R^2, which is
+        positive at y = 1 (R > k, as p < rhs) and changes sign once on
+        y > 1, since zeta'/(3y^2) is concave there.  So Psi rises to the
+        root y* of zeta and then falls, f' runs - + - at most, and the
+        minimum is f''s one zero before y*.
+        """
+        pa, pb, pc = self.pa, self.pb, self.pc
+        disc = pb * pb - 4.0 * pa * pc
+        dp = 2.0 * pa * hi + pb
+        if pa > 0.0 and 2.0 * dp * dp + disc < 0.0:
+            k, r = -disc / (4.0 * pa * pa), self.rhs / pa
+
+            def falls(y):
+                """-zeta(y) and its slope: zeta falls through 0 at y*."""
+                y2 = y * y
+                return (((((4.0 * k * y - 3.0 * k) * y - 3.0 * r) * y
+                          + 2.0 * r) * y2 * y - r * r),
+                        3.0 * y2 * (((8.0 * k * y - 5.0 * k) * y - 4.0 * r)
+                                    * y + 2.0 * r))
+
+            # y at the ends; p >= A k, its least value, rounding aside
+            y_lo = math.sqrt(self.rhs / _at(lo, self.margin))
+            y_hi = math.sqrt(self.rhs / max(_at(hi, self.margin), pa * k))
+            if falls(y_hi)[0] > 0.0:
+                if falls(y_lo)[0] >= 0.0:
+                    return None  # past y* already: f' runs + -
+                y = _zero(falls, y_lo, y_hi)
+                hi = min(hi, -pb / (2.0 * pa)
+                         - math.sqrt(max(r / (y * y) - k, 0.0)))
+                if not lo < hi:
+                    return None
+        # f' changes sign at most once in (lo, hi), from - to + at a minimum
+        if not self.slope(lo)[0] < 0.0 < self.slope(hi)[0]:
+            return None
+        return _zero(self.slope, lo, hi)
+
+    def search(self):
+        """(alpha, g) of the least penalty among the candidates, ties
+        going to the larger alpha, or None where none is admissible."""
+        noise, rhs, cap = self.noise, self.rhs, self.cap
+        pa, pb, pc = self.pa, self.pb, self.pc
+        cuts = [*_roots(pa, pb, pc - rhs)]
+        if rhs > 0.0:
+            cuts += _roots(pa, pb, pc)
+        if cap < math.inf:
+            ua, ub, uc = _std(noise)
+            cuts += _roots(ua, ub, uc - cap)
+            if rhs > 0.0:
+                cuts += _roots(cap * pa - rhs * ua, cap * pb - rhs * ub,
+                               cap * pc - rhs * uc)
+        points = sorted({0.0, 1.0, *(x for x in cuts if 0.0 < x < 1.0)},
+                        reverse=True)
+        # right to left: no alpha left of hi beats (1 - hi)^2
+        found = []
+        best = math.inf
+        hi, g_hi = 1.0, self.gain(1.0)
+        if g_hi is not None:
+            best = _take(found, hi, g_hi)
+        for lo in points[1:]:
+            if (1.0 - hi) * (1.0 - hi) >= best:
+                break
+            g_lo = self.gain(lo)
+            if g_lo is not None:
+                best = min(best, _take(found, lo, g_lo))
+            mid = 0.5 * (lo + hi)
+            # the tests keep their signs between cuts: where an end
+            # fails, the midpoint tells whether the interval admits any
+            # point (then that end is a root that rounded outside)
+            if g_lo is None or g_hi is None:
+                if self.gain(mid) is None:
+                    hi, g_hi = lo, g_lo
+                    continue
+                if g_hi is None:
+                    best = min(best, _take(found, *self.inward(hi, mid)))
+                    hi = found[-1][1]
+                if g_lo is None:
+                    best = min(best, _take(found, *self.inward(lo, mid)))
+            p = _at(mid, self.margin)
+            if 0.0 < p < self.rhs_lo and 2.0 * pa * mid + pb < 0.0:
+                x = self.stationary(found[-1][1] if g_lo is None else lo, hi)
+                g = None if x is None else self.gain(x)
+                if g is not None:
+                    best = min(best, _take(found, x, g))
+            hi, g_hi = lo, g_lo
+        if not found:
+            return None
+        tie = best + 1e-12 * max(abs(best), 1e-300)
+        return max((x, g) for pen, x, g in found if pen <= tie)
+
+    def reach(self):
+        """Whether the largest C1 left-hand side the cap admits, cap*p/du,
+        meets the target somewhere: where rhs > 0, cap*p - rhs(1-REL_TOL)
+        *du >= 0 somewhere p > 0; otherwise p >= rhs(1-REL_TOL), which
+        unit gain meets, somewhere."""
+        margin, noise, cap = self.margin, self.noise, self.cap
+        if self.rhs <= 0.0:
+            return _extreme(margin, True) >= self.rhs_lo
+        if cap == math.inf:
+            return _extreme(margin, True) > 0.0
+        h = [cap * m - self.rhs_lo * u for m, u in zip(margin, noise)]
+        a, b, _ = _std(h)
+        return any(0.0 <= x <= 1.0 and _at(x, margin) > 0.0
+                   and _at(x, h) >= 0.0
+                   for x in (0.0, 1.0, -b / (2.0 * a) if a else 0.0))
+
+
 def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
-    """Grid search over alpha with the closed-form minimal gain per point.
+    """The exact optimum over alpha from closed-form candidates, with the
+    minimal gain at each.
 
     The do-nothing point is answered first: where alpha = 1 at unit gain
     is admissible its penalty 0 is the minimum and ties go to the larger
-    alpha, so the search would return it too.  Dispatches to the
-    matching fallback when no point is admissible.  Every band checks
-    delta_n_db (boost_fraction), whichever route it takes.
+    alpha.  Dispatches to the matching fallback when no point is
+    admissible.  Every band checks delta_n_db (boost_fraction), whichever
+    route it takes.
 
-    A dead constraint skips the gain search, which could admit nothing:
-    C2 is dead where the noise power exceeds the cap at every alpha,
-    since every gain is at least 1 and so, in floats too, g^2 * du >= du;
-    C1 is dead where rhs > 0 and the margin is nowhere positive, since no
-    gain lifts it.
+    A dead constraint skips the search, which could admit nothing: C2 is
+    dead where the noise power exceeds the cap at every alpha, since
+    every gain is at least 1; C1 is dead where rhs > 0 and the margin is
+    nowhere positive, since no gain lifts it.
     """
     theta = boost_fraction(delta_n_db)
     rhs, cap = constraint_bounds(terms, delta_u_db)
@@ -319,57 +584,23 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     if _unit_gain_ok(margin[0], terms.du_ref, rhs, cap):
         return _solution(1.0, 1.0, BandStatus.FEASIBLE)
 
-    du, p = _on_grid(np.array(
-        [(terms.du_ref, terms.du_nr, terms.du_cross), margin]))
-    cap_hi = cap * (1.0 + REL_TOL)
-    pos = p > 0.0
-    du_min = du.min()
-    c2_gone = du_min > cap_hi
-    c1_gone = rhs > 0.0 and not pos[pos.argmax()]
-
+    noise = (terms.du_ref, terms.du_nr, terms.du_cross)
+    e = math.frexp(max(abs(terms.ds_ref), abs(terms.ds_nr),
+                       abs(terms.ds_cross), abs(noise[0]), abs(noise[1]),
+                       abs(noise[2]), abs(terms.sigma_n2)))[1]
+    scaled = [math.ldexp(v, -e) for v in (*margin, *noise, rhs, cap)]
+    band = _Band(scaled[0:3], scaled[3:6], *scaled[6:])
+    c2_gone = _extreme(band.noise, False) > band.cap_hi
+    c1_gone = rhs > 0.0 and not _extreme(band.margin, True) > 0.0
     if not (c1_gone or c2_gone):
-        # smallest gain meeting C1 at each alpha: 1 where the margin
-        # already covers the target, sqrt(rhs/p) where it is positive
-        # but short (pos > at_unit)
-        at_unit = p >= rhs * (1.0 - REL_TOL)
-        g = _ONES.copy()
-        np.divide(rhs, p, out=g, where=pos > at_unit)
-        np.sqrt(g, out=g)
-        load = g * g
-        load *= du
-        # at_unit | pos: a margin covering rhs <= 0 includes every
-        # positive one, and a margin covering rhs > 0 is positive
-        feasible = load <= cap_hi
-        feasible &= at_unit if rhs <= 0.0 else pos
-        if feasible[feasible.argmax()]:
-            # (1-alpha)^2 + (1-g)^2, NaN leaving inadmissible points out
-            penalty = np.full_like(load, np.nan)
-            np.add(np.square(1.0 - g, out=load), _BASIS[1], out=penalty,
-                   where=feasible)
-            best = _pick_last(penalty)
-            return _solution(ALPHAS[best], g[best], BandStatus.FEASIBLE)
-
-    # classify which constraint is empty; the handlers re-search alpha
-    ds = _on_grid(np.array([(terms.ds_ref, terms.ds_nr, terms.ds_cross)],
-                           dtype=float))[0]
+        best = band.search()
+        if best is not None:
+            return _solution(*best, BandStatus.FEASIBLE)
     if not c1_gone:
-        # the largest C1 left-hand side the cap admits, p*cap/du; where
-        # du has a zero or cap/du may overflow (an infinite cap included),
-        # a positive margin without far-end noise reaches any target, a
-        # zero margin nothing.  du >= du_min bounds cap/du at every alpha:
-        # below 2^1020 where du_min > cap * 2^-1020, checked undivided.
-        if du_min > cap * 2.0 ** -1020:
-            reach = cap / du
-            reach *= p
-        else:
-            reach = np.where(pos, np.inf, 0.0)
-            live = du > 0.0
-            with np.errstate(over="ignore"):
-                ratio = np.divide(cap, du, out=_ONES.copy(), where=live)
-            np.multiply(p, ratio, out=reach, where=live & (p != 0.0))
-        c1_gone = reach.max() < (rhs * (1.0 - REL_TOL) if rhs > 0.0
-                                 else 0.0)
+        c1_gone = not band.reach()
 
+    ds, du = _on_grid(np.array(
+        [(terms.ds_ref, terms.ds_nr, terms.ds_cross), noise], dtype=float))
     if c1_gone and not c2_gone:
         return fallback_c1(terms, ds, du, cap, theta)
     if c2_gone and not c1_gone:

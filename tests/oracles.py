@@ -5,6 +5,7 @@ closed-form interval checks, textbook formulas) without calling into
 the library's own search logic, so agreement is meaningful.
 """
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -59,6 +60,52 @@ def gain_interval(terms, alpha, delta_u_db):
 def feasible_exists(terms, delta_u_db, n_alpha=2001):
     return any(gain_interval(terms, a, delta_u_db) is not None
                for a in np.linspace(0.0, 1.0, n_alpha))
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_basis(n_alpha):
+    """alpha over [0, 1] and its basis alpha^2, (1-alpha)^2, alpha*(1-alpha),
+    read-only, since every caller shares them."""
+    alphas = np.linspace(0.0, 1.0, n_alpha)
+    arrays = (alphas, alphas * alphas, (1.0 - alphas) ** 2,
+              alphas * (1.0 - alphas))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def alpha_scan(terms, delta_u_dbs, n_alpha=200001):
+    """Per C2 cap delta_u_db, (penalty, alpha) of the best admissible
+    point of a dense alpha scan, or None if it admits none.
+
+    At each alpha the least gain meeting C1 is closed form: 1 where the
+    margin p covers rhs to REL_TOL, sqrt(rhs/p) where p is positive but
+    short; the point is admissible where that gain meets C2 to REL_TOL.
+    These are the solver's own tests, so the scan and the solver admit
+    the same points.  Neither the gain nor the penalty depends on the
+    cap, so one scan serves every delta_u_db.
+    """
+    rhs, _ = constraint_bounds(terms, 0.0)
+    alphas, a2, b2, ab = _scan_basis(n_alpha)
+    du = terms.du_ref * a2 + terms.du_nr * b2 + terms.du_cross * ab
+    p = terms.ds_ref * a2 + terms.ds_nr * b2 + terms.ds_cross * ab
+    p -= du * terms.target_snr
+    at_unit = p >= rhs * (1.0 - REL_TOL)
+    g = np.ones_like(alphas)
+    np.divide(rhs, p, out=g, where=(p > 0.0) & ~at_unit)
+    np.sqrt(g, out=g)
+    load = g * g * du
+    # the penalty where C1 holds, inf elsewhere
+    penalty = np.where(at_unit if rhs <= 0.0 else p > 0.0,
+                       b2 + (1.0 - g) ** 2, np.inf)
+    out = []
+    for delta_u_db in delta_u_dbs:
+        _, cap = constraint_bounds(terms, delta_u_db)
+        masked = np.where(load <= cap * (1.0 + REL_TOL), penalty, np.inf)
+        best = int(masked.argmin())
+        out.append(None if masked[best] == np.inf
+                   else (float(masked[best]), float(alphas[best])))
+    return out
 
 
 def _true_run(suffix, holds, n):

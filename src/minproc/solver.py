@@ -563,6 +563,23 @@ class _Band:
                    for x in (0.0, 1.0, -b / (2.0 * a) if a else 0.0))
 
 
+def _exponent(powers, derived):
+    """The e of the 2^-e by which grid_solve scales a band: the frexp
+    exponent of its largest nonzero power, lowered to e_min + 1021 (e_min
+    that of the least) so that no nonzero power turns subnormal, but
+    never so far that a finite power or derived value overflows; 0
+    where every power is zero."""
+    mags = [abs(v) for v in powers if v]
+    if not mags:
+        return 0
+    e = math.frexp(max(mags))[1]
+    low = math.frexp(min(mags))[1] + 1021
+    if low < e:  # the powers span more than the normal range
+        top = max(v for v in map(abs, (*mags, *derived)) if v < math.inf)
+        e = max(low, math.frexp(top)[1] - 1024)
+    return e
+
+
 def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     """The exact optimum over alpha from closed-form candidates, with the
     minimal gain at each.
@@ -585,9 +602,8 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
         return _solution(1.0, 1.0, BandStatus.FEASIBLE)
 
     noise = (terms.du_ref, terms.du_nr, terms.du_cross)
-    e = math.frexp(max(abs(terms.ds_ref), abs(terms.ds_nr),
-                       abs(terms.ds_cross), abs(noise[0]), abs(noise[1]),
-                       abs(noise[2]), abs(terms.sigma_n2)))[1]
+    e = _exponent((terms.ds_ref, terms.ds_nr, terms.ds_cross, *noise,
+                   terms.sigma_n2), (*margin, rhs, cap))
     scaled = [math.ldexp(v, -e) for v in (*margin, *noise, rhs, cap)]
     band = _Band(scaled[0:3], scaled[3:6], *scaled[6:])
     c2_gone = _extreme(band.noise, False) > band.cap_hi

@@ -19,6 +19,7 @@ from minproc.scene import SpectralStats
 from minproc.solver import (
     ALPHAS,
     REL_TOL,
+    BandSolution,
     BandStatus,
     SolverTerms,
     band_terms,
@@ -322,6 +323,14 @@ def test_solutions_invariant_under_power_of_two_scaling():
                 scaled = dataclasses.replace(t, **{
                     name: np.ldexp(getattr(t, name), e) for name in names})
                 assert solve_band(scaled) == want, (t, e)
+
+
+def test_subnormal_power_keeps_its_sign():
+    # p(alpha) = -5e-324 alpha^2 < 0 = rhs beyond alpha = 0: a scale
+    # that rounded the least power to -0 would admit alpha = 1
+    terms = SolverTerms(-5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    assert solve_band(terms, np.inf) \
+        == BandSolution(0.0, 1.0, BandStatus.FEASIBLE)
 
 
 def test_vanishing_margin_with_far_end_noise_solves_quietly():

@@ -30,16 +30,13 @@ from .beamform import (
 )
 from .filterbank import allocate_targets
 from .solver import (
-    ALPHAS,
     DELTA_N_DB,
     DELTA_U_DB,
     REL_TOL,
     BandSolution,
     BandStatus,
     SolverTerms,
-    _last_true,
-    _on_grid,
-    _pick_last,
+    _blind_alpha,
     _speech_per_bin,
     band_rows,
     band_term_table,
@@ -165,23 +162,20 @@ def blind_gain(delta_y, sigma_n2, target_snr):
 def run_blind_concat(stats, bset, fb, a_star=0.7):
     """Far-end stage then near-end stage, no shared noise knowledge.
 
-    Stage 1 picks the largest alpha of the solver's grid ALPHAS whose
-    clean-speech-to-error ratio (speech distortion plus residual noise
-    in place of the near-end noise it cannot see) reaches the band
-    target; failing that, the alpha with the best ratio.  Stage 2
-    applies blind_gain to the total power the first stage delivers.
+    Stage 1 picks the largest alpha in [0, 1] whose clean-speech-to-error
+    ratio (speech distortion plus residual noise in place of the
+    near-end noise it cannot see) reaches the band target; failing that,
+    the alpha with the best ratio (solver._blind_alpha).  Stage 2 applies
+    blind_gain to the total power the first stage delivers.
     """
 
     def decide(t):
-        clean = fb.weight @ stats.sigma_s2
-        eps = _on_grid(_distortion_table(stats, bset, fb))
-        eps += _on_grid(np.column_stack((t.du_ref, t.du_nr, t.du_cross)))
-        ratio = np.divide(clean[:, None], eps, out=np.full_like(eps, np.inf),
-                          where=eps > 0.0)
-        ok = ratio >= (t.target_snr * (1.0 - REL_TOL))[:, None]
-        met = ok.any(axis=1)
-        alphas = ALPHAS[[_last_true(row) if m else _pick_last(-r)
-                         for row, r, m in zip(ok, ratio, met)]]
+        clean = (fb.weight @ stats.sigma_s2).tolist()
+        eps = _distortion_table(stats, bset, fb) \
+            + np.column_stack((t.du_ref, t.du_nr, t.du_cross))
+        floors = (t.target_snr * (1.0 - REL_TOL)).tolist()
+        alphas, met = map(np.array, zip(*map(_blind_alpha, clean,
+                                             eps.tolist(), floors)))
 
         delta_y = t.speech_power(alphas) + t.noise_power(alphas)
         return (alphas, blind_gain(delta_y, t.sigma_n2, t.target_snr),

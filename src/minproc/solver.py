@@ -30,25 +30,17 @@ the optimum over alpha from closed-form candidates:
     its one stationary point.  Elsewhere f' runs - + - at most, and the
     root of a sextic brackets the minimum (_Band.stationary).
 Each candidate is admitted by the REL_TOL tests of C1 and C2 at its own
-alpha, and ties go to the larger alpha.  The search runs on the band's
-powers divided by 2^e, e the frexp exponent of the largest: the problem
-is homogeneous of degree one in them, so that moves no rounding and
-keeps the root arithmetic far from overflow.  The search runs on Python
-floats, which overflow to inf without a warning and raise on a zero
-divisor; every divisor it forms is checked nonzero or positive first.
-
-The fixed grid ALPHAS (2001 points, both ends exact) remains for the
-fallbacks, which take the bands where no point is admissible, and for
-the blind method's first stage.  Every grid value is one einsum
-contraction (_on_grid) that multiplies and then adds in _quad's
-single-alpha order, so it equals the value at a single alpha; an exact
-zero may lose its sign (the sum starts from +0), and no decision reads
-that sign.
-
-The fallbacks divide by the far-end noise power du directly.  Their
-guards apply only where du has a zero on the grid, for fallback_both's
-SNR also where sigma_n2 = 0.  C2-dead bands, the only ones fallback_c2
-gets, never need them: du > cap >= 0 at every alpha under a finite cap.
+alpha, and ties go to the larger alpha.  Where none is, a fallback takes
+the band; its objective is a ratio of quadratics, whose optimum lies
+among closed-form candidates too: 0, 1, the ratio's turns and the roots
+where it meets its target or its denominator vanishes.  No alpha grid
+remains.  All of it runs on the band's powers divided by 2^e, e the
+frexp exponent of the largest, lowered where needed so that none turns
+subnormal (_exponent): the problem is homogeneous of degree one in
+them, so that moves no rounding and keeps the root arithmetic far from
+overflow.  It runs on Python floats, which overflow to inf without a
+warning and raise on a zero divisor; every divisor it forms is checked
+nonzero or positive first.
 """
 
 import math
@@ -59,7 +51,6 @@ import numpy as np
 
 __all__ = [
     "REL_TOL",
-    "ALPHAS",
     "DELTA_U_DB",
     "DELTA_N_DB",
     "BandStatus",
@@ -86,20 +77,6 @@ DELTA_U_DB = 12.0
 DELTA_N_DB = 10.0
 
 
-def _basis(a):
-    """alpha^2, (1-alpha)^2 and alpha*(1-alpha): the quadratic basis."""
-    return a * a, (1.0 - a) * (1.0 - a), a * (1.0 - a)
-
-
-# the alpha grid of every search; it holds 0.0 and 1.0 exactly
-ALPHAS = np.linspace(0.0, 1.0, 2001)
-# its basis, formed once as (3, 2001) stacked rows, and unit gain over it
-_BASIS = np.array(_basis(ALPHAS))
-_ONES = np.ones_like(ALPHAS)
-for _read_only in (ALPHAS, _BASIS, _ONES):
-    _read_only.flags.writeable = False
-
-
 class BandStatus(Enum):
     FEASIBLE = "Feasible"
     C1_INFEASIBLE = "C1Infeasible"
@@ -110,19 +87,14 @@ class BandStatus(Enum):
         return self.value
 
 
-def _on_grid(coefs):
-    """Each (at_one, at_zero, cross) row's quadratic over ALPHAS: (n, 3)
-    coefficients, (n, 2001) values, summed in _quad's order."""
-    return np.einsum("ij,jk->ik", coefs, _BASIS)
-
-
 def _quad(alpha, at_one, at_zero, cross):
     """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross."""
-    a2, b2, ab = _basis(np.asarray(alpha, dtype=float))
+    a = np.asarray(alpha, dtype=float)
+    b = 1.0 - a
     # in place, fewer temporaries; the sum keeps its left-to-right order
-    out = a2 * at_one
-    out += b2 * at_zero
-    out += ab * cross
+    out = a * a * at_one
+    out += b * b * at_zero
+    out += a * b * cross
     return out
 
 
@@ -221,44 +193,15 @@ def snr_margin(terms, alpha):
     return _quad(alpha, *_margin_coefs(terms))
 
 
-def _ratio(num, den):
-    """num / den where den > 0; elsewhere inf where num > 0 and 0 where
-    not."""
-    return np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
-                     where=den > 0.0)
-
-
-def _snr(g2, speech, noise, sigma_n2):
-    """subband_snr from the squared gain and the two processed powers."""
-    return _ratio(g2 * speech, g2 * noise + sigma_n2)
-
-
 def subband_snr(terms, alpha, g):
     """Near-end SNR g^2*speech / (g^2*noise + sigma_n2).  On a zero
     denominator it is inf where speech arrives and 0 where it does not."""
-    g = np.asarray(g, dtype=float)
-    out = _snr(g * g, terms.speech_power(alpha), terms.noise_power(alpha),
-               terms.sigma_n2)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _last_true(mask):
-    """Index of the last True entry of a boolean array."""
-    return mask.size - 1 - int(mask[::-1].argmax())
-
-
-def _pick_last(values):
-    """Index of the smallest value, NaN entries left out, ties (to 1e-12
-    relative) going to the largest index, i.e. toward larger alpha on an
-    increasing grid.  Pass the negated values to pick the largest.  An
-    infinite best has no relative tolerance: the last entry equal to it
-    wins."""
-    best = np.fmin.reduce(values)
-    if not math.isfinite(best):
-        return _last_true(values == best)
-    return _last_true(values <= best + 1e-12 * max(abs(best), 1e-300))
+    g2 = np.square(np.asarray(g, dtype=float))
+    num = g2 * terms.speech_power(alpha)
+    den = g2 * terms.noise_power(alpha) + terms.sigma_n2
+    out = np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
+                    where=den > 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _solution(alpha, g, status):
@@ -289,11 +232,6 @@ def boost_fraction(delta_n_db):
     return theta
 
 
-def _unit_gain_ok(margin, du, rhs, cap):
-    """C1 and C2 hold at g = 1, each to REL_TOL."""
-    return margin >= rhs * (1.0 - REL_TOL) and du <= cap * (1.0 + REL_TOL)
-
-
 def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     """Closed-form boundary candidates, checked in the order
     alpha=1 (i), alpha=1 (ii), alpha=0 (i), alpha=0 (ii).
@@ -302,17 +240,16 @@ def boundary_solution(terms, delta_u_db=DELTA_U_DB):
     gain and the noise cap holds, so (alpha, 1) is admissible.
     Condition (ii): the margin is positive but short, so the exact gain
     g = sqrt(sigma_n2*target_snr / margin) makes C1 tight; admissible if
-    that gain respects the cap.  Returns None when nothing applies.
+    that gain respects the cap (_Band.gain).  Returns None when nothing
+    applies.
     """
-    rhs, cap = constraint_bounds(terms, delta_u_db)
+    band = _Band(_margin_coefs(terms),
+                 (terms.du_ref, terms.du_nr, terms.du_cross),
+                 *constraint_bounds(terms, delta_u_db))
     for alpha in (1.0, 0.0):
-        margin, du = snr_margin(terms, alpha), terms.noise_power(alpha)
-        if _unit_gain_ok(margin, du, rhs, cap):
-            return _solution(alpha, 1.0, BandStatus.FEASIBLE)
-        if 0.0 < margin < rhs:
-            g2 = rhs / margin
-            if g2 * du <= cap * (1.0 + REL_TOL):
-                return _solution(alpha, np.sqrt(g2), BandStatus.FEASIBLE)
+        g = band.gain(alpha)
+        if g is not None:
+            return _solution(alpha, g, BandStatus.FEASIBLE)
     return None
 
 
@@ -354,9 +291,64 @@ def _extreme(c, top):
     return max(values) if top else min(values)
 
 
+def _inside(*cuts):
+    """0, 1 and those of cuts that lie inside (0, 1), largest first."""
+    return sorted({0.0, 1.0, *(x for x in cuts if 0.0 < x < 1.0)},
+                  reverse=True)
+
+
+def _cuts(c):
+    """The alphas in (0, 1) where an (at_one, at_zero, cross) triple's
+    quadratic vanishes, or may turn: it is (1 - alpha)^2 (c[0] z^2 +
+    c[2] z + c[1]), z = alpha / (1 - alpha), whose vertex and roots z > 0
+    map to alpha = z / (1 + z); z keeps a root near an end apart from it,
+    where the power basis would not."""
+    return [z / (1.0 + z) for z in _roots(c[0], c[2], c[1]) if z > 0.0]
+
+
+def _turns(num, den):
+    """Where num/den may turn, two triples: in z its slope's numerator
+    is a quadratic (the cubic terms cancel), whose _cuts these are."""
+    n1, n0, nc = num
+    d1, d0, dc = den
+    return _cuts((n1 * dc - nc * d1, nc * d0 - n0 * dc,
+                  2.0 * (n1 * d0 - n0 * d1)))
+
+
+def _div(num, den):
+    """num / den where den > 0; elsewhere inf where num > 0 and 0 where
+    not, as subband_snr reads a zero denominator."""
+    return num / den if den > 0.0 else (math.inf if num > 0.0 else 0.0)
+
+
+def _pick(found, floor=1e-300):
+    """(alpha, extra) of the largest alpha among found's (value, alpha,
+    extra) within 1e-12 * max(|best|, floor) of the least value, best;
+    an infinite best ties only with its equals."""
+    best = min(found)[0]
+    tie = best + 1e-12 * max(abs(best), floor) if math.isfinite(best) \
+        else best
+    return max((x, extra) for value, x, extra in found if value <= tie)
+
+
+def _inward(admits, alpha, toward):
+    """The first float from alpha on the way to toward that admits, in
+    doubling steps, or toward itself: a root of p = 0 (the C1 edge where
+    rhs = 0) or a vertex at a tangency may round to the wrong side of
+    its test."""
+    step = math.copysign(math.ulp(alpha if alpha else toward),
+                         toward - alpha)
+    while True:
+        alpha += step
+        if (toward - alpha) * step <= 0.0:
+            return toward
+        if admits(alpha):
+            return alpha
+        step *= 2.0
+
+
 def _take(found, alpha, g):
-    """Append (penalty, alpha, g) to found and return the penalty,
-    summed as (1-g)^2 + (1-alpha)^2."""
+    """Append (penalty, alpha, g) to found; return the penalty."""
     pen = (1.0 - g) * (1.0 - g) + (1.0 - alpha) * (1.0 - alpha)
     found.append((pen, alpha, g))
     return pen
@@ -414,22 +406,6 @@ class _Band:
             return None
         du = a2 * u[0] + b2 * u[1] + ab * u[2]
         return g if g * g * du <= self.cap_hi else None
-
-    def inward(self, alpha, toward):
-        """(alpha, gain) of the first admissible float from alpha on the
-        way to the admissible toward, in doubling steps: a root of p = 0
-        (the C1 edge where rhs = 0) or a vertex at a tangency may round
-        to the wrong side of its test."""
-        step = math.copysign(math.ulp(alpha if alpha else toward),
-                             toward - alpha)
-        while True:
-            alpha += step
-            if (toward - alpha) * step <= 0.0:
-                return toward, self.gain(toward)
-            g = self.gain(alpha)
-            if g is not None:
-                return alpha, g
-            step *= 2.0
 
     def slope(self, alpha):
         """f'(alpha) of f = (1-alpha)^2 + (1-g)^2, g = sqrt(rhs/p), and
@@ -507,11 +483,9 @@ class _Band:
             if rhs > 0.0:
                 cuts += _roots(cap * pa - rhs * ua, cap * pb - rhs * ub,
                                cap * pc - rhs * uc)
-        points = sorted({0.0, 1.0, *(x for x in cuts if 0.0 < x < 1.0)},
-                        reverse=True)
+        points = _inside(*cuts)
         # right to left: no alpha left of hi beats (1 - hi)^2
-        found = []
-        best = math.inf
+        found, best = [], math.inf
         hi, g_hi = 1.0, self.gain(1.0)
         if g_hi is not None:
             best = _take(found, hi, g_hi)
@@ -530,10 +504,11 @@ class _Band:
                     hi, g_hi = lo, g_lo
                     continue
                 if g_hi is None:
-                    best = min(best, _take(found, *self.inward(hi, mid)))
-                    hi = found[-1][1]
+                    hi = _inward(self.gain, hi, mid)
+                    best = min(best, _take(found, hi, self.gain(hi)))
                 if g_lo is None:
-                    best = min(best, _take(found, *self.inward(lo, mid)))
+                    x = _inward(self.gain, lo, mid)
+                    best = min(best, _take(found, x, self.gain(x)))
             p = _at(mid, self.margin)
             if 0.0 < p < self.rhs_lo and 2.0 * pa * mid + pb < 0.0:
                 x = self.stationary(found[-1][1] if g_lo is None else lo, hi)
@@ -541,10 +516,7 @@ class _Band:
                 if g is not None:
                     best = min(best, _take(found, x, g))
             hi, g_hi = lo, g_lo
-        if not found:
-            return None
-        tie = best + 1e-12 * max(abs(best), 1e-300)
-        return max((x, g) for pen, x, g in found if pen <= tie)
+        return _pick(found) if found else None
 
     def reach(self):
         """Whether the largest C1 left-hand side the cap admits, cap*p/du,
@@ -564,11 +536,9 @@ class _Band:
 
 
 def _exponent(powers, derived):
-    """The e of the 2^-e by which grid_solve scales a band: the frexp
-    exponent of its largest nonzero power, lowered to e_min + 1021 (e_min
-    that of the least) so that no nonzero power turns subnormal, but
-    never so far that a finite power or derived value overflows; 0
-    where every power is zero."""
+    """The e of grid_solve's scale 2^-e: the frexp exponent of the
+    largest nonzero power, lowered to the least's + 1021 so that none
+    turns subnormal, but not so far that a finite value overflows."""
     mags = [abs(v) for v in powers if v]
     if not mags:
         return 0
@@ -598,7 +568,8 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     theta = boost_fraction(delta_n_db)
     rhs, cap = constraint_bounds(terms, delta_u_db)
     margin = _margin_coefs(terms)
-    if _unit_gain_ok(margin[0], terms.du_ref, rhs, cap):
+    if margin[0] >= rhs * (1.0 - REL_TOL) \
+            and terms.du_ref <= cap * (1.0 + REL_TOL):
         return _solution(1.0, 1.0, BandStatus.FEASIBLE)
 
     noise = (terms.du_ref, terms.du_nr, terms.du_cross)
@@ -615,22 +586,26 @@ def grid_solve(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
     if not c1_gone:
         c1_gone = not band.reach()
 
-    ds, du = _on_grid(np.array(
-        [(terms.ds_ref, terms.ds_nr, terms.ds_cross), noise], dtype=float))
+    *speech, sigma_n2 = [math.ldexp(v, -e) for v in (
+        terms.ds_ref, terms.ds_nr, terms.ds_cross, terms.sigma_n2)]
     if c1_gone and not c2_gone:
-        return fallback_c1(terms, ds, du, cap, theta)
+        return fallback_c1(speech, band.noise, sigma_n2, band.cap, theta)
     if c2_gone and not c1_gone:
-        return fallback_c2(terms, ds, du)
-    return fallback_both(terms, ds, du, cap)
+        return fallback_c2(speech, band.noise, sigma_n2, terms.target_snr)
+    return fallback_both(speech, band.noise, sigma_n2, band.cap,
+                         terms.target_snr)
 
 
-def fallback_c1(terms, ds, du, cap, theta):
+def fallback_c1(speech, noise, sigma_n2, cap, theta):
     """Target unreachable: best far-end SNR, then a bounded near-end boost.
 
-    ds and du are speech_power and noise_power over ALPHAS, cap the C2
-    cap of constraint_bounds and theta the boost_fraction.  alpha
-    maximizes speech/noise over the grid.  The raw gain makes the
-    near-end noise cost exactly delta_n_db of that SNR,
+    speech and noise are the triples of speech_power and noise_power,
+    in one power-of-two scale with sigma_n2 and the C2 cap; theta is
+    the boost_fraction.  alpha maximizes ds/du over [0, 1]: at 0, 1, a
+    turn (_turns) or a root of du, where it reads inf if speech still
+    arrives (_div); ties, to 1e-12 relative, go to the larger alpha.
+    The raw gain makes the near-end noise cost exactly delta_n_db of
+    that SNR,
 
         g^2 = theta * sigma_n2 / ((1 - theta) * noise_power(alpha)),
         theta = 10^(-delta_n_db / 10),
@@ -639,68 +614,82 @@ def fallback_c1(terms, ds, du, cap, theta):
     for g.  The gain is then clipped into [1, C2 cap]; when the cap
     itself sits below one it wins and the status reports both
     constraints lost.
-
-    The ratio is guarded only where du has a zero on the grid: there it
-    is inf if speech still arrives and 0 if not.
     """
-    ratio = ds / du if du.min() > 0.0 else _ratio(ds, du)
-    best = _pick_last(np.negative(ratio, out=ratio))
-    alpha = ALPHAS[best]
-    du_best = du[best]
-
-    if du_best > 0.0:
-        g = np.sqrt(theta * terms.sigma_n2 / ((1.0 - theta) * du_best))
-    else:
-        g = 1.0
-
-    g_cap = np.sqrt(cap / du_best) if du_best > 0.0 else np.inf
+    alpha, du = _pick([
+        (-_div(_at(x, speech), _at(x, noise)), x, _at(x, noise))
+        for x in _inside(*_turns(speech, noise), *_cuts(noise))])
+    if not du > 0.0:
+        return _solution(alpha, 1.0, BandStatus.C1_INFEASIBLE)
+    g = math.sqrt(theta * sigma_n2 / ((1.0 - theta) * du))
+    g_cap = math.sqrt(cap / du)
     if g_cap < 1.0:
         return _solution(alpha, g_cap, BandStatus.BOTH_INFEASIBLE)
     return _solution(alpha, min(max(g, 1.0), g_cap),
                      BandStatus.C1_INFEASIBLE)
 
 
-def _steer(terms, xi, g, status):
-    """Pick the alpha whose SNR xi (over ALPHAS, at the kept gain g)
-    lands closest to the target."""
-    xi -= terms.target_snr
-    best = _pick_last(np.abs(xi, out=xi))
-    return _solution(ALPHAS[best], g[best], status)
+def _steer(points, target, status):
+    """The (xi, alpha, g) of points whose SNR xi lands closest to the
+    target.  Residuals |xi - target| within 1e-12 * max(best, target)
+    of the least, best, tie, so every alpha on target ties, and ties go
+    to the larger alpha."""
+    found = [(abs(xi - target), x, g) for xi, x, g in points]
+    return _solution(*_pick(found, target), status)
 
 
-def fallback_c2(terms, ds, du):
+def fallback_c2(speech, noise, sigma_n2, target):
     """Noise cap unreachable even unamplified: keep g = 1 and steer the
-    SNR as close to the target as the combination allows.
+    SNR ds / (du + sigma_n2) toward target (_steer), at 0, 1, a root of
+    ds - target (du + sigma_n2) or a turn.  Arguments as fallback_c1's."""
+    # du + sigma_n2 as a triple, the constant c being (c, c, 2c)
+    total = [u + w * sigma_n2 for u, w in zip(noise, (1.0, 1.0, 2.0))]
+    cuts = (*_cuts([s - target * u for s, u in zip(speech, total)]),
+            *_turns(speech, total))
+    return _steer([(_div(_at(x, speech), _at(x, noise) + sigma_n2), x, 1.0)
+                   for x in _inside(*cuts)],
+                  target, BandStatus.C2_INFEASIBLE)
 
-    Needs what grid_solve's C2-dead bands have: du > cap >= 0 at every
-    alpha under a finite cap, so du > 0 and sigma_n2 > 0, and the SNR
-    ds / (du + sigma_n2) divides directly.
-    """
-    return _steer(terms, ds / (du + terms.sigma_n2), _ONES,
-                  BandStatus.C2_INFEASIBLE)
+
+def fallback_both(speech, noise, sigma_n2, cap, target):
+    """Both constraints lost: run the gain at the C2 cap, g^2 = cap/du,
+    and steer the SNR k ds/du, k = cap / (cap + sigma_n2), toward target
+    (_steer), at 0, 1, a root of k ds - target du, a turn of ds/du or a
+    root of du; the cap wins over g >= 1.  Where no far-end noise passes
+    (du = 0) there is nothing to cap: unit gain, SNR ds / sigma_n2."""
+    k = cap / (cap + sigma_n2) if cap < math.inf else 1.0
+    cuts = (*_cuts([k * s - target * u for s, u in zip(speech, noise)]),
+            *_turns(speech, noise), *_cuts(noise))
+    points = []
+    for x in _inside(*cuts):
+        ds, du = _at(x, speech), _at(x, noise)
+        points.append((k * ds / du, x, math.sqrt(cap / du)) if du > 0.0
+                      else (_div(ds, du + sigma_n2), x, 1.0))
+    return _steer(points, target, BandStatus.BOTH_INFEASIBLE)
 
 
-def fallback_both(terms, ds, du, cap):
-    """Both constraints lost: run the gain at the C2 cap and steer the
-    SNR toward the target; the cap wins over g >= 1.  Where no far-end
-    noise passes (du = 0) there is nothing to cap and the gain is 1.
-    That guard applies only where du has a zero on the grid, the SNR's
-    also where sigma_n2 = 0; a C2-dead band needs neither."""
-    direct = du.min() > 0.0
-    if direct:
-        g = cap / du
-    else:
-        g = np.divide(cap, du, out=_ONES.copy(), where=du > 0.0)
-    np.sqrt(g, out=g)
-    g2 = g * g
-    if direct and terms.sigma_n2 > 0.0:
-        xi = g2 * ds
-        xi /= g2 * du + terms.sigma_n2
-    else:
-        xi = _snr(g2, ds, du, terms.sigma_n2)
-    return _steer(terms, xi, g, BandStatus.BOTH_INFEASIBLE)
+def _blind_alpha(clean, eps, floor):
+    """The blind first stage on one band, eps the error power's triple
+    and floor the target times 1 - REL_TOL: (alpha, met), alpha the
+    largest in [0, 1] with clean >= floor * eps(alpha) (or eps <= 0).
+    That is 1 or a root of floor * eps - clean, stepped inward where it
+    rounds outside the test; where no alpha meets it, the best ratio
+    clean / eps's, at an end or a turn, ties to the larger alpha."""
+    def meets(x):
+        e = _at(x, eps)
+        return e <= 0.0 or clean >= floor * e
+
+    flat = (clean, clean, 2.0 * clean)  # the constant clean as a triple
+    points = _inside(*_cuts([floor * e - c for e, c in zip(eps, flat)]))
+    # right to left; the test keeps its sign between roots
+    for hi, lo in zip(points, points[1:] + [None]):
+        if meets(hi):
+            return hi, True
+        if lo is not None and meets(0.5 * (lo + hi)):
+            return _inward(meets, hi, 0.5 * (lo + hi)), True
+    return _pick([(-_div(clean, _at(x, eps)), x, False)
+                  for x in _inside(*_turns(flat, eps))])
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):
-    """Solve one band: the grid optimum, or the matching fallback."""
+    """Solve one band: the exact optimum, or the matching fallback."""
     return grid_solve(terms, delta_u_db, delta_n_db)

@@ -62,6 +62,10 @@ def feasible_exists(terms, delta_u_db, n_alpha=2001):
                for a in np.linspace(0.0, 1.0, n_alpha))
 
 
+# points of the dense alpha scans, both ends included: a step of 5e-6
+SCAN_POINTS = 200001
+
+
 @functools.lru_cache(maxsize=1)
 def _scan_basis(n_alpha):
     """alpha over [0, 1] and its basis alpha^2, (1-alpha)^2, alpha*(1-alpha),
@@ -74,7 +78,7 @@ def _scan_basis(n_alpha):
     return arrays
 
 
-def alpha_scan(terms, delta_u_dbs, n_alpha=200001):
+def alpha_scan(terms, delta_u_dbs, n_alpha=SCAN_POINTS):
     """Per C2 cap delta_u_db, (penalty, alpha) of the best admissible
     point of a dense alpha scan, or None if it admits none.
 
@@ -106,6 +110,106 @@ def alpha_scan(terms, delta_u_dbs, n_alpha=200001):
         out.append(None if masked[best] == np.inf
                    else (float(masked[best]), float(alphas[best])))
     return out
+
+
+def _over(num, den):
+    """num / den elementwise where den > 0; elsewhere inf where num > 0
+    and 0 where not."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float),
+                                   np.asarray(den, dtype=float))
+    return np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0),
+                     where=den > 0.0)
+
+
+def _powers(terms, a2, b2, ab):
+    """(ds, du, trusted) over the basis values a2, b2, ab.  trusted marks
+    where neither power loses more than five digits to cancellation,
+    |q| >= 1e-5 times the sum of its terms' magnitudes, so that a ratio
+    of them holds to about 1e-10 relative; near a double root shared by
+    ds and du their ratio is rounding alone.  A triple with nonnegative
+    ends and |cross| <= 2 (1 - 1e-4) sqrt(at_one at_zero) is trusted
+    everywhere: q / sum >= (1 - |rho|) / (1 + |rho|) there."""
+    out, trusted = [], True
+    for c in ((terms.ds_ref, terms.ds_nr, terms.ds_cross),
+              (terms.du_ref, terms.du_nr, terms.du_cross)):
+        q = c[0] * a2 + c[1] * b2 + c[2] * ab
+        if not (min(c[0], c[1]) >= 0.0 and (
+                c[2] >= 0.0
+                or -c[2] <= 2.0 * (1.0 - 1e-4) * math.sqrt(c[0] * c[1]))):
+            size = abs(c[0]) * a2 + abs(c[1]) * b2 + abs(c[2]) * np.abs(ab)
+            trusted = trusted & (np.abs(q) >= 1e-5 * size)
+        out.append(q)
+    return (*out, trusted)
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_powers(powers):
+    """_powers over the dense scan for the six powers of a band."""
+    _, a2, b2, ab = _scan_basis(SCAN_POINTS)
+    return _powers(SolverTerms(*powers, 0.0, 0.0), a2, b2, ab)
+
+
+def fallback_objective(terms, delta_u_db, route, alpha=None):
+    """A fallback's own objective at alpha, in this module's arithmetic,
+    to be minimized; without alpha, its least over the dense scan's
+    trusted points (_powers):
+
+    * "c1": the negated far-end ratio -ds/du;
+    * "c2": the residual |xi - target| of the SNR at unit gain;
+    * "both": that residual at the cap gain g^2 = cap/du, where xi =
+      ds / (du (1 + sigma_n2/cap)); at unit gain where du <= 0.
+
+    A ratio over a non-positive denominator reads inf where its
+    numerator is positive and 0 where not."""
+    if alpha is None:
+        ds, du, trusted = _scan_powers((terms.ds_ref, terms.ds_nr,
+                                        terms.ds_cross, terms.du_ref,
+                                        terms.du_nr, terms.du_cross))
+    else:
+        a = float(alpha)
+        ds, du, trusted = _powers(terms, a * a, (1.0 - a) ** 2, a * (1.0 - a))
+    if route == "c1":
+        value = -_over(ds, du)
+    else:
+        sigma_n2 = terms.sigma_n2
+        if route == "both":
+            _, cap = constraint_bounds(terms, delta_u_db)
+            load = np.where(du > 0.0, du * (1.0 + sigma_n2 / cap),
+                            du + sigma_n2)
+        else:
+            load = du + sigma_n2
+        value = np.abs(_over(ds, load) - terms.target_snr)
+    if alpha is not None:
+        return float(value)
+    return float(np.where(trusted, value, np.inf).min())
+
+
+def first_stage_ratio(clean, eps, alpha=None):
+    """The blind first stage's ratio clean / eps at alpha (default: the
+    dense scan's alphas), eps an (at_one, at_zero, cross) triple; inf
+    where eps <= 0."""
+    if alpha is None:
+        _, a2, b2, ab = _scan_basis(SCAN_POINTS)
+    else:
+        a = np.asarray(alpha, dtype=float)
+        a2, b2, ab = a * a, (1.0 - a) ** 2, a * (1.0 - a)
+    e = eps[0] * a2 + eps[1] * b2 + eps[2] * ab
+    return np.divide(clean, e, out=np.full_like(e, np.inf), where=e > 0.0)
+
+
+def first_stage_scan(clean, eps, floor):
+    """Blind stage 1 by a dense scan: (alpha, met) of the largest scan
+    alpha whose ratio clean / eps(alpha) reaches floor (inf where eps <=
+    0), eps an (at_one, at_zero, cross) triple; where none does, the
+    largest alpha within 1e-12 relative of the best ratio."""
+    alphas = _scan_basis(SCAN_POINTS)[0]
+    ratio = first_stage_ratio(clean, eps)
+    ok = ratio >= floor
+    if ok.any():
+        return float(alphas[np.flatnonzero(ok)[-1]]), True
+    best = ratio.max()
+    near = ratio >= best - 1e-12 * abs(best)
+    return float(alphas[np.flatnonzero(near)[-1]]), False
 
 
 def _true_run(suffix, holds, n):
@@ -386,38 +490,36 @@ def reference_filter_pair(stats):
 
 
 def blind_by_band(stats, bset, fb, terms):
-    """0.3.0's blind concatenation, band by band on ``terms`` (one
-    SolverTerms per band): [(alpha, gain, met)], met telling whether the
-    first stage reached the band target.
-
-    Stage 1 takes the last alpha of the 2001-point grid whose
-    clean-to-error ratio reaches the target, else the last alpha within
-    1e-12 relative of the best ratio; stage 2 lifts the apparent SNR of
-    the delivered power to the target, never below unit gain.
-    """
-    alphas = np.linspace(0.0, 1.0, 2001)
+    """0.3.0's blind first stage, band by band on ``terms`` (one
+    SolverTerms per band) and by a dense scan (first_stage_scan):
+    [(alpha, met)], met telling whether it reached the band target.
+    Its error power is the distortion of the error pair (e1 - w_ref,
+    e1 - w_nr) plus the residual far-end noise."""
     e1 = reference_filter_pair(stats).w_ref
     error = BeamformerSet(w_ref=e1 - bset.w_ref, w_nr=e1 - bset.w_nr)
     out = []
     for j, t in enumerate(terms):
         members = np.flatnonzero(fb.weight[j] > 0.0)
         clean = float(fb.weight[j, members] @ stats.sigma_s2[members])
-        distortion = band_terms_by_members(stats, error, fb, j, t.target_snr)
-        eps = distortion.speech_power(alphas) + t.noise_power(alphas)
-        ratio = np.divide(clean, eps, out=np.full_like(eps, np.inf),
-                          where=eps > 0.0)
-        ok = ratio >= t.target_snr * (1.0 - REL_TOL)
-        if ok.any():
-            alpha = alphas[np.flatnonzero(ok)[-1]]
-        else:
-            best = np.nanmin(-ratio)
-            near = -ratio <= best + 1e-12 * max(abs(best), 1e-300)
-            alpha = alphas[np.flatnonzero(near)[-1]]
-        delta_y = float(t.speech_power(alpha) + t.noise_power(alpha))
-        gain = 1.0 if delta_y <= 0.0 else \
-            float(np.sqrt(max(1.0, t.sigma_n2 * t.target_snr / delta_y)))
-        out.append((float(alpha), gain, bool(ok.any())))
+        d = band_terms_by_members(stats, error, fb, j, t.target_snr)
+        eps = (d.ds_ref + t.du_ref, d.ds_nr + t.du_nr,
+               d.ds_cross + t.du_cross)
+        out.append(first_stage_scan(clean, eps,
+                                    t.target_snr * (1.0 - REL_TOL)))
     return out
+
+
+def blind_gain_by_band(terms, alpha):
+    """0.3.0's blind second stage at one band's alpha: lift the apparent
+    SNR of the delivered power to the target, never below unit gain."""
+    delta_y = float(combo_quad(alpha, terms.ds_ref, terms.ds_nr,
+                               terms.ds_cross)
+                    + combo_quad(alpha, terms.du_ref, terms.du_nr,
+                                 terms.du_cross))
+    if delta_y <= 0.0:
+        return 1.0
+    return float(np.sqrt(max(1.0, terms.sigma_n2 * terms.target_snr
+                             / delta_y)))
 
 
 def xi_by_band(terms, alpha, gain):

@@ -1,14 +1,17 @@
 """End-to-end methods: recombination, rendering, blind baseline."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import (band_terms_by_members, blind_by_band, covered_bins,
-                     recombine_by_mix, reference_filter_pair, xi_by_band)
+import oracles
+from oracles import (SCAN_POINTS, band_terms_by_members, blind_by_band,
+                     blind_gain_by_band, covered_bins, recombine_by_mix,
+                     reference_filter_pair, xi_by_band)
 
-from minproc import beamform, pipeline, stft
+from minproc import beamform, pipeline, solver, stft
 from minproc.beamform import (BeamformerSet, apply_beamformer,
                               build_beamformers)
 from minproc.filterbank import allocate_targets, build_filterbank
@@ -425,7 +428,9 @@ def assert_close(new, old):
 def test_band_core_matches_per_band_integration(name, a_star):
     # the one-product band table against 0.3.0's band-by-band
     # integration and blind loop: same statuses, and alpha, g, xi and
-    # ASII equal to 1e-12 relative
+    # ASII equal to 1e-12 relative.  The blind first stage's alpha, which
+    # the oracle finds by a dense scan, agrees to the scan's step, and
+    # its second stage is checked at the library's alpha
     stats, bset, fb = core_scene(name)
     _, targets = allocate_targets(a_star, fb)
 
@@ -434,13 +439,17 @@ def test_band_core_matches_per_band_integration(name, a_star):
                 for j in range(fb.n_bands)]
 
     joint_terms = per_band(bset)
+    blind_res = run_blind_concat(stats, bset, fb, a_star)
     blind = blind_by_band(stats, bset, fb, joint_terms)
+    step = 1.0 / (SCAN_POINTS - 1)
+    assert np.all(np.abs(blind_res.alphas - [a for a, _ in blind]) <= step)
     unproc_terms = per_band(reference_filter_pair(stats))
     met = [xi_by_band(t, 1.0, 1.0) >= t.target_snr * (1.0 - REL_TOL)
            for t in unproc_terms]
     feasible = {True: BandStatus.FEASIBLE, False: BandStatus.C1_INFEASIBLE}
-    runs = [(run_blind_concat(stats, bset, fb, a_star), joint_terms,
-             [(a, g, feasible[m]) for a, g, m in blind]),
+    runs = [(blind_res, joint_terms,
+             [(a, blind_gain_by_band(t, a), feasible[m]) for t, a, (_, m)
+              in zip(joint_terms, blind_res.alphas.tolist(), blind)]),
             (run_unprocessed(stats, fb, a_star), unproc_terms,
              [(1.0, 1.0, feasible[m]) for m in met])]
     for delta_u_db in (12.0, -6.0):
@@ -456,6 +465,37 @@ def test_band_core_matches_per_band_integration(name, a_star):
         old_xi = [xi_by_band(t, a, g) for t, (a, g, _) in zip(terms, old)]
         assert_close(report.xi, old_xi)
         assert_close(report.asii, asii(old_xi, fb.importance))
+
+
+def test_blind_first_stage_matches_dense_scan():
+    # stage 1 takes the largest alpha whose clean-to-error ratio meets
+    # the target, which a 200 001-point scan finds to within its step,
+    # and where none does, the best ratio, which no scan point beats by
+    # 1e-9 relative.  Error powers from random bands, the last three
+    # with a double root, vanishing and flat, and two bands without speech
+    rng = np.random.default_rng(35)
+    bands = []
+    for _ in range(1000):
+        t = oracles.random_terms(rng)
+        bands.append((t.sigma_n2, (t.ds_ref + t.du_ref, t.ds_nr + t.du_nr,
+                                   t.ds_cross + t.du_cross), t.target_snr))
+    bands += [(1.0, (1.0, 1.0, -2.0), 4.0), (1.0, (0.0, 0.0, 0.0), 1.0),
+              (0.1, (1.0, 1.0, 2.0), 1.0), (0.0, (1.0, 2.0, 0.5), 1.0),
+              (0.0, (0.0, 1.0, 0.0), 1.0)]
+    step = 1.0 / (SCAN_POINTS - 1)
+    met = Counter()
+    for clean, eps, target in bands:
+        floor = target * (1.0 - REL_TOL)
+        alpha, hit = solver._blind_alpha(clean, eps, floor)
+        scan_alpha, scan_hit = oracles.first_stage_scan(clean, eps, floor)
+        assert hit == scan_hit, (clean, eps, target)
+        met[hit] += 1
+        if hit:
+            assert abs(alpha - scan_alpha) <= step, (clean, eps, target)
+        else:
+            ratio = oracles.first_stage_ratio(clean, eps, [alpha, scan_alpha])
+            assert ratio[0] >= ratio[1] * (1.0 - 1e-9), (clean, eps, target)
+    assert met[True] >= 100 and met[False] >= 100, met
 
 
 @pytest.mark.parametrize("name", sorted(CORE_SCENES))

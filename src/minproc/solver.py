@@ -630,9 +630,8 @@ def fallback_c1(speech, noise, sigma_n2, cap, theta):
 
 def _steer(points, target, status):
     """The (xi, alpha, g) of points whose SNR xi lands closest to the
-    target.  Residuals |xi - target| within 1e-12 * max(best, target)
-    of the least, best, tie, so every alpha on target ties, and ties go
-    to the larger alpha."""
+    target: residuals within 1e-12 * max(best, target) of the least,
+    best, tie, so every alpha on target ties; ties go to the larger."""
     found = [(abs(xi - target), x, g) for xi, x, g in points]
     return _solution(*_pick(found, target), status)
 
@@ -653,14 +652,15 @@ def fallback_c2(speech, noise, sigma_n2, target):
 def fallback_both(speech, noise, sigma_n2, cap, target):
     """Both constraints lost: run the gain at the C2 cap, g^2 = cap/du,
     and steer the SNR k ds/du, k = cap / (cap + sigma_n2), toward target
-    (_steer), at 0, 1, a root of k ds - target du, a turn of ds/du or a
-    root of du; the cap wins over g >= 1.  Where no far-end noise passes
-    (du = 0) there is nothing to cap: unit gain, SNR ds / sigma_n2."""
+    (_steer), at 0, 1, a root of k ds - target du or a turn of ds/du;
+    the cap wins over g >= 1.  Where du = 0 there is nothing to cap:
+    unit gain.  No inner root of du is a candidate: where ds > 0 there,
+    points beside it are admissible, and where ds = 0 too, semidefinite
+    powers share that double root and make ds/du flat."""
     k = cap / (cap + sigma_n2) if cap < math.inf else 1.0
-    cuts = (*_cuts([k * s - target * u for s, u in zip(speech, noise)]),
-            *_turns(speech, noise), *_cuts(noise))
     points = []
-    for x in _inside(*cuts):
+    for x in _inside(*_turns(speech, noise), *_cuts(
+            [k * s - target * u for s, u in zip(speech, noise)])):
         ds, du = _at(x, speech), _at(x, noise)
         points.append((k * ds / du, x, math.sqrt(cap / du)) if du > 0.0
                       else (_div(ds, du + sigma_n2), x, 1.0))

@@ -492,6 +492,10 @@ def test_blind_first_stage_matches_dense_scan():
         met[hit] += 1
         if hit:
             assert abs(alpha - scan_alpha) <= step, (clean, eps, target)
+            # the alpha itself passes the test, though a root may round
+            # to its wrong side
+            e = solver._at(alpha, eps)
+            assert e <= 0.0 or clean >= floor * e, (clean, eps, target)
         else:
             ratio = oracles.first_stage_ratio(clean, eps, [alpha, scan_alpha])
             assert ratio[0] >= ratio[1] * (1.0 - 1e-9), (clean, eps, target)

@@ -589,26 +589,31 @@ def test_fallbacks_never_beaten_by_dense_alpha_scan(monkeypatch):
 
 
 def test_steering_ties_go_to_the_larger_alpha(monkeypatch):
-    # ds = 1 + x and du = u + w x with x = alpha (1 - alpha), so each
+    # ds = c (1 + x) and du = u + w x with x = alpha (1 - alpha), so each
     # SNR meets its target at x = 2/9, alpha = 1/3 and alpha = 2/3, and
     # both routes take 2/3.  fallback_c2: du = 1 > cap = 0.1 everywhere,
     # and at the cap gain the SNR reaches the target where x > 0.22.
     # fallback_both: du(0) = 0.9 <= cap = 1 and du(2/9) = 1.08 > 1, and
-    # at the cap gain the SNR (1 + x) / (2 (0.9 + 0.81 x)) rises with x,
-    # so C1 holds only where C2 does not
+    # at the cap gain the SNR c (1 + x) / (2 (0.9 + 0.81 x)) rises with
+    # x, so C1 holds only where C2 does not.  At some scales c the
+    # residual at 1/3 rounds lower than at 2/3 (at c = 1.17 for the
+    # first, 1.02 for the second), so a tolerance relative to the least
+    # residual alone would not tie them
     called = _recording_fallbacks(monkeypatch)
-    for route, du, sigma_n2, delta_u_db, target in (
-            ("c2", (1.0, 1.0, 2.0), 1e-4, 30.0,
-             (1.0 + 2.0 / 9.0) / (1.0 + 1e-4)),
-            ("both", (0.9, 0.9, 2.61), 1.0, 0.0,
-             0.5 * (1.0 + 2.0 / 9.0) / (0.9 + 0.81 * 2.0 / 9.0))):
-        terms = SolverTerms(1.0, 1.0, 3.0, *du, sigma_n2, target)
-        called.clear()
-        sol = solve_band(terms, delta_u_db)
-        assert called == [route]
-        assert sol.alpha == pytest.approx(2.0 / 3.0, rel=1e-12), sol
-        assert subband_snr(terms, sol.alpha, sol.gain) \
-            == pytest.approx(target, rel=1e-12)
+    for c in (1.0, 1.02, 1.17):
+        for route, du, sigma_n2, delta_u_db, target in (
+                ("c2", (1.0, 1.0, 2.0), 1e-4, 30.0,
+                 c * (1.0 + 2.0 / 9.0) / (1.0 + 1e-4)),
+                ("both", (0.9, 0.9, 2.61), 1.0, 0.0,
+                 c * 0.5 * (1.0 + 2.0 / 9.0) / (0.9 + 0.81 * 2.0 / 9.0))):
+            terms = SolverTerms(c, c, 3.0 * c, *du, sigma_n2, target)
+            called.clear()
+            sol = solve_band(terms, delta_u_db)
+            assert called == [route]
+            assert sol.alpha == pytest.approx(2.0 / 3.0, rel=1e-12), \
+                (c, route, sol)
+            assert subband_snr(terms, sol.alpha, sol.gain) \
+                == pytest.approx(target, rel=1e-12)
 
 
 def test_nonpositive_delta_n_db_is_rejected_on_every_band():

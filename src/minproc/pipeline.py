@@ -174,8 +174,8 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
         eps = _distortion_table(stats, bset, fb) \
             + np.column_stack((t.du_ref, t.du_nr, t.du_cross))
         floors = (t.target_snr * (1.0 - REL_TOL)).tolist()
-        alphas, met = map(np.array, zip(*map(_blind_alpha, clean,
-                                             eps.tolist(), floors)))
+        stage = list(map(_blind_alpha, clean, eps.tolist(), floors))
+        alphas, met = map(np.array, zip(*stage))
 
         delta_y = t.speech_power(alphas) + t.noise_power(alphas)
         return (alphas, blind_gain(delta_y, t.sigma_n2, t.target_snr),

@@ -371,6 +371,18 @@ def test_subnormal_power_keeps_its_sign():
         == BandSolution(0.0, 1.0, BandStatus.FEASIBLE)
 
 
+def test_powers_spanning_more_than_the_float_range_solve_quietly():
+    # 1e308 and 5e-324 in one band: lifting the least power out of the
+    # subnormal range would push the largest past the float range, so
+    # the scale stops short of that and no ldexp overflows
+    terms = SolverTerms(5e-324, 1e308, 0.0, 1e300, 5e-324, 0.0, 1e-300, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for delta_u_db in (12.0, -6.0, np.inf):
+            sol = solve_band(terms, delta_u_db)
+            assert 0.0 <= sol.alpha <= 1.0 and np.isfinite(sol.gain), sol
+
+
 def test_vanishing_margin_with_far_end_noise_solves_quietly():
     # p = 1e-300 alpha^2: the least gain 1e150/alpha squares past the
     # float range below alpha = 1, where no far-end noise passes

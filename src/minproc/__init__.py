@@ -1,6 +1,6 @@
 """Joint far- and near-end minimum-processing speech enhancement."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .beamform import BeamformerSet, build_beamformers
 from .filterbank import Filterbank, allocate_targets, build_filterbank

@@ -164,9 +164,9 @@ def run_blind_concat(stats, bset, fb, a_star=0.7):
 
     Stage 1 picks the largest alpha in [0, 1] whose clean-speech-to-error
     ratio (speech distortion plus residual noise in place of the
-    near-end noise it cannot see) reaches the band target; failing that,
-    the alpha with the best ratio (solver._blind_alpha).  Stage 2 applies
-    blind_gain to the total power the first stage delivers.
+    near-end noise it cannot see) reaches the band target, failing that
+    the best ratio: the joint search at unit gain (solver._blind_alpha).
+    Stage 2 applies blind_gain to the total power the first stage gives.
     """
 
     def decide(t):

@@ -41,6 +41,12 @@ them, so that moves no rounding and keeps the root arithmetic far from
 overflow.  It runs on Python floats, which overflow to inf without a
 warning and raise on a zero divisor; every divisor it forms is checked
 nonzero or positive first.
+
+One search serves both methods.  The blind method's far-end stage
+(_blind_alpha) is the same search at unit gain on its own, unscaled
+powers: C1 on the margin clean - target * eps(alpha), with rhs = 0 and
+no cap, whose least penalty is the largest alpha that meets it; where
+none does, it takes fallback_c1's best ratio (_best_ratio).
 """
 
 import math
@@ -87,17 +93,6 @@ class BandStatus(Enum):
         return self.value
 
 
-def _quad(alpha, at_one, at_zero, cross):
-    """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross."""
-    a = np.asarray(alpha, dtype=float)
-    b = 1.0 - a
-    # in place, fewer temporaries; the sum keeps its left-to-right order
-    out = a * a * at_one
-    out += b * b * at_zero
-    out += a * b * cross
-    return out
-
-
 @dataclass(frozen=True)
 class SolverTerms:
     """Band-integrated powers of the combined filter as quadratics in alpha.
@@ -121,10 +116,12 @@ class SolverTerms:
     target_snr: float
 
     def speech_power(self, alpha):
-        return _quad(alpha, self.ds_ref, self.ds_nr, self.ds_cross)
+        return _at(np.asarray(alpha, dtype=float),
+                   (self.ds_ref, self.ds_nr, self.ds_cross))
 
     def noise_power(self, alpha):
-        return _quad(alpha, self.du_ref, self.du_nr, self.du_cross)
+        return _at(np.asarray(alpha, dtype=float),
+                   (self.du_ref, self.du_nr, self.du_cross))
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def _margin_coefs(terms):
 def snr_margin(terms, alpha):
     """p(alpha) = speech - noise * target_snr: positive where the SNR
     target is reachable by gain alone."""
-    return _quad(alpha, *_margin_coefs(terms))
+    return _at(np.asarray(alpha, dtype=float), _margin_coefs(terms))
 
 
 def subband_snr(terms, alpha, g):
@@ -261,8 +258,9 @@ def _std(c):
 
 
 def _at(alpha, c):
-    """The quadratic of an (at_one, at_zero, cross) triple at a float
-    alpha, in _quad's order and so with its bits."""
+    """alpha^2 * at_one + (1-alpha)^2 * at_zero + alpha*(1-alpha) * cross
+    of an (at_one, at_zero, cross) triple c, summed left to right, at a
+    float alpha or elementwise on arrays."""
     b = 1.0 - alpha
     return alpha * alpha * c[0] + b * b * c[1] + alpha * b * c[2]
 
@@ -379,8 +377,8 @@ def _zero(fn, lo, hi):
 
 
 class _Band:
-    """One band's search over alpha on its scaled powers: margin and
-    noise are (at_one, at_zero, cross) triples of p and du."""
+    """One band's search over alpha: margin and noise are (at_one,
+    at_zero, cross) triples of p and du."""
 
     __slots__ = ("margin", "noise", "rhs", "cap", "rhs_lo", "cap_hi", "pa",
                  "pb", "pc")
@@ -601,9 +599,7 @@ def fallback_c1(speech, noise, sigma_n2, cap, theta):
 
     speech and noise are the triples of speech_power and noise_power,
     in one power-of-two scale with sigma_n2 and the C2 cap; theta is
-    the boost_fraction.  alpha maximizes ds/du over [0, 1]: at 0, 1, a
-    turn (_turns) or a root of du, where it reads inf if speech still
-    arrives (_div); ties, to 1e-12 relative, go to the larger alpha.
+    the boost_fraction.  alpha maximizes ds/du over [0, 1] (_best_ratio).
     The raw gain makes the near-end noise cost exactly delta_n_db of
     that SNR,
 
@@ -615,9 +611,8 @@ def fallback_c1(speech, noise, sigma_n2, cap, theta):
     itself sits below one it wins and the status reports both
     constraints lost.
     """
-    alpha, du = _pick([
-        (-_div(_at(x, speech), _at(x, noise)), x, _at(x, noise))
-        for x in _inside(*_turns(speech, noise), *_cuts(noise))])
+    alpha = _best_ratio(speech, noise)
+    du = _at(alpha, noise)
     if not du > 0.0:
         return _solution(alpha, 1.0, BandStatus.C1_INFEASIBLE)
     g = math.sqrt(theta * sigma_n2 / ((1.0 - theta) * du))
@@ -667,27 +662,24 @@ def fallback_both(speech, noise, sigma_n2, cap, target):
     return _steer(points, target, BandStatus.BOTH_INFEASIBLE)
 
 
+def _best_ratio(num, den):
+    """The alpha of the largest num/den over [0, 1], two triples: at 0,
+    1, a turn (_turns) or a root of den, where it reads inf if num still
+    arrives (_div); ties, to 1e-12 relative, go to the larger alpha."""
+    return _pick([(-_div(_at(x, num), _at(x, den)), x, None)
+                  for x in _inside(*_turns(num, den), *_cuts(den))])[0]
+
+
 def _blind_alpha(clean, eps, floor):
     """The blind first stage on one band, eps the error power's triple
-    and floor the target times 1 - REL_TOL: (alpha, met), alpha the
-    largest in [0, 1] with clean >= floor * eps(alpha) (or eps <= 0).
-    That is 1 or a root of floor * eps - clean, stepped inward where it
-    rounds outside the test; where no alpha meets it, the best ratio
-    clean / eps's, at an end or a turn, ties to the larger alpha."""
-    def meets(x):
-        e = _at(x, eps)
-        return e <= 0.0 or clean >= floor * e
-
+    and floor the target times 1 - REL_TOL: (alpha, met).  At rhs = 0
+    and no cap every admitted alpha has g = 1, so the search's least
+    penalty is the largest alpha whose margin quadratic clean - floor *
+    eps(alpha) is at least 0; where none is, the best ratio clean / eps."""
     flat = (clean, clean, 2.0 * clean)  # the constant clean as a triple
-    points = _inside(*_cuts([floor * e - c for e, c in zip(eps, flat)]))
-    # right to left; the test keeps its sign between roots
-    for hi, lo in zip(points, points[1:] + [None]):
-        if meets(hi):
-            return hi, True
-        if lo is not None and meets(0.5 * (lo + hi)):
-            return _inward(meets, hi, 0.5 * (lo + hi)), True
-    return _pick([(-_div(clean, _at(x, eps)), x, False)
-                  for x in _inside(*_turns(flat, eps))])
+    best = _Band([c - floor * e for c, e in zip(flat, eps)], (0.0, 0.0, 0.0),
+                 0.0, math.inf).search()
+    return (best[0], True) if best else (_best_ratio(flat, eps), False)
 
 
 def solve_band(terms, delta_u_db=DELTA_U_DB, delta_n_db=DELTA_N_DB):

@@ -472,7 +472,8 @@ def test_blind_first_stage_matches_dense_scan():
     # the target, which a 200 001-point scan finds to within its step,
     # and where none does, the best ratio, which no scan point beats by
     # 1e-9 relative.  Error powers from random bands, the last three
-    # with a double root, vanishing and flat, and two bands without speech
+    # with a double root, vanishing and flat, two bands without speech
+    # and a target-0 band, met at alpha = 1
     rng = np.random.default_rng(35)
     bands = []
     for _ in range(1000):
@@ -481,7 +482,7 @@ def test_blind_first_stage_matches_dense_scan():
                                    t.ds_cross + t.du_cross), t.target_snr))
     bands += [(1.0, (1.0, 1.0, -2.0), 4.0), (1.0, (0.0, 0.0, 0.0), 1.0),
               (0.1, (1.0, 1.0, 2.0), 1.0), (0.0, (1.0, 2.0, 0.5), 1.0),
-              (0.0, (0.0, 1.0, 0.0), 1.0)]
+              (0.0, (0.0, 1.0, 0.0), 1.0), (1.0, (1.0, 2.0, 0.5), 0.0)]
     step = 1.0 / (SCAN_POINTS - 1)
     met = Counter()
     for clean, eps, target in bands:
@@ -492,10 +493,11 @@ def test_blind_first_stage_matches_dense_scan():
         met[hit] += 1
         if hit:
             assert abs(alpha - scan_alpha) <= step, (clean, eps, target)
-            # the alpha itself passes the test, though a root may round
-            # to its wrong side
-            e = solver._at(alpha, eps)
-            assert e <= 0.0 or clean >= floor * e, (clean, eps, target)
+            # the alpha itself passes the stage's test: the margin
+            # quadratic clean - floor * eps(alpha) is at least 0 there
+            margin = [c - floor * e
+                      for c, e in zip((clean, clean, 2.0 * clean), eps)]
+            assert solver._at(alpha, margin) >= 0.0, (clean, eps, target)
         else:
             ratio = oracles.first_stage_ratio(clean, eps, [alpha, scan_alpha])
             assert ratio[0] >= ratio[1] * (1.0 - 1e-9), (clean, eps, target)

@@ -40,7 +40,8 @@ def evaluate(stats, result, fb):
     (alpha, g) through the band terms the method was solved with, all
     bands in one array expression.  The broadband output SNR weighs
     per-bin powers with the one-sided spectrum weights (interior bins
-    count twice) and includes the near-end noise in the denominator.
+    count twice) and includes the near-end noise in the denominator; it
+    is inf where no noise is heard and -inf where no speech is.
     """
     xi = subband_snr(result.table, result.alphas, result.gains)
 
@@ -52,7 +53,8 @@ def evaluate(stats, result, fb):
     cw = np.einsum("kmn,kn->km", stats.c_u, result.w_mp)
     noise_bin = np.einsum("km,km->k", np.conj(result.w_mp), cw).real
     p_noise = float(pw @ (g2 * noise_bin + stats.sigma_n2))
-    out_db = 10.0 * np.log10(p_speech / p_noise) if p_noise > 0.0 else np.inf
+    ratio = p_speech / p_noise if p_noise > 0.0 else np.inf
+    out_db = 10.0 * np.log10(ratio) if ratio > 0.0 else -np.inf
 
     report = EvalReport(xi=xi, asii=asii(xi, fb.importance),
                         broadband_out_snr_db=out_db)

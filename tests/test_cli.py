@@ -581,6 +581,21 @@ def test_infinite_mu_nr_runs(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("mus", ["mu_ref = 1e200\nmu_nr = 1e201\n",
+                                 "mu_ref = 1e308\nmu_nr = inf\n"])
+def test_huge_distortion_weights_run(tmp_path, mus):
+    # weights this large make the Wiener filters pass no speech; every
+    # method still runs, RuntimeWarnings failing the suite, and the two
+    # Wiener-based methods report a broadband SNR of -inf
+    cfg = write_cfg(tmp_path, "duration = 1.0\n" + mus)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as f:
+        snr = {row["method"]: float(row["broadband_out_snr_db"])
+               for row in csv.DictReader(f)}
+    assert snr["joint"] == snr["blind"] == -math.inf
+
+
 def test_huge_n_bands_exits_2(tmp_path, capsys):
     # refused before the filterbank allocates anything: arrays with this
     # many bands could never be allocated

@@ -1,5 +1,7 @@
 """Evaluation: ASII arithmetic, report invariants, broadband SNR oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,13 @@ def test_unprocessed_out_snr_matches_input_snr():
     report = evaluate(stats, res, fb)
     # near-end noise dominates: broadband SNR close to ne_snr_db
     assert report.broadband_out_snr_db == pytest.approx(-10.0, abs=1.0)
+
+
+def test_no_speech_delivered_reads_minus_inf():
+    # a filter that passes nothing leaves only the near-end noise: the
+    # broadband SNR is -inf, without a log10(0) RuntimeWarning, as it is
+    # +inf where no noise is heard
+    _, stats, bset, fb = make_scene(0.0, -10.0)
+    res = run_joint(stats, bset, fb)
+    muted = dataclasses.replace(res, w_mp=np.zeros_like(res.w_mp))
+    assert evaluate(stats, muted, fb).broadband_out_snr_db == -np.inf
